@@ -8,6 +8,7 @@ success, 1 on numerical non-convergence, 2 on usage errors.
 
 import argparse
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -51,6 +52,27 @@ def _parse_grid(text):
 
 def _parse_list(text):
     return [float(p) for p in text.split(",")]
+
+
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv):
+    """Glue a value such as '-2:2:1' to its option: '--a', '-2:2:1' -> '--a=-2:2:1'.
+
+    argparse takes a separate token that starts with '-' and is not a plain
+    number for an option, so grids and lists with a negative first entry
+    would otherwise be rejected.  No option of this parser starts with a
+    digit, so such a token is always a value.
+    """
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_VALUE.match(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _emit(lines, output):
@@ -254,7 +276,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     if args.show_defaults:
         sys.stdout.write(show_defaults() + "\n")
         return 0

@@ -203,6 +203,24 @@ def adaptive_ray(psi, max_length, drop=None, base_step=0.2, nodes_per_radian=1.5
     return np.concatenate(taus), np.concatenate(weights)
 
 
+def ray_wedge(apex, angle, psi, max_length):
+    """Wedge through ``apex`` along the rays at +-``angle``, placed adaptively.
+
+    ``psi(w)`` is the complex exponent of a factor ``exp(-psi(w))`` that
+    decays along the upper ray ``apex + e^{i angle} tau``; :func:`adaptive_ray`
+    sets its nodes, and the lower ray takes their mirror image (exponents
+    with real coefficients decay alike on both).  The path runs upward like
+    ``make_contour("wedge", ...)``.
+    """
+    u = np.exp(1j * angle)
+    tau, wt = adaptive_ray(lambda t: psi(apex + u * t), max_length)
+    lo = np.conj(u)
+    nodes = np.concatenate([apex + lo * tau[::-1], apex + u * tau])
+    weights = np.concatenate([-lo * wt[::-1], u * wt])
+    return Contour("wedge", nodes, weights, False, float(tau.max()),
+                   {"apex": apex, "angle": angle, "nodes": len(nodes)})
+
+
 @dataclass(eq=False)
 class SemiInfiniteRule:
     """Quadrature for integrals over [threshold, infinity)."""

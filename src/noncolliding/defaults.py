@@ -5,7 +5,7 @@ here so that reported numbers are reproducible.  ``noncolliding
 --show-defaults`` prints this table.
 """
 
-DEFAULTS_VERSION = "1"
+DEFAULTS_VERSION = "2"
 
 DEFAULTS = {
     # quadrature resolutions
@@ -17,7 +17,6 @@ DEFAULTS = {
     # decay / truncation policy
     "decay_drop": 45.0,           # exponent drop from the max before truncating: e^-45 < 1e-18
     "semiinf_length": 40.0,
-    "det_refine_tol": 1e-9,
     # Fredholm engines
     "nystrom_nodes_per_slot": 64,
     "series_max_order": 8,

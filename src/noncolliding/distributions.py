@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contours import Contour, adaptive_ray, make_contour
+from .contours import make_contour, ray_wedge
 from .defaults import DEFAULTS
 from .exceptions import DomainError, ParameterError
 from .fredholm import BlockKernel, apply_conjugation, det_nystrom, det_ratio, single_slot_kernel
@@ -130,17 +130,17 @@ def cdf_piflat(beta, a, nodes=None, length=None):
     (the passage value is almost surely positive, and the determinant
     vanishes identically there).
     """
-    return det_nystrom(piflat_block(beta, a, length), nodes).value
+    return det_nystrom(piflat_block(beta, a, length), nodes, refine=False).value
 
 
 def cdf_loe_max(n, a, nodes=None, length=None):
     """P(largest eigenvalue of X^t X <= 4a) for X (n+1) x n standard normal."""
-    return det_nystrom(loe_block(n, a, length), nodes).value
+    return det_nystrom(loe_block(n, a, length), nodes, refine=False).value
 
 
 def cdf_bridge_allmax(nu, r, nodes=None, length=None):
     """P(max over [0,1] of the top nu-started noncolliding bridge <= r)."""
-    return det_nystrom(bridge_block(nu, r, length), nodes).value
+    return det_nystrom(bridge_block(nu, r, length), nodes, refine=False).value
 
 
 def runningmax_block(n, s, a, length=None):
@@ -167,7 +167,7 @@ def cdf_bridge_runningmax(n, s, a, nodes=None, length=None):
         return cdf_loe_max(n, a * a, nodes)
     if s == 0.0:
         return 1.0
-    return det_nystrom(runningmax_block(n, s, a, length), nodes).value
+    return det_nystrom(runningmax_block(n, s, a, length), nodes, refine=False).value
 
 
 def arith_block(delta, a, length=None, gamma_func=None):
@@ -186,7 +186,7 @@ def cdf_arithmetic_limit(delta, a, nodes=None, length=None):
     P(gamma_1 <= n - 1 + (a + log(n-1))/2) for the log-eigenvalue of
     Brownian motion on positive-definite matrices.
     """
-    return det_nystrom(arith_block(delta, a, length), nodes).value
+    return det_nystrom(arith_block(delta, a, length), nodes, refine=False).value
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,8 @@ def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True):
 
 def cdf_blpp(b, mu, times, thresholds, nodes=None, lengths=None, conjugate=True):
     """Joint law P(BLPP(b; (t_i, m)) <= a_i for all i) as a block determinant."""
-    return det_nystrom(blpp_block(b, mu, times, thresholds, lengths, conjugate), nodes).value
+    K = blpp_block(b, mu, times, thresholds, lengths, conjugate)
+    return det_nystrom(K, nodes, refine=False).value
 
 
 def airy_block(times, xi, lengths=14.0, mode="wedge"):
@@ -265,7 +266,7 @@ def airy_block(times, xi, lengths=14.0, mode="wedge"):
 
 def airy_fdd(times, xi, nodes=None, mode="wedge", lengths=14.0):
     """Finite-dimensional law of the Airy process at the given times."""
-    return det_nystrom(airy_block(times, xi, lengths, mode), nodes).value
+    return det_nystrom(airy_block(times, xi, lengths, mode), nodes, refine=False).value
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +315,11 @@ def dyson_edge_block(nu, taus, xis, lengths=13.0):
     delta1 = delta2 + 0.5
     apex = b + delta2 / rho
     line = b + delta1 / rho
-    u_up = np.exp(1j * 5.0 * np.pi / 6.0)
-
     smax = s.max()
     xref = shift.min()  # smallest 'X' has the slowest wedge decay
-
-    def psi_ray(tau_arr):
-        w = apex + u_up * tau_arr
-        return 0.5 * smax * w ** 2 - xref * w + _log_poly(w, nu)
-
-    tau_w, wt_w = adaptive_ray(psi_ray, max_length=4.0 * (b - nu.min()) + 6.0)
-    nodes_w = np.concatenate([apex + np.conj(u_up) * tau_w[::-1], apex + u_up * tau_w])
-    weights_w = np.concatenate([-np.conj(u_up) * wt_w[::-1], u_up * wt_w])
-    cw = Contour("wedge", nodes_w, weights_w, False, float(tau_w.max()),
-                 {"apex": apex, "angle": 5 * np.pi / 6, "nodes": len(nodes_w)})
+    cw = ray_wedge(apex, 5 * np.pi / 6,
+                   lambda w: 0.5 * smax * w ** 2 - xref * w + _log_poly(w, nu),
+                   4.0 * (b - nu.min()) + 6.0)
 
     Ymax = shift.max() + rho * float(np.max(lengths)) if np.ndim(lengths) else shift.max() + rho * lengths
     slope = abs(smax * line - Ymax) + abs(smax * line - shift.min()) + np.sum(1.0 / np.abs(line - nu))
@@ -365,7 +357,7 @@ def dyson_edge_block(nu, taus, xis, lengths=13.0):
 
 def cdf_dyson_edge(nu, taus, xis, nodes=None, lengths=13.0):
     """Finite-n edge law P(rescaled lambda_max(tau_i) <= xi_i for all i)."""
-    return det_nystrom(dyson_edge_block(nu, taus, xis, lengths), nodes).value
+    return det_nystrom(dyson_edge_block(nu, taus, xis, lengths), nodes, refine=False).value
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ def _result(name, t0, disc, allow, rows, detail=""):
                             detail, rows, time.time() - t0)
 
 
+def _seed(seed):
+    """The given seed, or the default one when none is given (0 is a seed)."""
+    return DEFAULTS["seed"] if seed is None else seed
+
+
 def _phi(a):
     return 0.5 * (1.0 + math.erf(a / math.sqrt(2.0)))
 
@@ -107,7 +112,7 @@ def piflat_mc(seed=None, n_samples=10 ** 6, label="piflat-n3"):
     """Point-to-line law, n = 3 rates (1, 1.5, 2), against 1e6 samples."""
     t0 = time.time()
     beta = [1.0, 1.5, 2.0]
-    stream = RngStream(seed or DEFAULTS["seed"], 41)
+    stream = RngStream(_seed(seed), 41)
     x = sample_piflat(beta, stream=stream, samples=n_samples)
     grid = np.quantile(x, np.linspace(0.02, 0.98, 33))
     return _cdf_vs_samples(label, t0, x, lambda a: cdf_piflat(beta, a), grid,
@@ -118,7 +123,7 @@ def piflat_n2(seed=None):
     """Smaller two-rate variant used as the quick smoke comparison."""
     t0 = time.time()
     beta = [1.0, 2.0]
-    stream = RngStream(seed or DEFAULTS["seed"], 42)
+    stream = RngStream(_seed(seed), 42)
     n = 200000
     x = sample_piflat(beta, stream=stream, samples=n)
     grid = np.quantile(x, np.linspace(0.03, 0.97, 25))
@@ -131,7 +136,7 @@ def loe_mc(seed=None, n_samples=10 ** 5):
     t0 = time.time()
     rows, disc = [], 0.0
     for k, n in enumerate((2, 5)):
-        stream = RngStream(seed or DEFAULTS["seed"], 51 + k)
+        stream = RngStream(_seed(seed), 51 + k)
         lam = sample_loe_max(n, stream=stream, samples=n_samples)
         grid = np.quantile(lam, np.linspace(0.02, 0.98, 25))
         emp = empirical_cdf(lam, grid)
@@ -153,7 +158,7 @@ def bridge_nr(seed=None, paths=10 ** 5):
             disc_exact = max(disc_exact, abs(got - want))
     if disc_exact > 1e-6:
         return _result("bridge-nr", t0, disc_exact, 1e-6, rows, "identity stage failed")
-    stream = RngStream(seed or DEFAULTS["seed"], 61)
+    stream = RngStream(_seed(seed), 61)
     m = sample_bridge_topmax(2, 1.0, stream=stream, paths=paths, grid_step=1.0 / 8192)
     grid = np.quantile(m ** 2, np.linspace(0.02, 0.98, 25))
     emp = empirical_cdf(m ** 2, grid)
@@ -166,7 +171,7 @@ def bridge_nr(seed=None, paths=10 ** 5):
 def bridge_runmax(seed=None, paths=10 ** 5):
     """Running maximum of the top bridge at s = 1/2 vs the matrix-bridge MC."""
     t0 = time.time()
-    stream = RngStream(seed or DEFAULTS["seed"], 71)
+    stream = RngStream(_seed(seed), 71)
     m = sample_bridge_topmax(2, 0.5, stream=stream, paths=paths, grid_step=1.0 / 8192)
     rows, disc = [], 0.0
     for a in (0.8, 1.2, 1.6):
@@ -189,7 +194,7 @@ def narrow_wedge(seed=None, n_samples=10 ** 6):
         disc1 = max(disc1, abs(got - want))
     if disc1 > 1e-6:
         return _result("narrow-wedge", t0, disc1, 1e-6, rows, "normal stage failed")
-    gen = RngStream(seed or DEFAULTS["seed"], 81).generator()
+    gen = RngStream(_seed(seed), 81).generator()
     shape = (n_samples, 2, 2)
     W = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
     H = (W + np.conj(np.swapaxes(W, -1, -2))) / np.sqrt(2.0)
@@ -313,7 +318,7 @@ def geometric_exact(seed=None, n_mc=10 ** 6):
     if refl_disc > 1e-10:
         return _result("geometric-exact", t0, refl_disc, 1e-10, rows, "reflection stage")
     # Monte Carlo law at 3 sigma
-    G = sample_geom_lpp(params, x, 2, RngStream(seed or DEFAULTS["seed"], 91), samples=n_mc)
+    G = sample_geom_lpp(params, x, 2, RngStream(_seed(seed), 91), samples=n_mc)
     mc_disc_sigmas = 0.0
     for y in pairs[:15]:
         p = law[y]
@@ -363,7 +368,7 @@ def limit_transition(seed=None):
 def arith_ks(seed=None, n_samples=10 ** 4, n_dim=256):
     """Arithmetic-spectrum edge law vs finite-n sampling, KS <= 0.05."""
     t0 = time.time()
-    stream = RngStream(seed or DEFAULTS["seed"], 101)
+    stream = RngStream(_seed(seed), 101)
     _, resc = sample_arith_max(n_dim, 2.0, 0.0, stream=stream, samples=n_samples)
     grid = np.quantile(resc, np.linspace(0.03, 0.97, 29))
     emp = empirical_cdf(resc, grid)
@@ -384,7 +389,7 @@ def dyson_edge(seed=None, n_samples=10 ** 4):
     t0 = time.time()
     n = 200
     es_b, es_a, es_d = 1.0, 2.0, 1.0  # nu = 0 edge constants
-    stream = RngStream(seed or DEFAULTS["seed"], 111)
+    stream = RngStream(_seed(seed), 111)
     lam = sample_dyson_max(np.zeros(n), [1.0 / n], stream=stream, samples=n_samples)[:, 0]
     resc = (lam - es_a) * n ** (2.0 / 3.0) / es_d
     grid = np.quantile(resc, np.linspace(0.04, 0.96, 21))
@@ -416,7 +421,7 @@ def eigen_identity(seed=None, paths=10 ** 5):
     t0 = time.time()
     mu = np.array([-0.5, -1.0])
     t = 1.0
-    stream = RngStream(seed or DEFAULTS["seed"], 121)
+    stream = RngStream(_seed(seed), 121)
     sup = _matrix_running_supmax(mu, t, 1.0 / 4096, stream, paths)
     blpp = sample_blpp(BoundaryFunction.flat(), mu, 2, t, grid_step=t / 4096,
                        stream=stream.substream(1), paths=paths)

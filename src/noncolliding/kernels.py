@@ -19,7 +19,7 @@ factor of 2 in the variance; both are housed here explicitly):
 import numpy as np
 from dataclasses import dataclass
 
-from .contours import adaptive_ray, gauss_legendre, make_contour
+from .contours import gauss_legendre, make_contour, ray_wedge
 from .defaults import DEFAULTS
 from .exceptions import DomainError, ParameterError
 from .special import _airy_any_real, complex_gamma, heat_kernel
@@ -634,49 +634,29 @@ def _jairy_contours(tmax, xlo, ylo, mode, delta1=None, delta2=None):
     if mode not in ("wedge", "vertical"):
         raise ParameterError("mode must be 'wedge' or 'vertical'")
 
-    def psi_z_ray(sign_dir):
-        u = np.exp(sign_dir * 1j * np.pi / 3.0)
-        return lambda tau: ((delta1 + u * tau) ** 3 / 3.0 + tmax * (delta1 + u * tau) ** 2
-                            - min(ylo, 0.0) * (delta1 + u * tau)) * (-1.0)
-
     if mode == "vertical":
         # numerator side z on Re = delta1
         q = 2.0 * (delta1 - tmax)
         Tz = np.sqrt(2.0 * (_DROP + 10.0) / q) + 2.0
         nz = int(min(8192, max(256, 64 + 1.4 * (abs(ylo) + 3 * delta1 + Tz ** 2) * Tz)))
         cz = make_contour("vertical", offset=delta1, half_height=Tz, nodes=nz)
-    else:
-        # wedge through delta1 at +-pi/3: cubic decay, phase handled adaptively
-        tau, wt = adaptive_ray(psi_z_ray(+1), max_length=12.0 + np.sqrt(abs(ylo)) * 2.0)
-        up = np.exp(1j * np.pi / 3.0)
-        lo = np.exp(-1j * np.pi / 3.0)
-        nodes = np.concatenate([delta1 + lo * tau[::-1], delta1 + up * tau])
-        weights = np.concatenate([-lo * wt[::-1], up * wt])
-        from .contours import Contour
-        cz = Contour("wedge", nodes, weights, False, tau.max(),
-                     {"apex": delta1, "angle": np.pi / 3.0, "nodes": len(nodes)})
-
-    if mode == "vertical":
         q = 2.0 * (delta2 - (-tmax))
         Tw = np.sqrt(2.0 * (_DROP + 10.0) / q) + 2.0
         nw = int(min(8192, max(256, 64 + 1.4 * (abs(xlo) + 3 * delta2 + Tw ** 2) * Tw)))
         cw = make_contour("vertical", offset=-delta2, half_height=Tw, nodes=nw)
     else:
-        u = np.exp(1j * 5.0 * np.pi / 6.0)
-
-        def psi_w_ray(tau):
-            w = delta2 + u * tau
-            return w ** 3 / 3.0 + (-tmax) * w ** 2 - max(xlo, 0.0) * w
-
-        qw = delta2 - tmax  # quadratic decay coefficient along the 5pi/6 rays
-        Lw = 3.6 * max(abs(xlo), 1.0) / max(qw, 0.25) + np.sqrt(2 * (_DROP + 10.0) / max(qw, 0.25)) + 4.0
-        tau, wt = adaptive_ray(psi_w_ray, max_length=Lw)
-        lo = np.conj(u)
-        nodes = np.concatenate([delta2 + lo * tau[::-1], delta2 + u * tau])
-        weights = np.concatenate([-lo * wt[::-1], u * wt])
-        from .contours import Contour
-        cw = Contour("wedge", nodes, weights, False, tau.max(),
-                     {"apex": delta2, "angle": 5 * np.pi / 6.0, "nodes": len(nodes)})
+        # steepest-descent wedges of the cubic term, mirror images of each
+        # other: z^3/3 is real and falling along the +-pi/3 rays through
+        # delta1, w^3/3 real and growing along the +-2pi/3 rays through delta2,
+        # so both factors decay like e^{-tau^3/3}.  Re w <= delta2 < delta1 <= Re z
+        # keeps the wedges apart and clear of the pole at z = w.  Each ray is
+        # sized for the worst exponent over the time and argument ranges.
+        cz = ray_wedge(delta1, np.pi / 3.0,
+                       lambda z: -(z ** 3 / 3.0 + tmax * z ** 2 - min(ylo, 0.0) * z),
+                       12.0 + np.sqrt(abs(ylo)) * 2.0)
+        cw = ray_wedge(delta2, 2.0 * np.pi / 3.0,
+                       lambda w: w ** 3 / 3.0 + tmax * w ** 2 - min(xlo, 0.0) * w,
+                       12.0 + np.sqrt(abs(xlo)) * 2.0)
     return cw, cz
 
 
@@ -700,8 +680,11 @@ def j_airy(t1, x, t2, y, mode="wedge", delta1=None, delta2=None):
 
     (1/2 pi i)^2 int_{G-} dw int_{G+} dz e^{z^3/3 + t2 z^2 - yz} /
     e^{w^3/3 + t1 w^2 - xw} / (z - w).  ``mode='wedge'`` uses the wedge
-    deformations (angles pi/3 and 5pi/6 with apexes delta1 > delta2 >
-    max|t|); ``mode='vertical'`` keeps vertical lines at +-delta.
+    deformations: the z wedge at angles +-pi/3 through delta1 and the
+    w wedge at +-2pi/3 through delta2, with delta1 > delta2 > max|t|.  Both
+    are steepest-descent rays of the cubic term, so the integrands decay
+    like e^{-tau^3/3} along them.  ``mode='vertical'`` keeps vertical lines
+    at +-delta.
     """
     out = _jairy_eval(t1, t2, x, y, mode, delta1, delta2)
     return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out

@@ -1,6 +1,8 @@
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +27,25 @@ def test_cdf_piflat_grid_example(capsys):
     assert abs(at_half - (1 - math.exp(-1.0))) < 1e-10
     # 12 significant digits
     assert rows[1][1] == "%.12g" % at_half
+
+
+def test_readme_arith_example_with_negative_grid(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    line = next(l for l in readme.read_text().splitlines()
+                if l.startswith("noncolliding cdf --family arith"))
+    assert "--a -2:2:1" in line
+    code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
+    rows = [l.split(",") for l in out.splitlines()
+            if l and not l.startswith(("#", "threshold"))]
+    assert [float(r[0]) for r in rows] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
+def test_negative_list_after_option(capsys):
+    code, out, _ = run_cli(capsys, "cdf", "--family", "blpp-nw", "--mu", "-0.5,-1",
+                           "--times", "1", "--a", "-1,0.5")
+    assert code == 0
+    assert len([l for l in out.splitlines() if l and not l.startswith(("#", "threshold"))]) == 2
 
 
 def test_cdf_loe_example(capsys):
@@ -78,6 +99,19 @@ def test_compare_piflat_n2_passes(capsys):
     assert code == 0
     verdict = [l for l in out.splitlines() if l.startswith("verdict,")][0]
     assert verdict.split(",")[1] == "PASS"
+
+
+def test_compare_seed_zero_is_not_the_default_seed(capsys):
+    code0, out0, _ = run_cli(capsys, "compare", "--experiment", "piflat-n2", "--seed", "0")
+    code1, out1, _ = run_cli(capsys, "compare", "--experiment", "piflat-n2")
+    assert code0 == code1 == 0
+    assert "# seed: 0" in out0
+
+    def rows(out):
+        return [l for l in out.splitlines() if l.startswith("n=2,")]
+
+    # the grid points are sample quantiles, so they move with the samples
+    assert rows(out0) and rows(out0) != rows(out1)
 
 
 def test_compare_burke_invariance(capsys):

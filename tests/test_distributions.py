@@ -146,6 +146,32 @@ def test_airy_fdd_single_time_engine_cross_check():
         assert abs(v1 - v2) < 1e-6
 
 
+def _tracy_widom_f2(s, nodes=80, length=16.0):
+    """F2(s) = det(I - K_Ai) on L2(s, s + 16) from scipy's Airy functions.
+
+    Gauss-Legendre Nystrom on the integrable kernel
+    (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y) with diagonal Ai'(x)^2 - x Ai(x)^2
+    (Bornemann, Math. Comp. 79, 2010): independent of the contour kernels.
+    """
+    from scipy.special import airy
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x = s + 0.5 * length * (x + 1.0)
+    w = 0.5 * length * w
+    ai, aip, _, _ = airy(x)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    K = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff
+    np.fill_diagonal(K, aip ** 2 - x * ai ** 2)
+    sw = np.sqrt(w)
+    return float(np.linalg.det(np.eye(nodes) - sw[:, None] * K * sw[None, :]))
+
+
+@pytest.mark.parametrize("xi", [-4.0, -3.9, -3.0, -1.0, 0.0, 2.0])
+def test_airy_fdd_single_time_matches_tracy_widom(xi):
+    pytest.importorskip("scipy.special")
+    assert abs(airy_fdd([0.0], [xi]) - _tracy_widom_f2(xi)) < 1e-12
+
+
 def test_airy_fdd_two_time_structure():
     z = np.array([1.3, 1.1])
     t = np.array([0.0, 0.5])

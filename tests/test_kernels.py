@@ -247,6 +247,12 @@ def test_j_airy_contour_modes_agree():
     assert abs(j_airy(0, 1, 0, 1, mode="wedge") - j_airy(0, 1, 0, 1, mode="vertical")) < 1e-8
     assert abs(j_airy(-0.3, 0.0, 0.4, 0.5, mode="wedge")
                - j_airy(-0.3, 0.0, 0.4, 0.5, mode="vertical")) < 1e-8
+    # deep in the left tail, where a w contour off its steepest-descent rays
+    # loses digits, and a pair with t1 > t2
+    assert abs(j_airy(0, -3.5, 0, -3.5, mode="wedge")
+               - j_airy(0, -3.5, 0, -3.5, mode="vertical")) < 1e-8
+    assert abs(j_airy(0.4, -2.0, -0.3, 1.5, mode="wedge")
+               - j_airy(0.4, -2.0, -0.3, 1.5, mode="vertical")) < 1e-8
     with pytest.raises(ParameterError):
         j_airy(0, 0, 0, 0, delta1=0.5, delta2=0.9)
 
