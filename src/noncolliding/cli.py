@@ -11,12 +11,13 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .defaults import DEFAULTS, show_defaults
-from .distributions import CdfQuery, evaluate_cdf
+from .distributions import FAMILIES, CdfQuery, evaluate_cdf
 from .exceptions import ConvergenceError, DomainError, EvaluationError, ParameterError
 from .experiments import EXPERIMENTS, run_experiment
 from .kernels import BoundaryFunction
@@ -24,10 +25,33 @@ from .montecarlo import (sample_arith_max, sample_blpp, sample_bridge_topmax,
                          sample_dyson_max, sample_loe_max, sample_piflat)
 from .rng import RngStream
 
-CDF_FAMILIES = ("arith", "blpp-nw", "blpp-flat", "piflat", "loe", "bridge-allmax",
-                "bridge-runmax", "airy", "dyson-edge", "detratio")
-SIM_FAMILIES = ("piflat", "loe", "blpp-nw", "blpp-flat", "bridge-topmax", "arith",
-                "dyson-max")
+
+@dataclass(frozen=True)
+class Sampler:
+    """The options a sampler needs and ``draw(args, stream, count)``."""
+
+    options: tuple
+    draw: callable
+
+
+SAMPLERS = {
+    "piflat": Sampler(("beta",), lambda args, stream, n:
+                      sample_piflat(args.beta, stream=stream, samples=n)),
+    "loe": Sampler(("n",), lambda args, stream, n:
+                   sample_loe_max(args.n, stream=stream, samples=n)),
+    "blpp-nw": Sampler(("mu", "t"), lambda args, stream, n: sample_blpp(
+        BoundaryFunction.narrow_wedge(), args.mu, len(args.mu), args.t,
+        grid_step=args.grid_step, stream=stream, paths=n)),
+    "blpp-flat": Sampler(("mu", "t"), lambda args, stream, n: sample_blpp(
+        BoundaryFunction.flat(), args.mu, len(args.mu), args.t,
+        grid_step=args.grid_step, stream=stream, paths=n)),
+    "bridge-topmax": Sampler(("n", "s"), lambda args, stream, n: sample_bridge_topmax(
+        args.n, args.s, nu=args.nu, grid_step=args.grid_step, stream=stream, paths=n)),
+    "arith": Sampler(("n", "delta"), lambda args, stream, n: sample_arith_max(
+        args.n, args.delta, 0.0, stream=stream, samples=n)[1]),
+    "dyson-max": Sampler(("nu", "times"), lambda args, stream, n: sample_dyson_max(
+        args.nu, args.times, stream=stream, samples=n)[:, -1]),
+}
 
 
 class UsageError(Exception):
@@ -91,56 +115,29 @@ def _meta(args, seed):
             % (args.nodes or DEFAULTS["nystrom_nodes_per_slot"], args.length or "auto")]
 
 
-def _build_query(args, a):
-    fam = args.family
-    p = {}
-    if fam == "piflat":
-        if not args.beta:
-            raise UsageError("--beta is required for family piflat")
-        p = {"beta": args.beta, "a": a}
-    elif fam == "loe":
-        if args.n is None:
-            raise UsageError("--n is required for family loe")
-        p = {"n": args.n, "a": a}
-    elif fam == "bridge-allmax":
-        if args.nu is None:
-            raise UsageError("--nu is required for family bridge-allmax")
-        p = {"nu": args.nu, "r": a}
-    elif fam == "bridge-runmax":
-        if args.n is None or args.s is None:
-            raise UsageError("--n and --s are required for family bridge-runmax")
-        p = {"n": args.n, "s": args.s, "a": a}
-    elif fam == "arith":
-        if args.delta is None:
-            raise UsageError("--delta is required for family arith")
-        p = {"delta": args.delta, "a": a}
-    elif fam in ("blpp-nw", "blpp-flat"):
-        if args.mu is None or args.times is None:
-            raise UsageError("--mu and --times are required for family %s" % fam)
-        thresholds = [a] * len(args.times)
-        p = {"mu": args.mu, "times": args.times, "thresholds": thresholds}
-    elif fam == "airy":
-        if args.times is None:
-            raise UsageError("--times is required for family airy")
-        p = {"times": args.times, "thresholds": [a] * len(args.times)}
-    elif fam == "dyson-edge":
-        if args.nu is None or args.times is None:
-            raise UsageError("--nu and --times are required for family dyson-edge")
-        p = {"nu": args.nu, "times": args.times, "thresholds": [a] * len(args.times)}
-    elif fam == "detratio":
-        if not args.beta:
-            raise UsageError("--beta is required for family detratio")
-        p = {"beta": args.beta, "a": a}
-    return CdfQuery(fam, p, nodes=args.nodes, length=args.length)
+def _lookup(table, args):
+    """The table entry of ``--family``, once every option it needs is given."""
+    if args.family not in table:
+        raise UsageError("unknown family %r; known: %s" % (args.family, ", ".join(table)))
+    missing = ["--" + name for name in table[args.family].options if getattr(args, name) is None]
+    if missing:
+        raise UsageError("%s %s required for family %s" % (
+            " and ".join(missing), "is" if len(missing) == 1 else "are", args.family))
+    return table[args.family]
 
 
 def cmd_cdf(args, seed):
-    if args.family not in CDF_FAMILIES:
-        raise UsageError("unknown family %r; known: %s" % (args.family, ", ".join(CDF_FAMILIES)))
+    family = _lookup(FAMILIES, args)
     if args.a is None:
         raise UsageError("--a is required (threshold value or grid)")
     grid = args.a
-    queries = [_build_query(args, a) for a in grid]
+    params = {name: getattr(args, name) for name in family.options}
+    if family.threshold == "thresholds":  # the same threshold at every time
+        grid_values = [[a] * len(args.times) for a in grid]
+    else:
+        grid_values = grid
+    queries = [CdfQuery(args.family, {**params, family.threshold: a},
+                        nodes=args.nodes, length=args.length) for a in grid_values]
     workers = args.threads or DEFAULTS["threads"]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         values = list(pool.map(evaluate_cdf, queries))
@@ -148,7 +145,7 @@ def cmd_cdf(args, seed):
     lines.append("threshold,value,resolution,error_estimate")
     nodes = args.nodes or DEFAULTS["nystrom_nodes_per_slot"]
     for a, v in zip(grid, values):
-        lines.append(",".join([_fmt(a), _fmt(v), str(nodes), _fmt(0.0)]))
+        lines.append(",".join([_fmt(a), _fmt(v), str(nodes), _fmt(np.nan)]))
     if args.family == "arith" and args.corollary_n:
         n = args.corollary_n
         lines.append("# corollary thresholds: gamma_1 <= n-1+(a+log(n-1))/2 at n=%d" % n)
@@ -158,45 +155,11 @@ def cmd_cdf(args, seed):
     return 0
 
 
-def _run_sampler(args, seed):
-    stream = RngStream(seed, args.stream)
-    n = args.samples
-    fam = args.family
-    if n is None or n < 1:
-        raise UsageError("--samples must be a positive count")
-    if fam == "piflat":
-        if not args.beta:
-            raise UsageError("--beta is required for family piflat")
-        return sample_piflat(args.beta, stream=stream, samples=n)
-    if fam == "loe":
-        if args.n is None:
-            raise UsageError("--n is required for family loe")
-        return sample_loe_max(args.n, stream=stream, samples=n)
-    if fam in ("blpp-nw", "blpp-flat"):
-        if args.mu is None or args.t is None:
-            raise UsageError("--mu and --t are required for family %s" % fam)
-        b = BoundaryFunction.narrow_wedge() if fam == "blpp-nw" else BoundaryFunction.flat()
-        return sample_blpp(b, args.mu, len(args.mu), args.t,
-                           grid_step=args.grid_step, stream=stream, paths=n)
-    if fam == "bridge-topmax":
-        if args.n is None or args.s is None:
-            raise UsageError("--n and --s are required for family bridge-topmax")
-        return sample_bridge_topmax(args.n, args.s, nu=args.nu,
-                                    grid_step=args.grid_step, stream=stream, paths=n)
-    if fam == "arith":
-        if args.n is None or args.delta is None:
-            raise UsageError("--n and --delta are required for family arith")
-        _, resc = sample_arith_max(args.n, args.delta, 0.0, stream=stream, samples=n)
-        return resc
-    if fam == "dyson-max":
-        if args.nu is None or args.times is None:
-            raise UsageError("--nu and --times are required for family dyson-max")
-        return sample_dyson_max(args.nu, args.times, stream=stream, samples=n)[:, -1]
-    raise UsageError("unknown family %r; known: %s" % (fam, ", ".join(SIM_FAMILIES)))
-
-
 def cmd_simulate(args, seed):
-    samples = np.atleast_1d(_run_sampler(args, seed))
+    sampler = _lookup(SAMPLERS, args)
+    if args.samples is None or args.samples < 1:
+        raise UsageError("--samples must be a positive count")
+    samples = np.atleast_1d(sampler.draw(args, RngStream(seed, args.stream), args.samples))
     lines = _meta(args, seed)
     if args.ecdf:
         qs = np.linspace(0.0, 1.0, DEFAULTS["ecdf_points"] + 1)[1:]

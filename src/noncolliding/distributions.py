@@ -8,14 +8,15 @@ from .contours import make_contour, ray_wedge
 from .defaults import DEFAULTS
 from .exceptions import DomainError, ParameterError
 from .fredholm import BlockKernel, apply_conjugation, det_nystrom, det_ratio, single_slot_kernel
-from .kernels import (_drifts, _jairy_eval, _log_poly, _pair_eval, _piflat_grid,
-                      BoundaryFunction, heat_op_full, heat_op_half, k_delta, k_flat, k_nw)
+from .kernels import (_brownian_block, _drifts, _jairy_eval, _log_poly, _pair_eval,
+                      _piflat_grid, BoundaryFunction, heat_op_full, k_delta, k_flat,
+                      kixjy_conjugation)
 
 __all__ = [
     "EdgeScaling", "edge_scaling", "f_class_bounds", "f_class_contains",
     "cdf_piflat", "cdf_loe_max", "cdf_bridge_allmax", "cdf_bridge_runningmax",
     "cdf_arithmetic_limit", "cdf_blpp", "airy_fdd", "cdf_dyson_edge",
-    "CdfQuery", "evaluate_cdf", "piflat_block", "loe_block", "bridge_block",
+    "CdfQuery", "FAMILIES", "evaluate_cdf", "piflat_block", "loe_block", "bridge_block",
     "runningmax_block", "arith_block", "blpp_block", "airy_block", "dyson_edge_block",
 ]
 
@@ -221,14 +222,7 @@ def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True):
                       + 2.0 * drift_push)
 
     def eval_block(i, j, xs, ys):
-        if b.kind == "narrow_wedge":
-            block = k_nw(mu, times[i], xs, times[j], ys)
-        else:
-            block = k_flat(mu, times[i], xs, times[j], ys)
-        block = np.atleast_2d(block)
-        if times[i] < times[j]:
-            block = block - heat_op_half(times[j] - times[i], xs[:, None], ys[None, :])
-        return block
+        return _brownian_block(b.kind, mu, times[i], times[j], xs, ys)
 
     K = BlockKernel(times, thresholds, eval_block, lengths, label="blpp-" + b.kind)
     if conjugate:
@@ -242,8 +236,14 @@ def cdf_blpp(b, mu, times, thresholds, nodes=None, lengths=None, conjugate=True)
     return det_nystrom(K, nodes, refine=False).value
 
 
-def airy_block(times, xi, lengths=14.0, mode="wedge"):
-    """Block kernel whose determinant gives P(A(t_i) <= xi_i for all i)."""
+def airy_block(times, xi, lengths=14.0):
+    """Block kernel whose determinant gives P(A(t_i) <= xi_i for all i).
+
+    Block (i, j) is -e^{(t_j - t_i) d^2} 1{t_j > t_i} + J_Airy at
+    (t_i, x + xi_i; t_j, y + xi_j), scaled by the :func:`kixjy_conjugation`
+    ratio so that it equals K_Airy(t_i, x + xi_i + t_i^2; t_j, y + xi_j + t_j^2)
+    pointwise and decays in both arguments.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(np.diff(times) <= 0):
@@ -252,8 +252,7 @@ def airy_block(times, xi, lengths=14.0, mode="wedge"):
         raise ParameterError("need one threshold per time")
 
     def eval_block(i, j, xs, ys):
-        from .kernels import kixjy_conjugation
-        block = _jairy_eval(times[i], times[j], xs + xi[i], ys + xi[j], mode=mode)
+        block = _jairy_eval(times[i], times[j], xs + xi[i], ys + xi[j])
         if times[j] > times[i]:
             block = block - heat_op_full(times[j] - times[i],
                                          (xs + xi[i])[:, None], (ys + xi[j])[None, :])
@@ -264,9 +263,9 @@ def airy_block(times, xi, lengths=14.0, mode="wedge"):
     return BlockKernel(times, np.zeros_like(times), eval_block, lengths, label="airy")
 
 
-def airy_fdd(times, xi, nodes=None, mode="wedge", lengths=14.0):
+def airy_fdd(times, xi, nodes=None, lengths=14.0):
     """Finite-dimensional law of the Airy process at the given times."""
-    return det_nystrom(airy_block(times, xi, lengths, mode), nodes, refine=False).value
+    return det_nystrom(airy_block(times, xi, lengths), nodes, refine=False).value
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +360,46 @@ def cdf_dyson_edge(nu, taus, xis, nodes=None, lengths=13.0):
 
 
 # ---------------------------------------------------------------------------
-# query dispatch (used by the command line)
+# family registry (used by the command line)
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """How a named CDF family is queried.
+
+    ``options`` are the parameters besides the threshold, ``threshold`` the
+    parameter that receives it (``thresholds`` takes one value per time),
+    and ``call(params, nodes, length)`` evaluates one query.  The calls
+    look the ``cdf_*`` functions up as module globals when they run.
+    """
+
+    options: tuple
+    threshold: str
+    call: callable
+
+
+FAMILIES = {
+    "piflat": Family(("beta",), "a", lambda p, nodes, length:
+                     cdf_piflat(p["beta"], p["a"], nodes, length)),
+    "loe": Family(("n",), "a", lambda p, nodes, length:
+                  cdf_loe_max(p["n"], p["a"], nodes, length)),
+    "bridge-allmax": Family(("nu",), "r", lambda p, nodes, length:
+                            cdf_bridge_allmax(p["nu"], p["r"], nodes, length)),
+    "bridge-runmax": Family(("n", "s"), "a", lambda p, nodes, length:
+                            cdf_bridge_runningmax(p["n"], p["s"], p["a"], nodes, length)),
+    "arith": Family(("delta",), "a", lambda p, nodes, length:
+                    cdf_arithmetic_limit(p["delta"], p["a"], nodes, length)),
+    "blpp-nw": Family(("mu", "times"), "thresholds", lambda p, nodes, length: cdf_blpp(
+        BoundaryFunction.narrow_wedge(), p["mu"], p["times"], p["thresholds"], nodes)),
+    "blpp-flat": Family(("mu", "times"), "thresholds", lambda p, nodes, length: cdf_blpp(
+        BoundaryFunction.flat(), p["mu"], p["times"], p["thresholds"], nodes)),
+    "airy": Family(("times",), "thresholds", lambda p, nodes, length:
+                   airy_fdd(p["times"], p["thresholds"], nodes)),
+    "dyson-edge": Family(("nu", "times"), "thresholds", lambda p, nodes, length:
+                         cdf_dyson_edge(p["nu"], p["times"], p["thresholds"], nodes)),
+    "detratio": Family(("beta",), "a", lambda p, nodes, length: det_ratio(p["beta"], p["a"])),
+}
+
 
 @dataclass
 class CdfQuery:
@@ -376,29 +413,6 @@ class CdfQuery:
 
 def evaluate_cdf(query):
     """Evaluate one threshold of a named CDF family."""
-    p = dict(query.params)
-    fam = query.family
-    nodes, length = query.nodes, query.length
-    if fam == "piflat":
-        return cdf_piflat(p["beta"], p["a"], nodes, length)
-    if fam == "loe":
-        return cdf_loe_max(p["n"], p["a"], nodes, length)
-    if fam == "bridge-allmax":
-        return cdf_bridge_allmax(p["nu"], p["r"], nodes, length)
-    if fam == "bridge-runmax":
-        return cdf_bridge_runningmax(p["n"], p["s"], p["a"], nodes, length)
-    if fam == "arith":
-        return cdf_arithmetic_limit(p["delta"], p["a"], nodes, length)
-    if fam == "blpp-nw":
-        return cdf_blpp(BoundaryFunction.narrow_wedge(), p["mu"], p["times"],
-                        p["thresholds"], nodes)
-    if fam == "blpp-flat":
-        return cdf_blpp(BoundaryFunction.flat(), p["mu"], p["times"],
-                        p["thresholds"], nodes)
-    if fam == "airy":
-        return airy_fdd(p["times"], p["thresholds"], nodes)
-    if fam == "dyson-edge":
-        return cdf_dyson_edge(p["nu"], p["times"], p["thresholds"], nodes)
-    if fam == "detratio":
-        return det_ratio(p["beta"], p["a"])
-    raise ParameterError("unknown family %r" % (fam,))
+    if query.family not in FAMILIES:
+        raise ParameterError("unknown family %r" % (query.family,))
+    return FAMILIES[query.family].call(query.params, query.nodes, query.length)

@@ -93,8 +93,8 @@ class DetResult:
         return float(self.value)
 
 
-def _assemble(K, nodes_per_slot, scheme="legendre"):
-    rules = [semi_infinite_rule(K.thresholds[i], nodes_per_slot, K.lengths[i], scheme)
+def _assemble(K, nodes_per_slot):
+    rules = [semi_infinite_rule(K.thresholds[i], nodes_per_slot, K.lengths[i])
              for i in range(K.k)]
     size = nodes_per_slot * K.k
     A = np.empty((size, size))
@@ -119,7 +119,7 @@ def _lu_det(A):
     return float(sign * np.exp(logdet))
 
 
-def det_nystrom(K, nodes_per_slot=None, refine=True, scheme="legendre"):
+def det_nystrom(K, nodes_per_slot=None, refine=True):
     """Nystrom determinant det(I - W^1/2 K W^1/2) on the block domain.
 
     With ``refine`` the determinant is also computed at half resolution and
@@ -130,8 +130,8 @@ def det_nystrom(K, nodes_per_slot=None, refine=True, scheme="legendre"):
         raise ParameterError("need nodes_per_slot >= 8")
     history = []
     if refine and n >= 16:
-        history.append((n // 2, _lu_det(_assemble(K, n // 2, scheme))))
-    value = _lu_det(_assemble(K, n, scheme))
+        history.append((n // 2, _lu_det(_assemble(K, n // 2))))
+    value = _lu_det(_assemble(K, n))
     history.append((n, value))
     err = abs(history[-1][1] - history[0][1]) if len(history) > 1 else np.nan
     return DetResult(value=value, resolution=n, truncation=float(K.lengths.max()),

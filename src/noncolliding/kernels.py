@@ -220,11 +220,10 @@ def _band_means(vals, width):
 # product kernels on a single closed contour
 # ---------------------------------------------------------------------------
 
-def _piflat_eval(beta, svals):
+def _piflat_circle(beta, reach):
     beta = np.asarray(beta, dtype=float)
     if not np.all(beta > 0):
         raise ParameterError("rates beta must all be positive")
-    reach = float(np.max(np.abs(svals))) if np.size(svals) else 1.0
     center, radius = _pole_circle(beta, reach)
     # the reflected poles at -beta must stay outside
     radius = min(radius, 0.5 * ((beta.max() - beta.min()) / 2.0 + center + beta.min()))
@@ -235,30 +234,18 @@ def _piflat_eval(beta, svals):
     # prod (beta_i + w)/(beta_i - w) = (-1)^n prod (w + beta_i)/(w - beta_i)
     extra = _log_poly(circle.nodes, -beta) - _log_poly(circle.nodes, beta)
     sign = -((-1.0) ** len(beta))
-    return sign * np.real(_sum_circle(svals, circle, extra))
-
-
-def _piflat_circle(beta, reach):
-    beta = np.asarray(beta, dtype=float)
-    if not np.all(beta > 0):
-        raise ParameterError("rates beta must all be positive")
-    center, radius = _pole_circle(beta, reach)
-    radius = min(radius, 0.5 * ((beta.max() - beta.min()) / 2.0 + center + beta.min()))
-    if radius <= (beta.max() - beta.min()) / 2.0:
-        raise ParameterError("cannot separate poles at +beta from -beta")
-    circle = make_contour("circle", center=center, radius=radius,
-                          nodes=_circle_nodes(reach, radius))
-    extra = _log_poly(circle.nodes, -beta) - _log_poly(circle.nodes, beta)
-    sign = -((-1.0) ** len(beta))
     factor = sign * circle.weights * np.exp(extra) / _TWO_PI_I
     return circle.nodes, factor
 
 
 def _piflat_grid(beta, xs, ys):
-    """Separable fill of the rate kernel on a grid (exps on rows, not pairs)."""
+    """Separable fill of the rate kernel on a grid (exps on rows, not pairs).
+
+    The circle is sized for the largest |x + y| on the grid.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    reach = float(np.max(np.abs(xs)) + np.max(np.abs(ys)))
+    reach = float(max(abs(xs.max() + ys.max()), abs(xs.min() + ys.min())))
     nodes, factor = _piflat_circle(beta, reach)
     U = np.exp(np.multiply.outer(-xs, nodes))
     V = np.exp(np.multiply.outer(-ys, nodes))
@@ -273,7 +260,8 @@ def k_piflat(beta, x, y):
     all -beta_i.  Depends on x + y only.
     """
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    vals = _piflat_eval(beta, (x + y).ravel()).reshape(x.shape)
+    # a one-column grid at y = 0 carries every x + y
+    vals = _piflat_grid(beta, (x + y).ravel(), [0.0])[:, 0].reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -492,7 +480,7 @@ def _flat_far_time_engine(mu, t, xs, ys):
     slope = float(np.max(np.abs(ys))) + m + 1.0
     cz = _vertical_auto(0.0, t, m, slope)
     rem = _pair_eval(xs, ys, cw, cz, psi_w, psi_z, [(1.0, "-"), (1.0, "+")]).real
-    residue = _piflat_eval(beta, (xs[:, None] + ys[None, :]).ravel()).reshape(len(xs), len(ys))
+    residue = _piflat_grid(beta, xs, ys)
     return (rem + residue) * (ys > 0)[None, :]
 
 
@@ -702,30 +690,22 @@ def kixjy_conjugation(t, u):
     return np.exp(-2.0 * t ** 3 / 3.0 - t * u)
 
 
-def airy_block_kernel(times, xi, i, x, j, y, mode="wedge"):
-    """Extended-kernel block coupling observation times of the Airy process.
-
-    K(i,x;j,y) = -e^{(t_j - t_i) d^2}(x+xi_i, y+xi_j) 1{t_j > t_i}
-                 + J_Airy(t_i, x+xi_i; t_j, y+xi_j)
-    (the heat operator here is e^{t d^2}, variance 2t), normalized by the
-    :func:`kixjy_conjugation` ratio so that the block equals
-    K_Airy(t_i, x+xi_i+t_i^2; t_j, y+xi_j+t_j^2) pointwise and decays in
-    both arguments.
-    """
-    times = np.asarray(times, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ParameterError("times must be strictly increasing")
-    t_i, t_j = times[i], times[j]
-    val = j_airy(t_i, x + xi[i], t_j, y + xi[j], mode=mode)
-    if t_j > t_i:
-        val = val - heat_op_full(t_j - t_i, x + xi[i], y + xi[j])
-    return val * float(kixjy_conjugation(t_j, y + xi[j]) / kixjy_conjugation(t_i, x + xi[i]))
-
-
 # ---------------------------------------------------------------------------
 # extended Brownian and Hermitian kernels
 # ---------------------------------------------------------------------------
+
+def _brownian_block(kind, mu, t_i, t_j, xs, ys):
+    """Narrow-wedge or flat block of the extended Brownian kernel on a grid.
+
+    k_nw or k_flat at (t_i, x; t_j, y), minus e^{(t_j-t_i) d^2/2}(x, y)
+    when t_i < t_j.
+    """
+    kernel = k_nw if kind == "narrow_wedge" else k_flat
+    block = np.atleast_2d(kernel(mu, t_i, xs, t_j, ys))
+    if t_i < t_j:
+        block = block - heat_op_half(t_j - t_i, xs[:, None], ys[None, :])
+    return block
+
 
 def brownian_block_kernel(b, mu, times, thresholds, i, x, j, y, mc_paths=20000, stream=None):
     """Extended kernel of boundary-driven Brownian last passage percolation.
@@ -739,20 +719,18 @@ def brownian_block_kernel(b, mu, times, thresholds, i, x, j, y, mc_paths=20000, 
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ParameterError("times must be positive and strictly increasing")
     t_i, t_j = times[i], times[j]
-    if b.kind == "narrow_wedge":
-        val = k_nw(mu, t_i, x, t_j, y)
-    elif b.kind == "flat":
-        val = k_flat(mu, t_i, x, t_j, y)
-    else:
-        mu_arr = _drifts(mu)
-        lo = -6.0 * np.sqrt(t_j) + min(0.0, float(b(times[-1])))
-        hi = max(4.0 * np.sqrt(t_j), abs(x) + 1.0)
-        u, wu = gauss_legendre(lo, hi, 160)
-        sm = s_minus(mu_arr, t_i, x, u)
-        sh = np.array([s_hypo_mc(b, mu_arr, t_j, ui, y, paths=mc_paths,
-                                 stream=None if stream is None else stream.substream(k)).value
-                       for k, ui in enumerate(u)])
-        val = float(np.sum(wu * sm * sh))
+    if b.kind in ("narrow_wedge", "flat"):
+        return float(_brownian_block(b.kind, mu, t_i, t_j, np.atleast_1d(float(x)),
+                                     np.atleast_1d(float(y)))[0, 0])
+    mu_arr = _drifts(mu)
+    lo = -6.0 * np.sqrt(t_j) + min(0.0, float(b(times[-1])))
+    hi = max(4.0 * np.sqrt(t_j), abs(x) + 1.0)
+    u, wu = gauss_legendre(lo, hi, 160)
+    sm = s_minus(mu_arr, t_i, x, u)
+    sh = np.array([s_hypo_mc(b, mu_arr, t_j, ui, y, paths=mc_paths,
+                             stream=None if stream is None else stream.substream(k)).value
+                   for k, ui in enumerate(u)])
+    val = float(np.sum(wu * sm * sh))
     if t_i < t_j:
         val = val - heat_op_half(t_j - t_i, x, y)
     return val

@@ -1,12 +1,19 @@
 import math
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from noncolliding import cli
+from noncolliding.distributions import FAMILIES
+
+# a value for every option a CDF family or a sampler can require
+OPTION_VALUES = {"beta": "1,2", "n": "2", "nu": "0,0.1", "s": "0.5", "delta": "2",
+                 "mu": "-0.5,-1", "times": "0", "t": "1"}
 
 
 def run_cli(capsys, *argv):
@@ -177,3 +184,43 @@ def test_thread_count_does_not_change_results(capsys):
 
 def test_no_command_exits_2(capsys):
     assert cli.main([]) == 2
+
+
+def _usage_error(err):
+    return next(l for l in err.splitlines() if l.startswith("usage error:"))
+
+
+def test_error_estimate_column_is_nan(capsys):
+    code, out, _ = run_cli(capsys, "cdf", "--family", "loe", "--n", "1", "--a", "0.5:1.5:0.5")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()
+            if l and not l.startswith(("#", "threshold"))]
+    assert len(rows) == 3
+    assert all(r[3] == "nan" for r in rows)
+
+
+@pytest.mark.parametrize("command,table,extra", [
+    ("cdf", FAMILIES, ("--a", "1")),
+    ("simulate", cli.SAMPLERS, ("--samples", "5")),
+])
+def test_each_missing_option_exits_2_and_is_named(capsys, command, table, extra):
+    for family, entry in table.items():
+        for left_out in entry.options:
+            argv = [command, "--family", family, *extra]
+            for name in entry.options:
+                if name != left_out:
+                    argv += ["--" + name, OPTION_VALUES[name]]
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, (family, left_out)
+            assert re.findall(r"--[a-z-]+", _usage_error(err)) == ["--" + left_out], err
+
+
+@pytest.mark.parametrize("command,table,extra", [
+    ("cdf", FAMILIES, ("--a", "1")),
+    ("simulate", cli.SAMPLERS, ("--samples", "5")),
+])
+def test_unknown_family_lists_known_families(capsys, command, table, extra):
+    code, _, err = run_cli(capsys, command, "--family", "weird", *extra)
+    assert code == 2
+    message = _usage_error(err)
+    assert all(name in message for name in table)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from noncolliding.distributions import (CdfQuery, airy_fdd, cdf_arithmetic_limit,
+from noncolliding.distributions import (FAMILIES, CdfQuery, airy_fdd, cdf_arithmetic_limit,
                                         cdf_blpp, cdf_bridge_allmax,
                                         cdf_bridge_runningmax, cdf_dyson_edge,
                                         cdf_loe_max, cdf_piflat, edge_scaling,
@@ -226,3 +226,46 @@ def test_query_dispatch():
                - (1 - math.exp(-1.0))) < 1e-12
     with pytest.raises(ParameterError):
         evaluate_cdf(CdfQuery("nonsense", {}))
+
+
+NW, FLAT = BoundaryFunction.narrow_wedge(), BoundaryFunction.flat()
+# one query per family, with the call evaluate_cdf must make for it
+DIRECT_CALLS = {
+    "piflat": (CdfQuery("piflat", {"beta": [0.8, 1.4], "a": 0.7}, nodes=40, length=20.0),
+               lambda: cdf_piflat([0.8, 1.4], 0.7, 40, 20.0)),
+    "loe": (CdfQuery("loe", {"n": 2, "a": 1.2}, nodes=40, length=20.0),
+            lambda: cdf_loe_max(2, 1.2, 40, 20.0)),
+    "bridge-allmax": (CdfQuery("bridge-allmax", {"nu": [0.1, -0.3], "r": 1.1}, nodes=40),
+                      lambda: cdf_bridge_allmax([0.1, -0.3], 1.1, 40)),
+    "bridge-runmax": (CdfQuery("bridge-runmax", {"n": 2, "s": 0.5, "a": 0.9}, length=15.0),
+                      lambda: cdf_bridge_runningmax(2, 0.5, 0.9, None, 15.0)),
+    "arith": (CdfQuery("arith", {"delta": 2.0, "a": 0.5}, nodes=40),
+              lambda: cdf_arithmetic_limit(2.0, 0.5, 40)),
+    "blpp-nw": (CdfQuery("blpp-nw", {"mu": [0.3, -0.4], "times": [1.0], "thresholds": [0.5]},
+                         nodes=40),
+                lambda: cdf_blpp(NW, [0.3, -0.4], [1.0], [0.5], 40)),
+    "blpp-flat": (CdfQuery("blpp-flat", {"mu": [-0.5, -1.0], "times": [1.0],
+                                         "thresholds": [1.5]}),
+                  lambda: cdf_blpp(FLAT, [-0.5, -1.0], [1.0], [1.5])),
+    "airy": (CdfQuery("airy", {"times": [0.0], "thresholds": [-1.0]}, nodes=40),
+             lambda: airy_fdd([0.0], [-1.0], 40)),
+    "dyson-edge": (CdfQuery("dyson-edge", {"nu": np.linspace(-1.0, 0.0, 12), "times": [0.0],
+                                           "thresholds": [0.3]}),
+                   lambda: cdf_dyson_edge(np.linspace(-1.0, 0.0, 12), [0.0], [0.3])),
+    "detratio": (CdfQuery("detratio", {"beta": [1.0, 2.0], "a": 0.5}),
+                 lambda: det_ratio([1.0, 2.0], 0.5)),
+}
+
+
+def test_direct_calls_cover_the_registry():
+    assert sorted(DIRECT_CALLS) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_query_dispatch_per_family(family):
+    query, direct = DIRECT_CALLS[family]
+    value = evaluate_cdf(query)
+    assert value == direct()
+    assert 0.0 < value < 1.0
+    option_names = set(FAMILIES[family].options) | {FAMILIES[family].threshold}
+    assert option_names == set(query.params)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from noncolliding.exceptions import DomainError, ParameterError
-from noncolliding.kernels import (BoundaryFunction, DriftVector, airy_block_kernel,
-                                  airy_kernel_ext, brownian_block_kernel, compose_kernels,
+from noncolliding.distributions import airy_block
+from noncolliding.kernels import (BoundaryFunction, DriftVector, airy_kernel_ext,
+                                  brownian_block_kernel, compose_kernels,
                                   heat_op_full, heat_op_half, hermitian_block_kernel,
                                   j_airy, k_bridge, k_delta, k_flat, k_loe, k_nw,
                                   k_piflat, s_bar, s_bar_hermite, s_hypo_flat,
@@ -260,15 +261,16 @@ def test_j_airy_contour_modes_agree():
 def test_airy_block_reduces_to_shifted_kernel():
     t = np.array([-0.3, 0.4])
     xi = np.array([0.2, -0.1])
+    K = airy_block(t, xi)
     for i in range(2):
         for j in range(2):
             for (x, y) in [(0.1, 0.4), (1.0, -0.2)]:
-                lhs = airy_block_kernel(t, xi, i, x, j, y)
+                lhs = K.eval(i, x, j, y)
                 rhs = airy_kernel_ext(t[i], x + xi[i] + t[i] ** 2,
                                       t[j], y + xi[j] + t[j] ** 2)
                 assert abs(lhs - rhs) < 1e-8
     # i = j: no heat term, plain equal-time kernel
-    v = airy_block_kernel(t, xi, 0, 0.1, 0, 0.4)
+    v = K.eval(0, 0.1, 0, 0.4)
     assert abs(v - airy_kernel_ext(t[0], 0.1 + xi[0] + t[0] ** 2,
                                    t[0], 0.4 + xi[0] + t[0] ** 2)) < 1e-8
 
