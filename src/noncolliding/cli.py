@@ -66,8 +66,9 @@ def _parse_grid(text):
     """'0:2:0.5' -> inclusive range; '1,2,3' -> list; '1.5' -> single value."""
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
-            raise UsageError("grid syntax is start:stop:step, got %r" % text)
+        if len(parts) != 3 or parts[2] <= 0 or parts[1] < parts[0]:
+            raise argparse.ArgumentTypeError(
+                "grid syntax is start:stop:step with step > 0 and stop >= start, got %r" % text)
         start, stop, step = parts
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         return [start + k * step for k in range(n)]
@@ -138,7 +139,9 @@ def cmd_cdf(args, seed):
         grid_values = grid
     queries = [CdfQuery(args.family, {**params, family.threshold: a},
                         nodes=args.nodes, length=args.length) for a in grid_values]
-    workers = args.threads or DEFAULTS["threads"]
+    workers = DEFAULTS["threads"] if args.threads is None else args.threads
+    if workers < 1:
+        raise UsageError("--threads must be at least 1, got %d" % workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         values = list(pool.map(evaluate_cdf, queries))
     lines = _meta(args, seed)

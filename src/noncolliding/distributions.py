@@ -4,12 +4,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contours import make_contour, ray_wedge
 from .defaults import DEFAULTS
 from .exceptions import DomainError, ParameterError
 from .fredholm import BlockKernel, apply_conjugation, det_nystrom, det_ratio, single_slot_kernel
-from .kernels import (_brownian_block, _drifts, _jairy_eval, _log_poly, _pair_eval,
-                      _piflat_grid, BoundaryFunction, heat_op_full, k_delta, k_flat,
+from .kernels import (_brownian_block, _drifts, _dyson_edge_engine, _jairy_eval,
+                      _piflat_engine, BoundaryFunction, heat_op_full, k_delta, k_flat,
                       kixjy_conjugation)
 
 __all__ = [
@@ -108,7 +107,7 @@ def piflat_block(beta, a, length=None):
         length = max(12.0, 36.0 / (2.0 * beta.min()))
     thr = max(float(a), 0.0)
     return single_slot_kernel(
-        lambda xs, ys: _piflat_grid(beta, xs, ys), thr, length, "piflat")
+        lambda xs, ys: _piflat_engine(beta, xs, ys), thr, length, "piflat")
 
 
 def loe_block(n, a, length=None):
@@ -121,7 +120,7 @@ def bridge_block(nu, r, length=None):
     if length is None:
         length = max(12.0, 36.0 / (2.0 * beta.min()))
     return single_slot_kernel(
-        lambda xs, ys: _piflat_grid(beta, xs + r * r, ys + r * r), 0.0, length, "bridge")
+        lambda xs, ys: _piflat_engine(beta, xs + r * r, ys + r * r), 0.0, length, "bridge")
 
 
 def cdf_piflat(beta, a, nodes=None, length=None):
@@ -304,48 +303,18 @@ def dyson_edge_block(nu, taus, xis, lengths=13.0):
     s = 1.0 / times
     shift = ahat / times
 
-    def g_log(i, x):
-        # conjugation exponent from the saddle normal form
-        return (-n13 ** 2 * d * d * taus[i] * b * b
-                - n13 * d * b * (x + ahat[i] + 2.0 * taus[i] ** 2 * d ** 3 * b))
-
-    tmax = float(np.max(np.abs(taus)))
-    delta2 = tmax + 0.5
-    delta1 = delta2 + 0.5
-    apex = b + delta2 / rho
-    line = b + delta1 / rho
-    smax = s.max()
-    xref = shift.min()  # smallest 'X' has the slowest wedge decay
-    cw = ray_wedge(apex, 5 * np.pi / 6,
-                   lambda w: 0.5 * smax * w ** 2 - xref * w + _log_poly(w, nu),
-                   4.0 * (b - nu.min()) + 6.0)
-
-    Ymax = shift.max() + rho * float(np.max(lengths)) if np.ndim(lengths) else shift.max() + rho * lengths
-    slope = abs(smax * line - Ymax) + abs(smax * line - shift.min()) + np.sum(1.0 / np.abs(line - nu))
-    T = np.sqrt(2.0 * (DEFAULTS["decay_drop"] + 10.0 + np.log1p(n)) / s.min())
-    nz = int(min(16384, max(256, 64 + 1.4 * slope * T)))
-    cz = make_contour("vertical", offset=line, half_height=T, nodes=nz)
-    log_poly_w = _log_poly(cw.nodes, nu)
-    log_poly_z = _log_poly(cz.nodes, nu)
+    # conjugation exponent g_i - rho b x from the saddle normal form
+    g = -n13 ** 2 * d * d * taus * b * b - rho * b * (ahat + 2.0 * taus ** 2 * d ** 3 * b)
+    fill = _dyson_edge_engine(nu, b, rho, s, shift, g, float(np.max(np.abs(taus))),
+                              float(np.max(lengths)))
 
     def eval_block(i, j, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        X = rho * xs + shift[i]
-        Y = rho * ys + shift[j]
-
-        def psi_w(xcol, w):
-            return (0.5 * s[i] * w ** 2 - (rho * xcol + shift[i]) * w
-                    + log_poly_w[None, :] - g_log(i, xcol))
-
-        def psi_z(ycol, z):
-            return (0.5 * s[j] * z ** 2 - (rho * ycol + shift[j]) * z
-                    + log_poly_z[None, :] - g_log(j, ycol))
-
-        block = rho * _pair_eval(xs, ys, cw, cz, psi_w, psi_z, [(1.0, "-")]).real
+        block = fill(i, j, xs, ys)
         if times[j] < times[i]:
             dt = 1.0 / times[j] - 1.0 / times[i]
-            expo = (g_log(i, xs)[:, None] - g_log(j, ys)[None, :]
+            X = rho * xs + shift[i]
+            Y = rho * ys + shift[j]
+            expo = ((g[i] - rho * b * xs)[:, None] - (g[j] - rho * b * ys)[None, :]
                     - (X[:, None] - Y[None, :]) ** 2 / (2.0 * dt)
                     - 0.5 * np.log(2.0 * np.pi * dt) + np.log(rho))
             block = block - np.exp(expo)

@@ -1,11 +1,13 @@
 """Pointwise evaluators for the continuum correlation kernels.
 
-Every kernel is a (single or double) contour integral.  Evaluation is
-separable: the x-dependent factor lives on the pole-side contour, the
-y-dependent factor on the line-side contour, and the coupling 1/(z -+ w)
-is a fixed node-by-node matrix, so filling an (x, y) grid reduces to two
-matrix products.  Exponents are stabilized by per-row max subtraction so
-kernels with exponential growth or decay evaluate without overflow.
+Every kernel is a (single or double) contour integral; on contour nodes
+it is K(x, y) = L(x) C R(y)^T.  Each family declares its two
+:class:`Side` objects and :func:`contour_fill` forms every product.  C is
+dense, a sum of 1/(z -+ w) terms, for the double contours (narrow-wedge,
+flat, arith, Airy, Dyson edge), or diagonal when both sides share one
+contour (the rate kernels, s_minus, s_bar).  Every row of L and R is
+stabilized by subtracting its largest exponent, so kernels with
+exponential growth or decay evaluate without overflow.
 
 Heat-operator conventions (two distinct semigroups appear and differ by a
 factor of 2 in the variance; both are housed here explicitly):
@@ -135,40 +137,50 @@ def _log_poly(z, roots):
     return np.sum(np.log(z[..., None] - np.asarray(roots)[None, :]), axis=-1)
 
 
-def _pair_eval(xs, ys, cw, cz, psi_w, psi_z, couplings, indicator=None):
-    """Stabilized double-contour sum.
+@dataclass(frozen=True)
+class Side:
+    """One side of a separable kernel: u -> weights * e^{phi + u m + log_factor}.
 
-    K(x, y) = 1/(2 pi i)^2 * sum_{j,k} W_j V_k e^{psi_z(y,z_k) - psi_w(x,w_j)} C(w_j, z_k)
-    with C the sum of sign/(z -+ w) couplings.  Returns a complex (Nx, Ny) array.
+    Per node (or scalar): ``phi`` is the argument-free polynomial exponent,
+    ``m`` the multiplier of the argument u and ``log_factor`` the log of the
+    pole, zero or Gamma factor.  It is added after u m: the arith sum cancels
+    about six digits, so that order is part of its values.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    PW = psi_w(xs[:, None], cw.nodes[None, :])
-    PZ = psi_z(ys[:, None], cz.nodes[None, :])
-    mw = PW.real.min(axis=1)
-    mz = PZ.real.max(axis=1)
-    A = np.exp(mw[:, None] - PW) * cw.weights[None, :]
-    B = np.exp(PZ - mz[:, None]) * cz.weights[None, :]
-    acc = 0.0
-    for sign, op in couplings:
-        if op == "-":
-            M = 1.0 / (cz.nodes[None, :] - cw.nodes[:, None])
-        else:
-            M = 1.0 / (cz.nodes[None, :] + cw.nodes[:, None])
-        acc = acc + sign * ((A @ M) @ B.T)
-    out = acc * np.exp(mz[None, :] - mw[:, None]) / _TWO_PI_I ** 2
-    if indicator is not None:
-        out = out * indicator(ys)[None, :]
-    return out
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    phi: np.ndarray
+    m: np.ndarray
+    log_factor: np.ndarray = 0.0
+
+    def rows(self, us):
+        """One row per argument, scaled by e^{-top} with top its largest real exponent."""
+        # in place: a fresh temporary of this size costs more than the arithmetic on it
+        expo = np.multiply.outer(us, self.m)
+        expo += self.phi
+        expo += self.log_factor
+        top = expo.real.max(axis=1)
+        expo -= top[:, None]
+        return np.multiply(np.exp(expo, out=expo), self.weights, out=expo), top
 
 
-def _sum_circle(svals, circle, extra_log):
-    """(1/2 pi i) * closed integral of e^{-s w + extra(w)} over the circle, per s."""
-    svals = np.atleast_1d(np.asarray(svals, dtype=float))
-    expo = -svals[:, None] * circle.nodes[None, :] + extra_log[None, :]
-    m = expo.real.max(axis=1)
-    vals = np.exp(expo - m[:, None]) @ circle.weights
-    return vals * np.exp(m) / _TWO_PI_I
+def contour_fill(xs, ys, left, right, signs=None):
+    """K(x, y) = L(x) C R(y)^T on the grid xs x ys, as a complex array.
+
+    With ``signs`` (double contour), C = sum_s 1/(z - s w) / (2 pi i)^2 over
+    the left nodes w and right nodes z, one product per term.  Without, both
+    sides share one contour, only the left one carries dz-weights, and
+    C = I / (2 pi i).  xs and ys are 1-d.
+    """
+    A, top_x = left.rows(xs)
+    B, top_y = right.rows(ys)
+    if signs is None:
+        acc, norm = A @ B.T, _TWO_PI_I
+    else:
+        acc, norm = 0.0, _TWO_PI_I ** 2
+        for s in signs:
+            acc = acc + (A @ (1.0 / (right.nodes[None, :] - s * left.nodes[:, None]))) @ B.T
+    return acc * np.exp(top_x[:, None] + top_y[None, :]) / norm
 
 
 def _pole_circle(points, reach, min_clear=0.12, max_clear=1.0):
@@ -220,36 +232,25 @@ def _band_means(vals, width):
 # product kernels on a single closed contour
 # ---------------------------------------------------------------------------
 
-def _piflat_circle(beta, reach):
+def _piflat_engine(beta, xs, ys):
+    """Rate kernel on the grid xs x ys; the circle is sized for the largest |x + y|."""
     beta = np.asarray(beta, dtype=float)
     if not np.all(beta > 0):
         raise ParameterError("rates beta must all be positive")
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    reach = float(max(abs(xs.max() + ys.max()), abs(xs.min() + ys.min())))
     center, radius = _pole_circle(beta, reach)
     # the reflected poles at -beta must stay outside
     radius = min(radius, 0.5 * ((beta.max() - beta.min()) / 2.0 + center + beta.min()))
     if radius <= (beta.max() - beta.min()) / 2.0:
         raise ParameterError("cannot separate poles at +beta from -beta")
-    circle = make_contour("circle", center=center, radius=radius,
-                          nodes=_circle_nodes(reach, radius))
+    c = make_contour("circle", center=center, radius=radius, nodes=_circle_nodes(reach, radius))
     # prod (beta_i + w)/(beta_i - w) = (-1)^n prod (w + beta_i)/(w - beta_i)
-    extra = _log_poly(circle.nodes, -beta) - _log_poly(circle.nodes, beta)
     sign = -((-1.0) ** len(beta))
-    factor = sign * circle.weights * np.exp(extra) / _TWO_PI_I
-    return circle.nodes, factor
-
-
-def _piflat_grid(beta, xs, ys):
-    """Separable fill of the rate kernel on a grid (exps on rows, not pairs).
-
-    The circle is sized for the largest |x + y| on the grid.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    reach = float(max(abs(xs.max() + ys.max()), abs(xs.min() + ys.min())))
-    nodes, factor = _piflat_circle(beta, reach)
-    U = np.exp(np.multiply.outer(-xs, nodes))
-    V = np.exp(np.multiply.outer(-ys, nodes))
-    return ((U * factor[None, :]) @ V.T).real
+    left = Side(c.nodes, sign * c.weights, 0.0, -c.nodes,
+                _log_poly(c.nodes, -beta) - _log_poly(c.nodes, beta))
+    return contour_fill(xs, ys, left, Side(c.nodes, 1.0, 0.0, -c.nodes)).real
 
 
 def k_piflat(beta, x, y):
@@ -261,7 +262,7 @@ def k_piflat(beta, x, y):
     """
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     # a one-column grid at y = 0 carries every x + y
-    vals = _piflat_grid(beta, (x + y).ravel(), [0.0])[:, 0].reshape(x.shape)
+    vals = _piflat_engine(beta, (x + y).ravel(), [0.0])[:, 0].reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -303,10 +304,12 @@ def s_minus(mu, t, x, y):
     center = 0.5 * (mu.min() + mu.max())
     radius = 1.0 + np.max(np.abs(mu))
     reach = float(np.max(np.abs(s))) if s.size else 1.0
-    circle = make_contour("circle", center=center, radius=radius,
-                          nodes=_circle_nodes(reach + t * radius, radius))
-    extra = -0.5 * t * circle.nodes ** 2 - _log_poly(circle.nodes, mu)
-    vals = np.real(_sum_circle(-s, circle, extra)).reshape(x.shape)
+    c = make_contour("circle", center=center, radius=radius,
+                     nodes=_circle_nodes(reach + t * radius, radius))
+    left = Side(c.nodes, c.weights, -0.5 * t * c.nodes ** 2, c.nodes, -_log_poly(c.nodes, mu))
+    right = Side(c.nodes, 1.0, 0.0, -c.nodes)
+    # a one-column grid at y = 0 carries every x - y
+    vals = contour_fill(s, [0.0], left, right)[:, 0].real.reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -326,12 +329,12 @@ def s_bar(mu, t, x, y):
     vals = np.empty_like(s)
     # one line per saddle band: the saddle of (t/2)z^2 + s z sits at -s/t
     for sbar, mask in _band_means(s, width=4.0 * np.sqrt(t)):
-        line = _vertical_auto(-sbar / t, t, len(mu),
-                              slope_bound=0.5 * (s[mask].max() - s[mask].min()) + len(mu))
-        expo = (0.5 * t * line.nodes[None, :] ** 2 + s[mask][:, None] * line.nodes[None, :]
-                + _log_poly(line.nodes, mu)[None, :])
-        m = expo.real.max(axis=1)
-        vals[mask] = np.real((np.exp(expo - m[:, None]) @ line.weights) * np.exp(m) / _TWO_PI_I)
+        c = _vertical_auto(-sbar / t, t, len(mu),
+                           slope_bound=0.5 * (s[mask].max() - s[mask].min()) + len(mu))
+        left = Side(c.nodes, c.weights, 0.5 * t * c.nodes ** 2, c.nodes, _log_poly(c.nodes, mu))
+        right = Side(c.nodes, 1.0, 0.0, -c.nodes)
+        # a one-column grid at y = 0 carries every x - y
+        vals[mask] = contour_fill(s[mask], [0.0], left, right)[:, 0].real
     vals = vals.reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
@@ -419,6 +422,20 @@ def s_hypo_mc(b, mu, t, x, y, paths=4000, stream=None, steps=None):
 # narrow-wedge and flat double-contour kernels
 # ---------------------------------------------------------------------------
 
+def _gaussian_side(c, t, mu, sign):
+    """Side e^{sign ((t/2) v^2 + log prod(v - mu_i)) - sign u v} of the nw/flat kernels.
+
+    sign = -1 gives the w side (the denominator), +1 the z side.
+    """
+    return Side(c.nodes, c.weights, sign * 0.5 * t * c.nodes ** 2, -sign * c.nodes,
+                sign * _log_poly(c.nodes, mu))
+
+
+def _line_floor(center, radius, flat):
+    """Leftmost z line: right of the drift circle and, for the flat kernel, of its mirror."""
+    return (max(center + radius, radius - center) if flat else center + radius) + 0.5
+
+
 def _nw_flat_engine(mu, t1, t2, xs, ys, flat):
     """Shared evaluator for the narrow-wedge and flat kernels."""
     mu = _drifts(mu)
@@ -429,23 +446,16 @@ def _nw_flat_engine(mu, t1, t2, xs, ys, flat):
     center, radius = _pole_circle(mu, reach)
     cw = make_contour("circle", center=center, radius=radius,
                       nodes=_circle_nodes(reach + t1 * radius, radius))
-    d_min = max(center + radius, radius - center) + 0.5 if flat else center + radius + 0.5
-
-    def psi_w(x, w):
-        return 0.5 * t1 * w ** 2 - x * w + _log_poly(w, mu)
-
-    def psi_z(y, z):
-        return 0.5 * t2 * z ** 2 - y * z + _log_poly(z, mu)
-
-    couplings = [(1.0, "-"), (1.0, "+")] if flat else [(1.0, "-")]
+    d_min = _line_floor(center, radius, flat)
+    left = _gaussian_side(cw, t1, mu, -1.0)
+    signs = (1.0, -1.0) if flat else (1.0,)
     out = np.zeros((len(xs), len(ys)))
     # one vertical contour per y-band keeps the line near the Gaussian saddle
     for ybar, mask in _band_means(ys, width=8.0 * np.sqrt(t2)):
         d = max(d_min, ybar / t2)
         slope = max(abs(t2 * d - ys[mask].min()), abs(t2 * d - ys[mask].max())) + m + 1.0
-        cz = _vertical_auto(d, t2, m, slope)
-        block = _pair_eval(xs, ys[mask], cw, cz, psi_w, psi_z, couplings)
-        out[:, mask] = block.real
+        right = _gaussian_side(_vertical_auto(d, t2, m, slope), t2, mu, 1.0)
+        out[:, mask] = contour_fill(xs, ys[mask], left, right, signs).real
     if flat:
         out = out * (ys > 0)[None, :]
     return out
@@ -462,7 +472,6 @@ def _flat_far_time_engine(mu, t, xs, ys):
     mu = _drifts(mu)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    beta = -mu
     reach = float(np.max(np.abs(xs)))
     center, radius = _pole_circle(mu, reach, max_clear=min(1.0, 0.4 * float(-mu.max())))
     if center + radius >= -1e-9:
@@ -470,23 +479,10 @@ def _flat_far_time_engine(mu, t, xs, ys):
     cw = make_contour("circle", center=center, radius=radius,
                       nodes=_circle_nodes(reach + t * radius, radius))
     m = len(mu)
-
-    def psi_w(x, w):
-        return 0.5 * t * w ** 2 - x * w + _log_poly(w, mu)
-
-    def psi_z(y, z):
-        return 0.5 * t * z ** 2 - y * z + _log_poly(z, mu)
-
-    slope = float(np.max(np.abs(ys))) + m + 1.0
-    cz = _vertical_auto(0.0, t, m, slope)
-    rem = _pair_eval(xs, ys, cw, cz, psi_w, psi_z, [(1.0, "-"), (1.0, "+")]).real
-    residue = _piflat_grid(beta, xs, ys)
-    return (rem + residue) * (ys > 0)[None, :]
-
-
-def _flat_uses_decomposition(mu, t1, t2, d_min):
-    mu = _drifts(mu)
-    return bool(t1 == t2 and mu.max() < -0.3 and 0.5 * t1 * d_min ** 2 > 8.0)
+    cz = _vertical_auto(0.0, t, m, float(np.max(np.abs(ys))) + m + 1.0)
+    rem = contour_fill(xs, ys, _gaussian_side(cw, t, mu, -1.0), _gaussian_side(cz, t, mu, 1.0),
+                       (1.0, -1.0)).real
+    return (rem + _piflat_engine(-mu, xs, ys)) * (ys > 0)[None, :]
 
 
 def k_nw(mu, t1, x, t2, y):
@@ -504,16 +500,19 @@ def k_nw(mu, t1, x, t2, y):
 
 
 def k_flat(mu, t1, x, t2, y):
-    """Flat-boundary kernel: 1/(z-w) and 1/(z+w) couplings, both times 1{y>0}."""
+    """Flat-boundary kernel: 1/(z-w) and 1/(z+w) couplings, both times 1{y>0}.
+
+    At equal times, with all drifts below -0.3 and the line far right of the
+    drifts, it takes the far-time decomposition, whose integrands do not cancel.
+    """
     if not (t1 > 0 and t2 > 0):
         raise DomainError("need positive times")
-    mu_arr = _drifts(mu)
-    center, radius = _pole_circle(mu_arr, float(np.max(np.abs(np.atleast_1d(x)))))
-    d_min = max(center + radius, radius - center) + 0.5
-    if _flat_uses_decomposition(mu_arr, t1, t2, d_min):
-        out = _flat_far_time_engine(mu_arr, t1, x, y)
+    mu = _drifts(mu)
+    d_min = _line_floor(*_pole_circle(mu, float(np.max(np.abs(x)))), flat=True)
+    if t1 == t2 and mu.max() < -0.3 and 0.5 * t1 * d_min ** 2 > 8.0:
+        out = _flat_far_time_engine(mu, t1, x, y)
     else:
-        out = _nw_flat_engine(mu_arr, t1, t2, x, y, flat=True)
+        out = _nw_flat_engine(mu, t1, t2, x, y, flat=True)
     return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
@@ -548,20 +547,16 @@ def _k_delta_engine(delta, xs, ys, gamma_func, rec_extension=1.0, node_factor=1.
     cz = make_contour("vertical", offset=1.0, half_height=T, nodes=n_z)
     # half-infinite rectangle through 1/2 with half-height 1/2, truncated left
     xmin = xs.min()
-    left = -(max(0.0, -xmin) / d2 + np.sqrt(2.0 * (_DROP + 10.0)) / delta + 3.0) * rec_extension
-    n_rec = int(max(192, (0.5 - left) * DEFAULTS["rectangle_nodes_per_unit"]) * node_factor)
-    crec = make_contour("rectangle", left=left, right=0.5, half_height=0.5, nodes=n_rec)
+    lo = -(max(0.0, -xmin) / d2 + np.sqrt(2.0 * (_DROP + 10.0)) / delta + 3.0) * rec_extension
+    n_rec = int(max(192, (0.5 - lo) * DEFAULTS["rectangle_nodes_per_unit"]) * node_factor)
+    crec = make_contour("rectangle", left=lo, right=0.5, half_height=0.5, nodes=n_rec)
 
-    lg_w = np.log(gamma_func(crec.nodes))
-    lg_z = np.log(gamma_func(cz.nodes))
-
-    def psi_w(x, w):  # denominator side: e^{(D^2/2) w^2 - x w} / Gamma(w)
-        return 0.5 * d2 * w ** 2 - x * w - lg_w[None, :]
-
-    def psi_z(y, z):
-        return 0.5 * d2 * z ** 2 - y * z - lg_z[None, :]
-
-    return _pair_eval(xs, ys, crec, cz, psi_w, psi_z, [(1.0, "-")])
+    # the z side is e^{(D^2/2) z^2 - y z} / Gamma(z); the w side is the same form, inverted
+    left = Side(crec.nodes, crec.weights, -0.5 * d2 * crec.nodes ** 2, crec.nodes,
+                np.log(gamma_func(crec.nodes)))
+    right = Side(cz.nodes, cz.weights, 0.5 * d2 * cz.nodes ** 2, -cz.nodes,
+                 -np.log(gamma_func(cz.nodes)))
+    return contour_fill(xs, ys, left, right, (1.0,))
 
 
 def k_delta(delta, x, y, gamma_func=None, _complex=False):
@@ -653,14 +648,9 @@ def _jairy_eval(t1, t2, xs, ys, mode="wedge", delta1=None, delta2=None):
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     tmax = max(abs(t1), abs(t2))
     cw, cz = _jairy_contours(tmax, float(xs.min()), float(ys.min()), mode, delta1, delta2)
-
-    def psi_w(x, w):
-        return w ** 3 / 3.0 + t1 * w ** 2 - x * w
-
-    def psi_z(y, z):
-        return z ** 3 / 3.0 + t2 * z ** 2 - y * z
-
-    return _pair_eval(xs, ys, cw, cz, psi_w, psi_z, [(1.0, "-")]).real
+    left = Side(cw.nodes, cw.weights, -(cw.nodes ** 3 / 3.0 + t1 * cw.nodes ** 2), cw.nodes)
+    right = Side(cz.nodes, cz.weights, cz.nodes ** 3 / 3.0 + t2 * cz.nodes ** 2, -cz.nodes)
+    return contour_fill(xs, ys, left, right, (1.0,)).real
 
 
 def j_airy(t1, x, t2, y, mode="wedge", delta1=None, delta2=None):
@@ -676,6 +666,42 @@ def j_airy(t1, x, t2, y, mode="wedge", delta1=None, delta2=None):
     """
     out = _jairy_eval(t1, t2, x, y, mode, delta1, delta2)
     return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+
+
+def _dyson_edge_engine(nu, b, rho, s, shift, g, tmax, length):
+    """Contour part of the edge-rescaled Hermitian kernel, as fill(i, j, xs, ys).
+
+    Block (i, j) is rho (1/2 pi i)^2 int dw int dz e^{psi_j(y, z) - psi_i(x, w)} / (z - w),
+    psi_i(u, v) = (s_i/2) v^2 - (rho u + shift_i) v + log prod(v - nu_k) - g_i + rho b u:
+    inverse time s_i, edge coordinates, conjugated by e^{g_i - rho b u}.  The
+    w wedge opens at 5pi/6 through b + (tmax + 1/2)/rho, the z line runs at
+    b + (tmax + 1)/rho, sized for arguments up to ``length``.
+    """
+    delta2 = tmax + 0.5
+    line = b + (delta2 + 0.5) / rho
+    smax = s.max()
+    xref = shift.min()  # smallest 'X' has the slowest wedge decay
+    cw = ray_wedge(b + delta2 / rho, 5 * np.pi / 6,
+                   lambda w: 0.5 * smax * w ** 2 - xref * w + _log_poly(w, nu),
+                   4.0 * (b - nu.min()) + 6.0)
+    Ymax = shift.max() + rho * length
+    slope = (abs(smax * line - Ymax) + abs(smax * line - shift.min())
+             + np.sum(1.0 / np.abs(line - nu)))
+    T = np.sqrt(2.0 * (_DROP + 10.0 + np.log1p(nu.size)) / s.min())
+    nz = int(min(16384, max(256, 64 + 1.4 * slope * T)))
+    cz = make_contour("vertical", offset=line, half_height=T, nodes=nz)
+    log_poly_w = _log_poly(cw.nodes, nu)
+    log_poly_z = _log_poly(cz.nodes, nu)
+
+    def fill(i, j, xs, ys):
+        w, z = cw.nodes, cz.nodes
+        left = Side(w, cw.weights, g[i] - 0.5 * s[i] * w ** 2 + shift[i] * w, rho * (w - b),
+                    -log_poly_w)
+        right = Side(z, cz.weights, 0.5 * s[j] * z ** 2 - shift[j] * z - g[j], rho * (b - z),
+                     log_poly_z)
+        return rho * contour_fill(xs, ys, left, right, (1.0,)).real
+
+    return fill
 
 
 def kixjy_conjugation(t, u):

@@ -182,6 +182,27 @@ def test_thread_count_does_not_change_results(capsys):
     assert out1 == out8
 
 
+@pytest.mark.parametrize("grid", ["1:0:1", "1:2", "0:1:0"])
+def test_empty_or_malformed_grid_exits_2(capsys, grid):
+    # an empty start:stop:step grid used to print only the header and exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cdf", "--family", "loe", "--n", "1", "--a", grid])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "threshold" not in out.out
+    assert "argument --a" in out.err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_count_below_one_exits_2(capsys, threads):
+    # 0 used to become the default 4 and -1 escaped as a ValueError traceback
+    code, out, err = run_cli(capsys, "cdf", "--family", "loe", "--n", "1", "--a", "1",
+                             "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert _usage_error(err) == "usage error: --threads must be at least 1, got %s" % threads
+
+
 def test_no_command_exits_2(capsys):
     assert cli.main([]) == 2
 

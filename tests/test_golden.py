@@ -1,12 +1,20 @@
-"""Refactor gate: ``evaluate_cdf`` reproduces committed values to 1e-14.
+"""Refactor gates: committed values reproduced to 1e-14.
 
 ``data/cdf_golden.json`` holds 32 queries, a few thresholds for each of
 the ten CDF families, with the values ``evaluate_cdf`` returned before the
-family registry replaced the dispatch chain.  The arith kernel loses about
-six digits to cancellation in its Gamma-ratio contour sum, so its last
-digits follow the BLAS summation order, which changes with the BLAS thread
-count (by up to 6e-10 between one and two threads).  The values were made,
-and are checked, in a process with BLAS on one thread.
+family registry replaced the dispatch chain.  ``data/kernel_golden.json``
+holds pointwise and grid values of the contour kernels the CDF table never
+calls directly (``s_minus``, ``s_bar``, ``s_hypo_flat``, the rate kernels,
+``k_nw``, ``k_flat`` on both of its branches, ``k_delta``, ``j_airy`` in
+both contour modes, and Dyson-edge blocks), made before the kernel fills
+were merged into one evaluator; each is checked to 1e-14 relative to
+max(1, |value|).
+
+The arith kernel loses about six digits to cancellation in its Gamma-ratio
+contour sum, so its last digits follow the BLAS summation order, which
+changes with the BLAS thread count (by up to 6e-10 between one and two
+threads).  Both tables were made, and are checked, in a process with BLAS
+on one thread.
 """
 
 import json
@@ -22,6 +30,8 @@ from noncolliding.distributions import FAMILIES
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "cdf_golden.json"
 CASES = json.loads(GOLDEN.read_text())
+KERNEL_GOLDEN = ROOT / "tests" / "data" / "kernel_golden.json"
+KERNEL_CASES = json.loads(KERNEL_GOLDEN.read_text())
 
 EVALUATE = """
 import json, sys
@@ -30,14 +40,39 @@ cases = json.load(open(sys.argv[1]))
 print(json.dumps([evaluate_cdf(CdfQuery(c["family"], c["params"])) for c in cases]))
 """
 
+# a case calls ``module.function(*args, **kwargs)``; with ``block`` = [i, j,
+# xs, ys] the result is a block kernel and its (i, j) block on xs x ys is read
+EVALUATE_KERNELS = """
+import importlib, json, sys
+import numpy as np
+out = []
+for c in json.load(open(sys.argv[1])):
+    fn = getattr(importlib.import_module("noncolliding." + c["module"]), c["function"])
+    val = fn(*c["args"], **c.get("kwargs", {}))
+    if "block" in c:
+        i, j, xs, ys = c["block"]
+        val = val.eval_block(i, j, np.asarray(xs, float), np.asarray(ys, float))
+    out.append(np.ravel(val).tolist())
+print(json.dumps(out))
+"""
+
+
+def _one_blas_thread(script, path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
 
 @pytest.fixture(scope="module")
 def values():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", EVALUATE, str(GOLDEN)], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    return _one_blas_thread(EVALUATE, GOLDEN)
+
+
+@pytest.fixture(scope="module")
+def kernel_values():
+    return _one_blas_thread(EVALUATE_KERNELS, KERNEL_GOLDEN)
 
 
 def test_golden_covers_every_family():
@@ -49,3 +84,12 @@ def test_golden_covers_every_family():
 def test_golden_value(values, k):
     case = CASES[k]
     assert abs(values[k] - case["value"]) <= 1e-14, (case, values[k])
+
+
+@pytest.mark.parametrize("k", range(len(KERNEL_CASES)),
+                         ids=["%s-%d" % (c["function"], k) for k, c in enumerate(KERNEL_CASES)])
+def test_kernel_golden_value(kernel_values, k):
+    case = KERNEL_CASES[k]
+    assert len(kernel_values[k]) == len(case["value"])
+    for got, ref in zip(kernel_values[k], case["value"]):
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (case["function"], got, ref)
