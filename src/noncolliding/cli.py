@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .defaults import DEFAULTS, show_defaults
-from .distributions import FAMILIES, CdfQuery, evaluate_cdf
+from .distributions import FAMILIES, CdfQuery, evaluate_curve
 from .exceptions import ConvergenceError, DomainError, EvaluationError, ParameterError
 from .experiments import EXPERIMENTS, run_experiment
 from .kernels import BoundaryFunction
@@ -137,13 +137,13 @@ def cmd_cdf(args, seed):
         grid_values = [[a] * len(args.times) for a in grid]
     else:
         grid_values = grid
-    queries = [CdfQuery(args.family, {**params, family.threshold: a},
-                        nodes=args.nodes, length=args.length) for a in grid_values]
     workers = DEFAULTS["threads"] if args.threads is None else args.threads
     if workers < 1:
         raise UsageError("--threads must be at least 1, got %d" % workers)
+    # one build for the whole grid; the pool runs its per-threshold determinants
+    query = CdfQuery(args.family, params, nodes=args.nodes, length=args.length)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        values = list(pool.map(evaluate_cdf, queries))
+        values = evaluate_curve(query, grid_values, pool.map)
     lines = _meta(args, seed)
     lines.append("threshold,value,resolution,error_estimate")
     nodes = args.nodes or DEFAULTS["nystrom_nodes_per_slot"]
@@ -243,7 +243,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_negative_values(argv))
+    try:
+        args = parser.parse_args(_attach_negative_values(argv))
+    except SystemExit as exc:
+        # argparse exits with 2 on a usage error and 0 after --help; return
+        # that code, as every later usage error does
+        return exc.code
     if args.show_defaults:
         sys.stdout.write(show_defaults() + "\n")
         return 0

@@ -1,22 +1,25 @@
 """Distribution functions assembled from kernels and Fredholm engines."""
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .defaults import DEFAULTS
 from .exceptions import DomainError, ParameterError
-from .fredholm import BlockKernel, apply_conjugation, det_nystrom, det_ratio, single_slot_kernel
-from .kernels import (_brownian_block, _drifts, _dyson_edge_engine, _jairy_eval,
-                      _piflat_engine, BoundaryFunction, heat_op_full, k_delta, k_flat,
-                      kixjy_conjugation)
+from .fredholm import (BlockKernel, apply_conjugation, det_nystrom, det_ratio,
+                       single_slot_kernel, slot_nodes)
+from .kernels import (_brownian_block, _brownian_engine, _drifts, _dyson_edge_engine,
+                      _jairy_engine, _k_delta_engine, _piflat_engine, BoundaryFunction,
+                      RowCache, Side, heat_op_full, k_flat, kixjy_conjugation)
 
 __all__ = [
     "EdgeScaling", "edge_scaling", "f_class_bounds", "f_class_contains",
     "cdf_piflat", "cdf_loe_max", "cdf_bridge_allmax", "cdf_bridge_runningmax",
     "cdf_arithmetic_limit", "cdf_blpp", "airy_fdd", "cdf_dyson_edge",
-    "CdfQuery", "FAMILIES", "evaluate_cdf", "piflat_block", "loe_block", "bridge_block",
-    "runningmax_block", "arith_block", "blpp_block", "airy_block", "dyson_edge_block",
+    "CdfQuery", "FAMILIES", "evaluate_cdf", "evaluate_curve", "piflat_block", "loe_block",
+    "bridge_block", "runningmax_block", "arith_block", "blpp_block", "airy_block",
+    "dyson_edge_block",
 ]
 
 
@@ -98,16 +101,60 @@ def f_class_contains(nu, alpha, beta):
 
 
 # ---------------------------------------------------------------------------
+# threshold grids
+# ---------------------------------------------------------------------------
+
+def _det(K, nodes):
+    return det_nystrom(K, nodes, refine=False).value
+
+
+def _dets(makers, nodes):
+    """One evaluator per kernel maker: a call without arguments returning its determinant.
+
+    Each kernel is made when its evaluator runs, so its row cache lives only
+    as long as its determinant.
+    """
+    return [lambda make=make: _det(make(), nodes) for make in makers]
+
+
+def _curve(block, grid, nodes, engine):
+    """Evaluators of det(I - block(a, build)) for each threshold a of grid, one build.
+
+    ``engine(spans)`` makes the build from the Nystrom nodes that the grid's
+    determinants fill at: spans[k][i] holds those of slot i at grid[k], read
+    from a kernel block(a, None) made for that purpose.  A one-point grid has
+    nothing to share: its blocks build from their own nodes as they fill,
+    which sizes them alike and holds one block's couplings at a time.
+    """
+    if len(grid) == 1:
+        return _dets([partial(block, grid[0], None)], nodes)
+    build = engine([slot_nodes(block(a, None), nodes) for a in grid])
+    return _dets([partial(block, a, build) for a in grid], nodes)
+
+
+def _span(spans, i):
+    """The Nystrom nodes of slot i over a whole grid, as one array."""
+    return np.concatenate([nodes[i] for nodes in spans])
+
+
+
+# ---------------------------------------------------------------------------
 # single-contour product-kernel families
 # ---------------------------------------------------------------------------
 
-def piflat_block(beta, a, length=None):
+def piflat_block(beta, a, length=None, build=None):
+    """Rate-kernel block on [max(a, 0), infinity); ``build`` is a grid's shared fill."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if length is None:
         length = max(12.0, 36.0 / (2.0 * beta.min()))
-    thr = max(float(a), 0.0)
-    return single_slot_kernel(
-        lambda xs, ys: _piflat_engine(beta, xs, ys), thr, length, "piflat")
+    fill = build or (lambda xs, ys: _piflat_engine(beta, xs, ys)(xs, ys))
+    return single_slot_kernel(fill, max(float(a), 0.0), length, "piflat")
+
+
+def _piflat_curve(beta, grid, nodes=None, length=None):
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    return _curve(lambda a, build: piflat_block(beta, a, length, build), grid, nodes,
+                  lambda spans: _piflat_engine(beta, _span(spans, 0), _span(spans, 0)))
 
 
 def loe_block(n, a, length=None):
@@ -119,8 +166,12 @@ def bridge_block(nu, r, length=None):
     beta = 1.0 - nu / r
     if length is None:
         length = max(12.0, 36.0 / (2.0 * beta.min()))
-    return single_slot_kernel(
-        lambda xs, ys: _piflat_engine(beta, xs + r * r, ys + r * r), 0.0, length, "bridge")
+
+    def fill(xs, ys):
+        u, v = xs + r * r, ys + r * r
+        return _piflat_engine(beta, u, v)(u, v)
+
+    return single_slot_kernel(fill, 0.0, length, "bridge")
 
 
 def cdf_piflat(beta, a, nodes=None, length=None):
@@ -130,17 +181,17 @@ def cdf_piflat(beta, a, nodes=None, length=None):
     (the passage value is almost surely positive, and the determinant
     vanishes identically there).
     """
-    return det_nystrom(piflat_block(beta, a, length), nodes, refine=False).value
+    return _det(piflat_block(beta, a, length), nodes)
 
 
 def cdf_loe_max(n, a, nodes=None, length=None):
     """P(largest eigenvalue of X^t X <= 4a) for X (n+1) x n standard normal."""
-    return det_nystrom(loe_block(n, a, length), nodes, refine=False).value
+    return _det(loe_block(n, a, length), nodes)
 
 
 def cdf_bridge_allmax(nu, r, nodes=None, length=None):
     """P(max over [0,1] of the top nu-started noncolliding bridge <= r)."""
-    return det_nystrom(bridge_block(nu, r, length), nodes, refine=False).value
+    return _det(bridge_block(nu, r, length), nodes)
 
 
 def runningmax_block(n, s, a, length=None):
@@ -167,14 +218,19 @@ def cdf_bridge_runningmax(n, s, a, nodes=None, length=None):
         return cdf_loe_max(n, a * a, nodes)
     if s == 0.0:
         return 1.0
-    return det_nystrom(runningmax_block(n, s, a, length), nodes, refine=False).value
+    return _det(runningmax_block(n, s, a, length), nodes)
 
 
-def arith_block(delta, a, length=None, gamma_func=None):
+def arith_block(delta, a, length=None, gamma_func=None, build=None):
+    """Gamma-ratio block on [a, infinity); ``build`` is a grid's shared fill."""
     length = 40.0 + max(0.0, -float(a)) if length is None else length
-    return single_slot_kernel(
-        lambda xs, ys: np.atleast_2d(k_delta(delta, xs, ys, gamma_func=gamma_func)),
-        float(a), length, "arith")
+    fill = build or (lambda xs, ys: _k_delta_engine(delta, xs, ys, gamma_func)(xs, ys))
+    return single_slot_kernel(lambda xs, ys: fill(xs, ys).real, float(a), length, "arith")
+
+
+def _arith_curve(delta, grid, nodes=None, length=None):
+    return _curve(lambda a, build: arith_block(delta, a, length, build=build), grid, nodes,
+                  lambda spans: _k_delta_engine(delta, _span(spans, 0), _span(spans, 0)))
 
 
 def cdf_arithmetic_limit(delta, a, nodes=None, length=None):
@@ -186,7 +242,7 @@ def cdf_arithmetic_limit(delta, a, nodes=None, length=None):
     P(gamma_1 <= n - 1 + (a + log(n-1))/2) for the log-eigenvalue of
     Brownian motion on positive-definite matrices.
     """
-    return det_nystrom(arith_block(delta, a, length), nodes, refine=False).value
+    return _det(arith_block(delta, a, length), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +259,12 @@ def _drift_conjugation(mu, k):
     return c
 
 
-def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True):
-    """Block kernel of boundary-driven BLPP at several times (closed forms)."""
+def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True, build=None):
+    """Block kernel of boundary-driven BLPP at several times (closed forms).
+
+    ``build[i][j]`` is a grid's shared fill of block (i, j); without it each
+    fill builds its own.
+    """
     mu = _drifts(mu)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
@@ -219,9 +279,11 @@ def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True):
         drift_push = max(0.0, mu.max()) * tmax
         lengths = max(12.0, 2.0 * np.sqrt(tmax * (DEFAULTS["decay_drop"] - 5.0))
                       + 2.0 * drift_push)
+    rows = RowCache() if build else Side.rows
 
     def eval_block(i, j, xs, ys):
-        return _brownian_block(b.kind, mu, times[i], times[j], xs, ys)
+        return _brownian_block(b.kind, mu, times[i], times[j], xs, ys,
+                               build[i][j] if build else None, rows)
 
     K = BlockKernel(times, thresholds, eval_block, lengths, label="blpp-" + b.kind)
     if conjugate:
@@ -229,19 +291,32 @@ def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True):
     return K
 
 
+def _blpp_curve(b, mu, times, grid, nodes=None, lengths=None, conjugate=True):
+    mu = _drifts(mu)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+
+    def engine(spans):
+        span = [_span(spans, i) for i in range(len(times))]
+        made = {}
+        return [[_brownian_engine(b.kind, mu, ti, tj, span[i], span[j], made)
+                 for j, tj in enumerate(times)] for i, ti in enumerate(times)]
+
+    return _curve(lambda a, build: blpp_block(b, mu, times, a, lengths, conjugate, build),
+                  grid, nodes, engine)
+
+
 def cdf_blpp(b, mu, times, thresholds, nodes=None, lengths=None, conjugate=True):
     """Joint law P(BLPP(b; (t_i, m)) <= a_i for all i) as a block determinant."""
-    K = blpp_block(b, mu, times, thresholds, lengths, conjugate)
-    return det_nystrom(K, nodes, refine=False).value
+    return _det(blpp_block(b, mu, times, thresholds, lengths, conjugate), nodes)
 
 
-def airy_block(times, xi, lengths=14.0):
+def airy_block(times, xi, lengths=14.0, build=None):
     """Block kernel whose determinant gives P(A(t_i) <= xi_i for all i).
 
     Block (i, j) is -e^{(t_j - t_i) d^2} 1{t_j > t_i} + J_Airy at
     (t_i, x + xi_i; t_j, y + xi_j), scaled by the :func:`kixjy_conjugation`
     ratio so that it equals K_Airy(t_i, x + xi_i + t_i^2; t_j, y + xi_j + t_j^2)
-    pointwise and decays in both arguments.
+    pointwise and decays in both arguments.  ``build`` as for :func:`blpp_block`.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -249,22 +324,39 @@ def airy_block(times, xi, lengths=14.0):
         raise ParameterError("times must be strictly increasing")
     if len(times) != len(xi):
         raise ParameterError("need one threshold per time")
+    rows = RowCache() if build else Side.rows
 
     def eval_block(i, j, xs, ys):
-        block = _jairy_eval(times[i], times[j], xs + xi[i], ys + xi[j])
+        u, v = xs + xi[i], ys + xi[j]
+        fill = build[i][j] if build else _jairy_engine(times[i], times[j], u, v)
+        block = fill(u, v, rows)
         if times[j] > times[i]:
-            block = block - heat_op_full(times[j] - times[i],
-                                         (xs + xi[i])[:, None], (ys + xi[j])[None, :])
-        ci = kixjy_conjugation(times[i], xs + xi[i])
-        cj = kixjy_conjugation(times[j], ys + xi[j])
+            block = block - heat_op_full(times[j] - times[i], u[:, None], v[None, :])
+        ci = kixjy_conjugation(times[i], u)
+        cj = kixjy_conjugation(times[j], v)
         return block * np.outer(1.0 / ci, cj)
 
     return BlockKernel(times, np.zeros_like(times), eval_block, lengths, label="airy")
 
 
+def _airy_curve(times, grid, nodes=None, lengths=14.0):
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    grid = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in grid]
+
+    def engine(spans):
+        # the blocks fill at x + xi_i, so the span of slot i moves with each threshold
+        span = [np.concatenate([nodes[i] + xi[i] for nodes, xi in zip(spans, grid)])
+                for i in range(len(times))]
+        made = {}
+        return [[_jairy_engine(ti, tj, span[i], span[j], made=made)
+                 for j, tj in enumerate(times)] for i, ti in enumerate(times)]
+
+    return _curve(lambda xi, build: airy_block(times, xi, lengths, build), grid, nodes, engine)
+
+
 def airy_fdd(times, xi, nodes=None, lengths=14.0):
     """Finite-dimensional law of the Airy process at the given times."""
-    return det_nystrom(airy_block(times, xi, lengths), nodes, refine=False).value
+    return _det(airy_block(times, xi, lengths), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +373,21 @@ def dyson_edge_block(nu, taus, xis, lengths=13.0):
     the explicit exponential factor from the saddle-point normal form so
     entries stay O(1).
     """
+    return _dyson_edge_curve(nu, taus, [xis], lengths)[0]()
+
+
+def _dyson_edge_curve(nu, taus, grid, lengths=13.0):
+    """A maker of :func:`dyson_edge_block` per threshold vector of grid, from one build.
+
+    The contours depend on the thresholds only through the range of the
+    shifts, so they are sized for the shifts of the whole grid.
+    """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    if len(taus) != len(xis):
+    xis = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in grid]
+    if any(len(taus) != len(xi) for xi in xis):
         raise ParameterError("need one threshold per time")
+    xis = np.array(xis).reshape(len(xis), len(taus))
     n = nu.size
     es = edge_scaling(nu)
     b, a, d = es.b, es.a, es.d
@@ -295,9 +397,10 @@ def dyson_edge_block(nu, taus, xis, lengths=13.0):
         raise DomainError("tau beyond n^(1/3)/(2 d^2): inverted time is nonpositive")
     # sort slots by increasing matrix time (tau decreasing)
     order = np.argsort(times)
-    times, taus, xis = times[order], taus[order], xis[order]
+    times, taus, xis = times[order], taus[order], xis[:, order]
     if np.any(np.diff(times) <= 0):
         raise ParameterError("times must be distinct")
+    # one row per threshold vector
     ahat = a + 2.0 * taus * d * d * (b - a) / n13 + d * xis / n13 ** 2
     rho = d * n13
     s = 1.0 / times
@@ -305,11 +408,18 @@ def dyson_edge_block(nu, taus, xis, lengths=13.0):
 
     # conjugation exponent g_i - rho b x from the saddle normal form
     g = -n13 ** 2 * d * d * taus * b * b - rho * b * (ahat + 2.0 * taus ** 2 * d ** 3 * b)
-    fill = _dyson_edge_engine(nu, b, rho, s, shift, g, float(np.max(np.abs(taus))),
-                              float(np.max(lengths)))
+    slots = _dyson_edge_engine(nu, b, rho, s, shift, float(np.max(np.abs(taus))),
+                               float(np.max(lengths)))
+    return [partial(_dyson_edge_kernel, times, b, rho, shift[k], g[k], slots, lengths)
+            for k in range(len(xis))]
+
+
+def _dyson_edge_kernel(times, b, rho, shift, g, slots, lengths):
+    fill = slots(shift, g)
+    rows = RowCache()
 
     def eval_block(i, j, xs, ys):
-        block = fill(i, j, xs, ys)
+        block = fill(i, j, xs, ys, rows)
         if times[j] < times[i]:
             dt = 1.0 / times[j] - 1.0 / times[i]
             X = rho * xs + shift[i]
@@ -325,7 +435,7 @@ def dyson_edge_block(nu, taus, xis, lengths=13.0):
 
 def cdf_dyson_edge(nu, taus, xis, nodes=None, lengths=13.0):
     """Finite-n edge law P(rescaled lambda_max(tau_i) <= xi_i for all i)."""
-    return det_nystrom(dyson_edge_block(nu, taus, xis, lengths), nodes, refine=False).value
+    return _det(dyson_edge_block(nu, taus, xis, lengths), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -338,35 +448,41 @@ class Family:
 
     ``options`` are the parameters besides the threshold, ``threshold`` the
     parameter that receives it (``thresholds`` takes one value per time),
-    and ``call(params, nodes, length)`` evaluates one query.  The calls
-    look the ``cdf_*`` functions up as module globals when they run.
+    and ``curve(params, grid, nodes, length)`` returns one evaluator per
+    threshold of grid: a call without arguments that returns the value
+    there.  The kernel families build contours, sides and couplings once
+    for the whole grid.  bridge-allmax (rates 1 - nu/r) and bridge-runmax
+    (time a^2 s/(1-s)) change the kernel with the threshold, so each of
+    their evaluators builds its own, and detratio is a closed form.
     """
 
     options: tuple
     threshold: str
-    call: callable
+    curve: callable
 
 
 FAMILIES = {
-    "piflat": Family(("beta",), "a", lambda p, nodes, length:
-                     cdf_piflat(p["beta"], p["a"], nodes, length)),
-    "loe": Family(("n",), "a", lambda p, nodes, length:
-                  cdf_loe_max(p["n"], p["a"], nodes, length)),
-    "bridge-allmax": Family(("nu",), "r", lambda p, nodes, length:
-                            cdf_bridge_allmax(p["nu"], p["r"], nodes, length)),
-    "bridge-runmax": Family(("n", "s"), "a", lambda p, nodes, length:
-                            cdf_bridge_runningmax(p["n"], p["s"], p["a"], nodes, length)),
-    "arith": Family(("delta",), "a", lambda p, nodes, length:
-                    cdf_arithmetic_limit(p["delta"], p["a"], nodes, length)),
-    "blpp-nw": Family(("mu", "times"), "thresholds", lambda p, nodes, length: cdf_blpp(
-        BoundaryFunction.narrow_wedge(), p["mu"], p["times"], p["thresholds"], nodes)),
-    "blpp-flat": Family(("mu", "times"), "thresholds", lambda p, nodes, length: cdf_blpp(
-        BoundaryFunction.flat(), p["mu"], p["times"], p["thresholds"], nodes)),
-    "airy": Family(("times",), "thresholds", lambda p, nodes, length:
-                   airy_fdd(p["times"], p["thresholds"], nodes)),
-    "dyson-edge": Family(("nu", "times"), "thresholds", lambda p, nodes, length:
-                         cdf_dyson_edge(p["nu"], p["times"], p["thresholds"], nodes)),
-    "detratio": Family(("beta",), "a", lambda p, nodes, length: det_ratio(p["beta"], p["a"])),
+    "piflat": Family(("beta",), "a", lambda p, grid, nodes, length:
+                     _piflat_curve(p["beta"], grid, nodes, length)),
+    "loe": Family(("n",), "a", lambda p, grid, nodes, length:
+                  _piflat_curve(np.ones(int(p["n"])), grid, nodes, length)),
+    "bridge-allmax": Family(("nu",), "r", lambda p, grid, nodes, length: [
+        partial(cdf_bridge_allmax, p["nu"], r, nodes, length) for r in grid]),
+    "bridge-runmax": Family(("n", "s"), "a", lambda p, grid, nodes, length: [
+        partial(cdf_bridge_runningmax, p["n"], p["s"], a, nodes, length) for a in grid]),
+    "arith": Family(("delta",), "a", lambda p, grid, nodes, length:
+                    _arith_curve(p["delta"], grid, nodes, length)),
+    "blpp-nw": Family(("mu", "times"), "thresholds", lambda p, grid, nodes, length:
+                      _blpp_curve(BoundaryFunction.narrow_wedge(), p["mu"], p["times"], grid,
+                                  nodes)),
+    "blpp-flat": Family(("mu", "times"), "thresholds", lambda p, grid, nodes, length:
+                        _blpp_curve(BoundaryFunction.flat(), p["mu"], p["times"], grid, nodes)),
+    "airy": Family(("times",), "thresholds", lambda p, grid, nodes, length:
+                   _airy_curve(p["times"], grid, nodes)),
+    "dyson-edge": Family(("nu", "times"), "thresholds", lambda p, grid, nodes, length:
+                         _dets(_dyson_edge_curve(p["nu"], p["times"], grid), nodes)),
+    "detratio": Family(("beta",), "a", lambda p, grid, nodes, length: [
+        partial(det_ratio, p["beta"], a) for a in grid]),
 }
 
 
@@ -380,8 +496,34 @@ class CdfQuery:
     length: float = None
 
 
+def _family(name):
+    if name not in FAMILIES:
+        raise ParameterError("unknown family %r" % (name,))
+    return FAMILIES[name]
+
+
+def _call(evaluator):
+    return evaluator()
+
+
+def evaluate_curve(query, grid, map=map):
+    """Values of a named CDF family at every threshold of grid, from one build.
+
+    ``query.params`` gives the family's options; a threshold among them is
+    not used.  ``grid`` lists the thresholds, one vector per point for the
+    families that take one threshold per time.  ``map`` runs the
+    per-threshold determinants, for instance a thread pool's; the values do
+    not depend on it.  Because the contours are sized for the whole grid,
+    a value can differ from the one-point curve :func:`evaluate_cdf` gives
+    by the kernel-quadrature error of the two contour choices.
+    """
+    family, grid = _family(query.family), list(grid)
+    if not grid:
+        return []
+    return list(map(_call, family.curve(query.params, grid, query.nodes, query.length)))
+
+
 def evaluate_cdf(query):
-    """Evaluate one threshold of a named CDF family."""
-    if query.family not in FAMILIES:
-        raise ParameterError("unknown family %r" % (query.family,))
-    return FAMILIES[query.family].call(query.params, query.nodes, query.length)
+    """Evaluate one threshold of a named CDF family: a one-point curve."""
+    family = _family(query.family)
+    return evaluate_curve(query, [query.params[family.threshold]])[0]

@@ -16,9 +16,9 @@ import numpy as np
 from .defaults import DEFAULTS
 from .discrete import (GeomParams, drift_params, q_geom, s_geom, sbar_geom,
                        sample_geom_lpp, scaling_bridge, transition_prob, to_tilde, w_tilde)
-from .distributions import (airy_fdd, blpp_block, cdf_arithmetic_limit,
-                            cdf_blpp, cdf_bridge_allmax, cdf_bridge_runningmax,
-                            cdf_dyson_edge, cdf_loe_max, cdf_piflat, loe_block, piflat_block)
+from .distributions import (CdfQuery, airy_fdd, blpp_block, cdf_blpp, cdf_bridge_allmax,
+                            cdf_bridge_runningmax, cdf_dyson_edge, cdf_loe_max, cdf_piflat,
+                            evaluate_curve, loe_block, piflat_block)
 from .fredholm import apply_conjugation, det_nystrom, det_ratio, det_series
 from .kernels import BoundaryFunction, s_bar, s_minus
 from .montecarlo import (dkw_band, empirical_cdf, sample_arith_max, sample_blpp,
@@ -57,13 +57,18 @@ def _phi(a):
     return 0.5 * (1.0 + math.erf(a / math.sqrt(2.0)))
 
 
+def _curve_values(family, grid, **params):
+    """A family's values on a threshold grid, from one build (see ``evaluate_curve``)."""
+    return np.array(evaluate_curve(CdfQuery(family, params), grid))
+
+
 def exponential_identity(seed=None):
     """Rate kernel at n = 1 against the exponential law 1 - e^{-2 beta a}."""
     t0 = time.time()
     rows, disc = [], 0.0
+    grid = np.arange(0.1, 3.001, 0.1)
     for beta in (0.5, 1.0, 2.0):
-        for a in np.arange(0.1, 3.001, 0.1):
-            got = cdf_piflat([beta], a)
+        for a, got in zip(grid, _curve_values("piflat", grid, beta=[beta])):
             want = 1.0 - math.exp(-2.0 * beta * a)
             rows.append(("beta=%g" % beta, a, want, got, abs(got - want)))
             disc = max(disc, abs(got - want))
@@ -74,8 +79,8 @@ def loe_chisq(seed=None):
     """n = 1 Gram-ensemble law against the chi-square(2) CDF."""
     t0 = time.time()
     rows, disc = [], 0.0
-    for a in np.arange(0.1, 3.001, 0.1):
-        got = cdf_loe_max(1, a)
+    grid = np.arange(0.1, 3.001, 0.1)
+    for a, got in zip(grid, _curve_values("loe", grid, n=1)):
         want = 1.0 - math.exp(-2.0 * a)
         rows.append(("n=1", a, want, got, abs(got - want)))
         disc = max(disc, abs(got - want))
@@ -99,9 +104,8 @@ def three_way(seed=None):
     return _result("three-way", t0, disc, 1e-6, rows)
 
 
-def _cdf_vs_samples(name, t0, samples, det_fn, grid, allowance, label=""):
+def _cdf_vs_samples(name, t0, samples, det, grid, allowance, label=""):
     emp = empirical_cdf(samples, grid)
-    det = np.array([det_fn(g) for g in grid])
     dev = np.abs(emp - det)
     rows = [(label, g, d, e, abs(d - e)) for g, d, e in zip(grid, det, emp)]
     return _result(name, t0, float(dev.max()), allowance, rows,
@@ -115,7 +119,7 @@ def piflat_mc(seed=None, n_samples=10 ** 6, label="piflat-n3"):
     stream = RngStream(_seed(seed), 41)
     x = sample_piflat(beta, stream=stream, samples=n_samples)
     grid = np.quantile(x, np.linspace(0.02, 0.98, 33))
-    return _cdf_vs_samples(label, t0, x, lambda a: cdf_piflat(beta, a), grid,
+    return _cdf_vs_samples(label, t0, x, _curve_values("piflat", grid, beta=beta), grid,
                            dkw_band(n_samples), "n=3")
 
 
@@ -127,7 +131,7 @@ def piflat_n2(seed=None):
     n = 200000
     x = sample_piflat(beta, stream=stream, samples=n)
     grid = np.quantile(x, np.linspace(0.03, 0.97, 25))
-    return _cdf_vs_samples("piflat-n2", t0, x, lambda a: cdf_piflat(beta, a), grid,
+    return _cdf_vs_samples("piflat-n2", t0, x, _curve_values("piflat", grid, beta=beta), grid,
                            dkw_band(n), "n=2")
 
 
@@ -140,7 +144,7 @@ def loe_mc(seed=None, n_samples=10 ** 5):
         lam = sample_loe_max(n, stream=stream, samples=n_samples)
         grid = np.quantile(lam, np.linspace(0.02, 0.98, 25))
         emp = empirical_cdf(lam, grid)
-        det = np.array([cdf_loe_max(n, g / 4.0) for g in grid])
+        det = _curve_values("loe", grid / 4.0, n=n)
         rows += [("n=%d" % n, g, d, e, abs(d - e)) for g, d, e in zip(grid, det, emp)]
         disc = max(disc, float(np.max(np.abs(emp - det))))
     return _result("loe-mc", t0, disc, dkw_band(n_samples), rows)
@@ -162,7 +166,7 @@ def bridge_nr(seed=None, paths=10 ** 5):
     m = sample_bridge_topmax(2, 1.0, stream=stream, paths=paths, grid_step=1.0 / 8192)
     grid = np.quantile(m ** 2, np.linspace(0.02, 0.98, 25))
     emp = empirical_cdf(m ** 2, grid)
-    det = np.array([cdf_loe_max(2, v) for v in grid])
+    det = _curve_values("loe", grid, n=2)
     rows += [("mc-squared", v, d, e, abs(d - e)) for v, d, e in zip(grid, det, emp)]
     disc = float(np.max(np.abs(emp - det)))
     return _result("bridge-nr", t0, disc, dkw_band(paths) + 0.01, rows)
@@ -372,11 +376,11 @@ def arith_ks(seed=None, n_samples=10 ** 4, n_dim=256):
     _, resc = sample_arith_max(n_dim, 2.0, 0.0, stream=stream, samples=n_samples)
     grid = np.quantile(resc, np.linspace(0.03, 0.97, 29))
     emp = empirical_cdf(resc, grid)
-    det = np.array([cdf_arithmetic_limit(2.0, a) for a in grid])
+    det = _curve_values("arith", grid, delta=2.0)
     rows = [("ks", a, d, e, abs(d - e)) for a, d, e in zip(grid, det, emp)]
     ks = float(np.max(np.abs(emp - det)))
     # CDF-candidate diagnostics on a 20-point grid
-    diag = np.array([cdf_arithmetic_limit(2.0, a) for a in np.linspace(-3.5, 8.0, 20)])
+    diag = _curve_values("arith", np.linspace(-3.5, 8.0, 20), delta=2.0)
     ok = np.all(np.diff(diag) > -1e-9) and np.all(diag > -1e-6) and np.all(diag < 1 + 1e-6)
     rows.append(("diagnostics", 0, 1.0, float(ok), 0.0))
     disc = ks if ok else 1.0
@@ -394,7 +398,7 @@ def dyson_edge(seed=None, n_samples=10 ** 4):
     resc = (lam - es_a) * n ** (2.0 / 3.0) / es_d
     grid = np.quantile(resc, np.linspace(0.04, 0.96, 21))
     emp = empirical_cdf(resc, grid)
-    det = np.array([airy_fdd([0.0], [g]) for g in grid])
+    det = _curve_values("airy", [[g] for g in grid], times=[0.0])
     rows = [("mc-n200", g, d, e, abs(d - e)) for g, d, e in zip(grid, det, emp)]
     ks = float(np.max(np.abs(emp - det)))
     if ks > 0.08:

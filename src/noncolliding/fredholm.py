@@ -93,9 +93,25 @@ class DetResult:
         return float(self.value)
 
 
+def _resolution(nodes_per_slot):
+    n = DEFAULTS["nystrom_nodes_per_slot"] if nodes_per_slot is None else int(nodes_per_slot)
+    if n < 8:
+        raise ParameterError("need nodes_per_slot >= 8")
+    return n
+
+
+def _rules(K, nodes_per_slot):
+    return [semi_infinite_rule(K.thresholds[i], nodes_per_slot, K.lengths[i])
+            for i in range(K.k)]
+
+
+def slot_nodes(K, nodes_per_slot=None):
+    """The Nystrom nodes of each slot of K: where det_nystrom fills it at this resolution."""
+    return [rule.nodes for rule in _rules(K, _resolution(nodes_per_slot))]
+
+
 def _assemble(K, nodes_per_slot):
-    rules = [semi_infinite_rule(K.thresholds[i], nodes_per_slot, K.lengths[i])
-             for i in range(K.k)]
+    rules = _rules(K, nodes_per_slot)
     size = nodes_per_slot * K.k
     A = np.empty((size, size))
     for i in range(K.k):
@@ -125,9 +141,7 @@ def det_nystrom(K, nodes_per_slot=None, refine=True):
     With ``refine`` the determinant is also computed at half resolution and
     the difference reported as the error estimate.
     """
-    n = DEFAULTS["nystrom_nodes_per_slot"] if nodes_per_slot is None else int(nodes_per_slot)
-    if n < 8:
-        raise ParameterError("need nodes_per_slot >= 8")
+    n = _resolution(nodes_per_slot)
     history = []
     if refine and n >= 16:
         history.append((n // 2, _lu_det(_assemble(K, n // 2))))

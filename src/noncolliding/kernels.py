@@ -9,6 +9,13 @@ contour (the rate kernels, s_minus, s_bar).  Every row of L and R is
 stabilized by subtracting its largest exponent, so kernels with
 exponential growth or decay evaluate without overflow.
 
+Each family's ``_*_engine`` is split in two.  The build (the engine call)
+sizes the contours for the argument spans it is given and makes the
+sides' argument-free factors and the couplings; the fill it returns takes
+the arguments of one block.  A threshold grid builds once from the union
+of its Nystrom nodes and fills every threshold from that build; a
+pointwise kernel builds from its own arguments.
+
 Heat-operator conventions (two distinct semigroups appear and differ by a
 factor of 2 in the variance; both are housed here explicitly):
 
@@ -137,14 +144,15 @@ def _log_poly(z, roots):
     return np.sum(np.log(z[..., None] - np.asarray(roots)[None, :]), axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Side:
     """One side of a separable kernel: u -> weights * e^{phi + u m + log_factor}.
 
     Per node (or scalar): ``phi`` is the argument-free polynomial exponent,
     ``m`` the multiplier of the argument u and ``log_factor`` the log of the
     pole, zero or Gamma factor.  It is added after u m: the arith sum cancels
-    about six digits, so that order is part of its values.
+    about six digits, so that order is part of its values.  Sides compare by
+    identity, so a build can key its couplings and row caches on them.
     """
 
     nodes: np.ndarray
@@ -164,23 +172,72 @@ class Side:
         return np.multiply(np.exp(expo, out=expo), self.weights, out=expo), top
 
 
-def contour_fill(xs, ys, left, right, signs=None):
-    """K(x, y) = L(x) C R(y)^T on the grid xs x ys, as a complex array.
+class RowCache:
+    """``rows(side, us)`` like ``Side.rows``, kept per side for the last arguments seen.
 
-    With ``signs`` (double contour), C = sum_s 1/(z - s w) / (2 pi i)^2 over
-    the left nodes w and right nodes z, one product per term.  Without, both
-    sides share one contour, only the left one carries dz-weights, and
-    C = I / (2 pi i).  xs and ys are 1-d.
+    The blocks of one slot fill at the same arguments, so one determinant's
+    cache makes the rows of a side its blocks share once.
     """
-    A, top_x = left.rows(xs)
-    B, top_y = right.rows(ys)
-    if signs is None:
+
+    def __init__(self):
+        self._rows = {}
+
+    def __call__(self, side, us):
+        hit = self._rows.get(side)
+        if hit is None or not np.array_equal(hit[0], us):
+            hit = self._rows[side] = (us, side.rows(us))
+        return hit[1]
+
+
+def _made(made, key, make):
+    """make(), or what it made for ``key`` before when the builds share a dict ``made``."""
+    if made is None:
+        return make()
+    if key not in made:
+        made[key] = make()
+    return made[key]
+
+
+def couplings(w, z, signs=(1.0,)):
+    """The dense couplings 1/(z - s w) between left nodes w and right nodes z, one per sign."""
+    return [1.0 / (z[None, :] - s * w[:, None]) for s in signs]
+
+
+def _coupling(made, cw, cz, signs=(1.0,)):
+    """The couplings of two contours, as a call that returns them.
+
+    Builds that share a dict ``made`` (a grid's) make them once and keep
+    them.  A lone build makes them at each call, so a fill holds one band's
+    couplings at a time.
+    """
+    if made is None:
+        return lambda: couplings(cw.nodes, cz.nodes, signs)
+    coupled = _made(made, (cw, cz), lambda: couplings(cw.nodes, cz.nodes, signs))
+    return lambda: coupled
+
+
+def contour_fill(left_rows, right_rows, coupled=None):
+    """K(x, y) = L(x) C R(y)^T from the rows of both sides, as a complex array.
+
+    ``left_rows`` and ``right_rows`` are what :meth:`Side.rows` returns for
+    the arguments xs and ys.  With ``coupled`` (double contour), C = sum of
+    the coupling matrices / (2 pi i)^2, one product per term.  Without, both
+    sides share one contour, only the left one carries dz-weights, and
+    C = I / (2 pi i).
+    """
+    (A, top_x), (B, top_y) = left_rows, right_rows
+    if coupled is None:
         acc, norm = A @ B.T, _TWO_PI_I
     else:
         acc, norm = 0.0, _TWO_PI_I ** 2
-        for s in signs:
-            acc = acc + (A @ (1.0 / (right.nodes[None, :] - s * left.nodes[:, None]))) @ B.T
+        for C in coupled:
+            acc = acc + (A @ C) @ B.T
     return acc * np.exp(top_x[:, None] + top_y[None, :]) / norm
+
+
+def _args(*us):
+    """Each argument as a 1-d float array."""
+    return [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
 
 
 def _pole_circle(points, reach, min_clear=0.12, max_clear=1.0):
@@ -213,8 +270,12 @@ def _vertical_auto(offset, quad_coeff, m, slope_bound, drop=_DROP):
                    {"offset": offset, "half_height": T, "nodes": len(t)})
 
 
-def _band_means(vals, width):
-    """Split sorted values into bands of the given width; return centers+masks."""
+def _bands(vals, width):
+    """Bands of the given width over the range of vals, those that hold some of them.
+
+    Each band is (center, mask of vals, select): ``select(us)`` masks the us
+    in the band, for us within the range of vals.
+    """
     vals = np.atleast_1d(np.asarray(vals, dtype=float))
     lo, hi = vals.min(), vals.max()
     edges = np.arange(lo, hi + width, width)
@@ -222,9 +283,10 @@ def _band_means(vals, width):
         edges = np.array([lo, hi + 1e-9])
     out = []
     for a, b in zip(edges[:-1], edges[1:]):
-        mask = (vals >= a) & (vals < b) if b < edges[-1] else (vals >= a) & (vals <= hi)
+        top = np.inf if b == edges[-1] else b  # the last band holds every value from a up
+        mask = (vals >= a) & (vals < top)
         if np.any(mask):
-            out.append((0.5 * (a + b), mask))
+            out.append((0.5 * (a + b), mask, lambda us, a=a, top=top: (us >= a) & (us < top)))
     return out
 
 
@@ -233,12 +295,11 @@ def _band_means(vals, width):
 # ---------------------------------------------------------------------------
 
 def _piflat_engine(beta, xs, ys):
-    """Rate kernel on the grid xs x ys; the circle is sized for the largest |x + y|."""
+    """Rate kernel fill(xs, ys); the circle is sized for the largest |x + y| over the spans."""
     beta = np.asarray(beta, dtype=float)
     if not np.all(beta > 0):
         raise ParameterError("rates beta must all be positive")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    xs, ys = _args(xs, ys)
     reach = float(max(abs(xs.max() + ys.max()), abs(xs.min() + ys.min())))
     center, radius = _pole_circle(beta, reach)
     # the reflected poles at -beta must stay outside
@@ -250,7 +311,8 @@ def _piflat_engine(beta, xs, ys):
     sign = -((-1.0) ** len(beta))
     left = Side(c.nodes, sign * c.weights, 0.0, -c.nodes,
                 _log_poly(c.nodes, -beta) - _log_poly(c.nodes, beta))
-    return contour_fill(xs, ys, left, Side(c.nodes, 1.0, 0.0, -c.nodes)).real
+    right = Side(c.nodes, 1.0, 0.0, -c.nodes)
+    return lambda xs, ys, rows=Side.rows: contour_fill(rows(left, xs), rows(right, ys)).real
 
 
 def k_piflat(beta, x, y):
@@ -262,7 +324,8 @@ def k_piflat(beta, x, y):
     """
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     # a one-column grid at y = 0 carries every x + y
-    vals = _piflat_engine(beta, (x + y).ravel(), [0.0])[:, 0].reshape(x.shape)
+    s, zero = (x + y).ravel(), np.zeros(1)
+    vals = _piflat_engine(beta, s, zero)(s, zero)[:, 0].reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -309,7 +372,7 @@ def s_minus(mu, t, x, y):
     left = Side(c.nodes, c.weights, -0.5 * t * c.nodes ** 2, c.nodes, -_log_poly(c.nodes, mu))
     right = Side(c.nodes, 1.0, 0.0, -c.nodes)
     # a one-column grid at y = 0 carries every x - y
-    vals = contour_fill(s, [0.0], left, right)[:, 0].real.reshape(x.shape)
+    vals = contour_fill(left.rows(s), right.rows(np.zeros(1)))[:, 0].real.reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -328,13 +391,13 @@ def s_bar(mu, t, x, y):
     s = (x - y).ravel()
     vals = np.empty_like(s)
     # one line per saddle band: the saddle of (t/2)z^2 + s z sits at -s/t
-    for sbar, mask in _band_means(s, width=4.0 * np.sqrt(t)):
+    for sbar, mask, _ in _bands(s, width=4.0 * np.sqrt(t)):
         c = _vertical_auto(-sbar / t, t, len(mu),
                            slope_bound=0.5 * (s[mask].max() - s[mask].min()) + len(mu))
         left = Side(c.nodes, c.weights, 0.5 * t * c.nodes ** 2, c.nodes, _log_poly(c.nodes, mu))
         right = Side(c.nodes, 1.0, 0.0, -c.nodes)
         # a one-column grid at y = 0 carries every x - y
-        vals[mask] = contour_fill(s[mask], [0.0], left, right)[:, 0].real
+        vals[mask] = contour_fill(left.rows(s[mask]), right.rows(np.zeros(1)))[:, 0].real
     vals = vals.reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
@@ -436,33 +499,49 @@ def _line_floor(center, radius, flat):
     return (max(center + radius, radius - center) if flat else center + radius) + 0.5
 
 
-def _nw_flat_engine(mu, t1, t2, xs, ys, flat):
-    """Shared evaluator for the narrow-wedge and flat kernels."""
+def _nw_flat_engine(mu, t1, t2, xs, ys, flat, made=None):
+    """Narrow-wedge or flat kernel fill(xs, ys), its contours sized for the spans xs, ys.
+
+    One vertical z line per y-band keeps the line near the Gaussian saddle.
+    The bands are laid over the span ys; a fill puts each of its y in the
+    band that holds it.  Builds that share the dict ``made`` share each
+    contour, side and coupling they have in common.
+    """
     mu = _drifts(mu)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    xs, ys = _args(xs, ys)
     m = len(mu)
     reach = float(np.max(np.abs(xs)))
     center, radius = _pole_circle(mu, reach)
-    cw = make_contour("circle", center=center, radius=radius,
-                      nodes=_circle_nodes(reach + t1 * radius, radius))
+    # the circle often has the same nodes at every time, so key it (and the
+    # couplings) by its geometry, and the sides by contour and time
+    n_w = _circle_nodes(reach + t1 * radius, radius)
+    cw = _made(made, ("circle", center, radius, n_w),
+               lambda: make_contour("circle", center=center, radius=radius, nodes=n_w))
+    left = _made(made, (cw, t1), lambda: _gaussian_side(cw, t1, mu, -1.0))
     d_min = _line_floor(center, radius, flat)
-    left = _gaussian_side(cw, t1, mu, -1.0)
     signs = (1.0, -1.0) if flat else (1.0,)
-    out = np.zeros((len(xs), len(ys)))
-    # one vertical contour per y-band keeps the line near the Gaussian saddle
-    for ybar, mask in _band_means(ys, width=8.0 * np.sqrt(t2)):
+    bands = []
+    for ybar, mask, select in _bands(ys, width=8.0 * np.sqrt(t2)):
         d = max(d_min, ybar / t2)
         slope = max(abs(t2 * d - ys[mask].min()), abs(t2 * d - ys[mask].max())) + m + 1.0
-        right = _gaussian_side(_vertical_auto(d, t2, m, slope), t2, mu, 1.0)
-        out[:, mask] = contour_fill(xs, ys[mask], left, right, signs).real
-    if flat:
-        out = out * (ys > 0)[None, :]
-    return out
+        cz = _made(made, ("line", d, t2, slope), lambda: _vertical_auto(d, t2, m, slope))
+        right = _made(made, (cz, t2), lambda: _gaussian_side(cz, t2, mu, 1.0))
+        bands.append((select, right, _coupling(made, cw, cz, signs)))
+
+    def fill(xs, ys, rows=Side.rows):
+        A = rows(left, xs)
+        out = np.zeros((len(xs), len(ys)))
+        for select, right, coupled in bands:
+            mask = select(ys)
+            if np.any(mask):
+                out[:, mask] = contour_fill(A, rows(right, ys[mask]), coupled()).real
+        return out * (ys > 0)[None, :] if flat else out
+
+    return fill
 
 
 def _flat_far_time_engine(mu, t, xs, ys):
-    """Flat kernel at equal large times via the extracted z = -w residue.
+    """Flat kernel fill at equal large times via the extracted z = -w residue.
 
     For all-negative drifts the vertical line shifts to Re z = 0, picking
     the residue at z = -w, which is exactly the rate kernel k_piflat; the
@@ -470,8 +549,7 @@ def _flat_far_time_engine(mu, t, xs, ys):
     without cancellation on the imaginary axis.
     """
     mu = _drifts(mu)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    xs, ys = _args(xs, ys)
     reach = float(np.max(np.abs(xs)))
     center, radius = _pole_circle(mu, reach, max_clear=min(1.0, 0.4 * float(-mu.max())))
     if center + radius >= -1e-9:
@@ -480,9 +558,28 @@ def _flat_far_time_engine(mu, t, xs, ys):
                       nodes=_circle_nodes(reach + t * radius, radius))
     m = len(mu)
     cz = _vertical_auto(0.0, t, m, float(np.max(np.abs(ys))) + m + 1.0)
-    rem = contour_fill(xs, ys, _gaussian_side(cw, t, mu, -1.0), _gaussian_side(cz, t, mu, 1.0),
-                       (1.0, -1.0)).real
-    return (rem + _piflat_engine(-mu, xs, ys)) * (ys > 0)[None, :]
+    left, right = _gaussian_side(cw, t, mu, -1.0), _gaussian_side(cz, t, mu, 1.0)
+    coupled = couplings(cw.nodes, cz.nodes, (1.0, -1.0))
+    residue = _piflat_engine(-mu, xs, ys)
+
+    def fill(xs, ys, rows=Side.rows):
+        rem = contour_fill(rows(left, xs), rows(right, ys), coupled).real
+        return (rem + residue(xs, ys, rows)) * (ys > 0)[None, :]
+
+    return fill
+
+
+def _flat_engine(mu, t1, t2, xs, ys, made=None):
+    """Flat kernel fill: the far-time decomposition where its integrands do not cancel.
+
+    That is at equal times, with all drifts below -0.3 and the line far right
+    of the drifts; elsewhere the direct double contour.
+    """
+    mu = _drifts(mu)
+    d_min = _line_floor(*_pole_circle(mu, float(np.max(np.abs(xs)))), flat=True)
+    if t1 == t2 and mu.max() < -0.3 and 0.5 * t1 * d_min ** 2 > 8.0:
+        return _flat_far_time_engine(mu, t1, xs, ys)
+    return _nw_flat_engine(mu, t1, t2, xs, ys, True, made)
 
 
 def k_nw(mu, t1, x, t2, y):
@@ -495,7 +592,8 @@ def k_nw(mu, t1, x, t2, y):
     """
     if not (t1 > 0 and t2 > 0):
         raise DomainError("need positive times")
-    out = _nw_flat_engine(mu, t1, t2, x, y, flat=False)
+    xs, ys = _args(x, y)
+    out = _nw_flat_engine(mu, t1, t2, xs, ys, flat=False)(xs, ys)
     return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
@@ -507,12 +605,8 @@ def k_flat(mu, t1, x, t2, y):
     """
     if not (t1 > 0 and t2 > 0):
         raise DomainError("need positive times")
-    mu = _drifts(mu)
-    d_min = _line_floor(*_pole_circle(mu, float(np.max(np.abs(x)))), flat=True)
-    if t1 == t2 and mu.max() < -0.3 and 0.5 * t1 * d_min ** 2 > 8.0:
-        out = _flat_far_time_engine(mu, t1, x, y)
-    else:
-        out = _nw_flat_engine(mu, t1, t2, x, y, flat=True)
+    xs, ys = _args(x, y)
+    out = _flat_engine(mu, t1, t2, xs, ys)(xs, ys)
     return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
@@ -536,9 +630,12 @@ def compose_kernels(left, right, u_lo, u_hi, n=400):
 # arithmetic-spectrum kernel (Gamma-ratio double contour)
 # ---------------------------------------------------------------------------
 
-def _k_delta_engine(delta, xs, ys, gamma_func, rec_extension=1.0, node_factor=1.0):
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+def _k_delta_engine(delta, xs, ys, gamma_func=None, rec_extension=1.0, node_factor=1.0):
+    """Gamma-ratio kernel fill(xs, ys), its contours sized for the spans xs, ys."""
+    if not delta > 0:
+        raise DomainError("need delta > 0")
+    gamma_func = complex_gamma if gamma_func is None else gamma_func
+    xs, ys = _args(xs, ys)
     d2 = delta * delta
     # vertical line through Re z = 1: Gaussian decay + 1/|Gamma| growth e^{pi|s|/2}
     T = (np.pi / 2 + np.sqrt(np.pi ** 2 / 4 + 2.0 * d2 * (_DROP + 10.0))) / d2
@@ -556,7 +653,8 @@ def _k_delta_engine(delta, xs, ys, gamma_func, rec_extension=1.0, node_factor=1.
                 np.log(gamma_func(crec.nodes)))
     right = Side(cz.nodes, cz.weights, 0.5 * d2 * cz.nodes ** 2, -cz.nodes,
                  -np.log(gamma_func(cz.nodes)))
-    return contour_fill(xs, ys, left, right, (1.0,))
+    coupled = couplings(crec.nodes, cz.nodes)
+    return lambda xs, ys, rows=Side.rows: contour_fill(rows(left, xs), rows(right, ys), coupled)
 
 
 def k_delta(delta, x, y, gamma_func=None, _complex=False):
@@ -568,10 +666,8 @@ def k_delta(delta, x, y, gamma_func=None, _complex=False):
     ``gamma_func`` may replace the Gamma evaluator (e.g. by a truncated
     product) for validation.
     """
-    if not delta > 0:
-        raise DomainError("need delta > 0")
-    gamma_func = complex_gamma if gamma_func is None else gamma_func
-    out = _k_delta_engine(delta, x, y, gamma_func)
+    xs, ys = _args(x, y)
+    out = _k_delta_engine(delta, xs, ys, gamma_func)(xs, ys)
     val = out[0, 0] if np.ndim(x) == 0 and np.ndim(y) == 0 else out
     if _complex:
         return val
@@ -643,14 +739,20 @@ def _jairy_contours(tmax, xlo, ylo, mode, delta1=None, delta2=None):
     return cw, cz
 
 
-def _jairy_eval(t1, t2, xs, ys, mode="wedge", delta1=None, delta2=None):
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+def _jairy_engine(t1, t2, xs, ys, mode="wedge", delta1=None, delta2=None, made=None):
+    """Extended Airy double-contour fill(xs, ys), its contours sized for the spans xs, ys."""
+    xs, ys = _args(xs, ys)
     tmax = max(abs(t1), abs(t2))
-    cw, cz = _jairy_contours(tmax, float(xs.min()), float(ys.min()), mode, delta1, delta2)
-    left = Side(cw.nodes, cw.weights, -(cw.nodes ** 3 / 3.0 + t1 * cw.nodes ** 2), cw.nodes)
-    right = Side(cz.nodes, cz.weights, cz.nodes ** 3 / 3.0 + t2 * cz.nodes ** 2, -cz.nodes)
-    return contour_fill(xs, ys, left, right, (1.0,)).real
+    xlo, ylo = float(xs.min()), float(ys.min())
+    cw, cz = _made(made, (tmax, xlo, ylo),
+                   lambda: _jairy_contours(tmax, xlo, ylo, mode, delta1, delta2))
+    left = _made(made, (cw, t1), lambda: Side(
+        cw.nodes, cw.weights, -(cw.nodes ** 3 / 3.0 + t1 * cw.nodes ** 2), cw.nodes))
+    right = _made(made, (cz, t2), lambda: Side(
+        cz.nodes, cz.weights, cz.nodes ** 3 / 3.0 + t2 * cz.nodes ** 2, -cz.nodes))
+    coupled = _coupling(made, cw, cz)
+    return lambda xs, ys, rows=Side.rows: contour_fill(rows(left, xs), rows(right, ys),
+                                                       coupled()).real
 
 
 def j_airy(t1, x, t2, y, mode="wedge", delta1=None, delta2=None):
@@ -664,44 +766,52 @@ def j_airy(t1, x, t2, y, mode="wedge", delta1=None, delta2=None):
     like e^{-tau^3/3} along them.  ``mode='vertical'`` keeps vertical lines
     at +-delta.
     """
-    out = _jairy_eval(t1, t2, x, y, mode, delta1, delta2)
+    xs, ys = _args(x, y)
+    out = _jairy_engine(t1, t2, xs, ys, mode, delta1, delta2)(xs, ys)
     return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
-def _dyson_edge_engine(nu, b, rho, s, shift, g, tmax, length):
-    """Contour part of the edge-rescaled Hermitian kernel, as fill(i, j, xs, ys).
+def _dyson_edge_engine(nu, b, rho, s, shifts, tmax, length):
+    """Contour part of the edge-rescaled Hermitian kernel, as slots(shift, g).
 
     Block (i, j) is rho (1/2 pi i)^2 int dw int dz e^{psi_j(y, z) - psi_i(x, w)} / (z - w),
     psi_i(u, v) = (s_i/2) v^2 - (rho u + shift_i) v + log prod(v - nu_k) - g_i + rho b u:
     inverse time s_i, edge coordinates, conjugated by e^{g_i - rho b u}.  The
     w wedge opens at 5pi/6 through b + (tmax + 1/2)/rho, the z line runs at
-    b + (tmax + 1)/rho, sized for arguments up to ``length``.
+    b + (tmax + 1)/rho, sized for every shift in ``shifts`` (those of all
+    thresholds of a curve) and arguments up to ``length``.  ``slots(shift,
+    g)`` makes the sides of one threshold and returns its fill(i, j, xs, ys).
     """
     delta2 = tmax + 0.5
     line = b + (delta2 + 0.5) / rho
     smax = s.max()
-    xref = shift.min()  # smallest 'X' has the slowest wedge decay
+    xref = shifts.min()  # smallest 'X' has the slowest wedge decay
     cw = ray_wedge(b + delta2 / rho, 5 * np.pi / 6,
                    lambda w: 0.5 * smax * w ** 2 - xref * w + _log_poly(w, nu),
                    4.0 * (b - nu.min()) + 6.0)
-    Ymax = shift.max() + rho * length
-    slope = (abs(smax * line - Ymax) + abs(smax * line - shift.min())
+    Ymax = shifts.max() + rho * length
+    slope = (abs(smax * line - Ymax) + abs(smax * line - shifts.min())
              + np.sum(1.0 / np.abs(line - nu)))
     T = np.sqrt(2.0 * (_DROP + 10.0 + np.log1p(nu.size)) / s.min())
     nz = int(min(16384, max(256, 64 + 1.4 * slope * T)))
     cz = make_contour("vertical", offset=line, half_height=T, nodes=nz)
-    log_poly_w = _log_poly(cw.nodes, nu)
-    log_poly_z = _log_poly(cz.nodes, nu)
+    w, z = cw.nodes, cz.nodes
+    w2, z2 = w ** 2, z ** 2
+    log_poly_w, log_poly_z = _log_poly(w, nu), _log_poly(z, nu)
+    coupled = couplings(w, z)
 
-    def fill(i, j, xs, ys):
-        w, z = cw.nodes, cz.nodes
-        left = Side(w, cw.weights, g[i] - 0.5 * s[i] * w ** 2 + shift[i] * w, rho * (w - b),
-                    -log_poly_w)
-        right = Side(z, cz.weights, 0.5 * s[j] * z ** 2 - shift[j] * z - g[j], rho * (b - z),
-                     log_poly_z)
-        return rho * contour_fill(xs, ys, left, right, (1.0,)).real
+    def slots(shift, g):
+        lefts = [Side(w, cw.weights, g[i] - 0.5 * s[i] * w2 + shift[i] * w, rho * (w - b),
+                      -log_poly_w) for i in range(len(s))]
+        rights = [Side(z, cz.weights, 0.5 * s[j] * z2 - shift[j] * z - g[j], rho * (b - z),
+                       log_poly_z) for j in range(len(s))]
 
-    return fill
+        def fill(i, j, xs, ys, rows=Side.rows):
+            return rho * contour_fill(rows(lefts[i], xs), rows(rights[j], ys), coupled).real
+
+        return fill
+
+    return slots
 
 
 def kixjy_conjugation(t, u):
@@ -720,14 +830,21 @@ def kixjy_conjugation(t, u):
 # extended Brownian and Hermitian kernels
 # ---------------------------------------------------------------------------
 
-def _brownian_block(kind, mu, t_i, t_j, xs, ys):
+def _brownian_engine(kind, mu, t1, t2, xs, ys, made=None):
+    """Narrow-wedge or flat kernel fill at times (t1, t2), sized for the spans xs, ys."""
+    if kind == "narrow_wedge":
+        return _nw_flat_engine(mu, t1, t2, xs, ys, False, made)
+    return _flat_engine(mu, t1, t2, xs, ys, made)
+
+
+def _brownian_block(kind, mu, t_i, t_j, xs, ys, fill=None, rows=Side.rows):
     """Narrow-wedge or flat block of the extended Brownian kernel on a grid.
 
     k_nw or k_flat at (t_i, x; t_j, y), minus e^{(t_j-t_i) d^2/2}(x, y)
-    when t_i < t_j.
+    when t_i < t_j.  Without a prepared ``fill`` the block builds its own.
     """
-    kernel = k_nw if kind == "narrow_wedge" else k_flat
-    block = np.atleast_2d(kernel(mu, t_i, xs, t_j, ys))
+    fill = fill or _brownian_engine(kind, mu, t_i, t_j, xs, ys)
+    block = fill(xs, ys, rows)
     if t_i < t_j:
         block = block - heat_op_half(t_j - t_i, xs[:, None], ys[None, :])
     return block

@@ -135,11 +135,11 @@ def test_compare_unknown_experiment_lists_known(capsys):
 
 
 def test_numerical_error_exit_code(capsys, monkeypatch):
-    def boom(query):
+    def boom(query, grid, map=map):
         from noncolliding.exceptions import ConvergenceError
         raise ConvergenceError("did not converge")
 
-    monkeypatch.setattr(cli, "evaluate_cdf", boom)
+    monkeypatch.setattr(cli, "evaluate_curve", boom)
     code, _, err = run_cli(capsys, "cdf", "--family", "loe", "--n", "1", "--a", "1")
     assert code == 1
     assert "numerical error" in err
@@ -185,12 +185,24 @@ def test_thread_count_does_not_change_results(capsys):
 @pytest.mark.parametrize("grid", ["1:0:1", "1:2", "0:1:0"])
 def test_empty_or_malformed_grid_exits_2(capsys, grid):
     # an empty start:stop:step grid used to print only the header and exit 0
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["cdf", "--family", "loe", "--n", "1", "--a", grid])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert "threshold" not in out.out
-    assert "argument --a" in out.err
+    code, out, err = run_cli(capsys, "cdf", "--family", "loe", "--n", "1", "--a", grid)
+    assert code == 2
+    assert "threshold" not in out
+    assert "argument --a" in err
+
+
+def test_malformed_number_exits_2(capsys):
+    # argparse type errors used to escape main as SystemExit(2)
+    code, out, err = run_cli(capsys, "cdf", "--family", "loe", "--n", "abc", "--a", "1")
+    assert code == 2
+    assert out == ""
+    assert "argument --n" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "cdf", "--help")
+    assert code == 0
+    assert "--family" in out
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

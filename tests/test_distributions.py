@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncolliding.distributions import (FAMILIES, CdfQuery, airy_fdd, cdf_arithmetic_limit,
                                         cdf_blpp, cdf_bridge_allmax,
                                         cdf_bridge_runningmax, cdf_dyson_edge,
-                                        cdf_loe_max, cdf_piflat, edge_scaling,
-                                        evaluate_cdf, f_class_bounds, f_class_contains)
+                                        cdf_loe_max, cdf_piflat, dyson_edge_block, edge_scaling,
+                                        evaluate_cdf, evaluate_curve, f_class_bounds,
+                                        f_class_contains)
 from noncolliding.exceptions import DomainError, ParameterError
 from noncolliding.fredholm import det_ratio
 from noncolliding.kernels import BoundaryFunction
@@ -195,6 +198,17 @@ def test_dyson_edge_against_airy_and_shift_invariance():
         cdf_dyson_edge(np.zeros(8), [5.0], [0.0])  # tau beyond n^(1/3)/(2 d^2)
 
 
+def test_dyson_edge_block_reused_at_new_points():
+    # the kernel caches its sides' rows per argument array; new points must not reuse them
+    nu, taus, xis = np.linspace(-1.0, 0.0, 12), [0.0, 0.3], [0.2, -0.1]
+    K = dyson_edge_block(nu, taus, xis)
+    for xs, ys in (([0.1, 0.5], [0.3]), ([0.2, 0.4], [0.3, 1.0]), ([0.1, 0.5], [0.3])):
+        xs, ys = np.array(xs), np.array(ys)
+        for i, j in ((0, 0), (0, 1), (1, 0)):
+            fresh = dyson_edge_block(nu, taus, xis).eval_block(i, j, xs, ys)
+            assert np.array_equal(K.eval_block(i, j, xs, ys), fresh)
+
+
 def test_arith_limit_tail_and_monotonicity():
     v_tail = cdf_arithmetic_limit(2.0, 8.0)
     assert 0.999 <= v_tail <= 1 + 1e-6
@@ -269,3 +283,94 @@ def test_query_dispatch_per_family(family):
     assert 0.0 < value < 1.0
     option_names = set(FAMILIES[family].options) | {FAMILIES[family].threshold}
     assert option_names == set(query.params)
+
+
+# ---------------------------------------------------------------------------
+# threshold grids: one build per curve
+# ---------------------------------------------------------------------------
+
+# options and a 5-point grid per family, its smallest threshold not first so
+# that a build must cover the whole grid; the thresholds families take one
+# value per time
+CURVES = {
+    "piflat": ({"beta": [0.8, 1.4]}, [1.1, -0.3, 3.2, 0.4, 2.0]),
+    "loe": ({"n": 3}, [1.5, 0.3, 3.0, 0.8, 2.2]),
+    "bridge-allmax": ({"nu": [0.1, -0.3]}, [1.3, 0.6, 2.2, 0.9, 1.7]),
+    "bridge-runmax": ({"n": 2, "s": 0.5}, [1.1, 0.5, 1.8, 0.8, 1.4]),
+    "arith": ({"delta": 2.0}, [0.5, -3.0, 4.5, -1.0, 2.0]),
+    "blpp-nw": ({"mu": [0.3, -0.4], "times": [0.6, 1.1]},
+                [[a, a + 0.3] for a in (0.5, -0.5, 1.8, 0.0, 1.0)]),
+    "blpp-flat": ({"mu": [-0.5, -1.0], "times": [1.0, 2.0]},
+                  [[a, a] for a in (2.6, 1.5, 4.5, 2.0, 3.3)]),
+    "airy": ({"times": [0.0, 0.5]}, [[a, a + 0.2] for a in (-1.0, -3.0, 1.0, -2.0, 0.0)]),
+    "dyson-edge": ({"nu": np.linspace(-1.0, 0.0, 12), "times": [0.0]},
+                   [[a] for a in (0.0, -2.5, 1.6, -1.0, 0.8)]),
+    "detratio": ({"beta": [1.0, 2.0]}, [1.0, 0.1, 2.5, 0.5, 1.6]),
+}
+# a curve sizes its contours for the whole grid, so its values differ from
+# one-point values by the kernel-quadrature error of the two contour choices.
+# The arith Gamma-ratio sum cancels about six digits of it.  The narrow-wedge
+# lines resolve the kernel to about 2e-12: a one-point value moves by 1.8e-12
+# when the line nodes double.  Families whose kernel changes with the
+# threshold build per point and match exactly.
+CURVE_TOL = {"arith": 1e-9, "blpp-nw": 3e-12, "bridge-allmax": 0.0, "bridge-runmax": 0.0,
+             "detratio": 0.0}
+
+
+def test_curves_cover_the_registry():
+    assert sorted(CURVES) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_curve_matches_one_point_values(family):
+    params, grid = CURVES[family]
+    threshold = FAMILIES[family].threshold
+    curve = evaluate_curve(CdfQuery(family, params), grid)
+    points = [evaluate_cdf(CdfQuery(family, {**params, threshold: a})) for a in grid]
+    tol = CURVE_TOL.get(family, 1e-12)
+    for a, got, want in zip(grid, curve, points):
+        assert abs(got - want) <= tol, (family, a, got, want)
+
+
+# one-time curves with a threshold range on which each law is defined; the
+# two-time flat BLPP law is left out on purpose: it is not a one-time curve,
+# and its known defect is pinned by test_two_time_flat_blpp_below_marginals
+ONE_TIME = {
+    "piflat": ({"beta": [0.8, 1.4]}, -0.5, 4.0),
+    "loe": ({"n": 2}, 0.0, 4.0),
+    "bridge-allmax": ({"nu": [0.1, -0.3]}, 0.3, 2.5),
+    "bridge-runmax": ({"n": 2, "s": 0.5}, 0.2, 2.5),
+    "arith": ({"delta": 2.0}, -4.0, 6.0),
+    "blpp-nw": ({"mu": [0.3, -0.4], "times": [1.0]}, -3.0, 4.0),
+    "blpp-flat": ({"mu": [-0.5, -1.0], "times": [1.0]}, 0.0, 5.0),
+    "airy": ({"times": [0.0]}, -5.0, 3.0),
+    "dyson-edge": ({"nu": np.linspace(-1.0, 0.0, 12), "times": [0.0]}, -4.0, 2.5),
+    "detratio": ({"beta": [1.0, 2.0]}, 0.0, 4.0),
+}
+
+
+def test_one_time_curves_cover_the_registry():
+    assert sorted(ONE_TIME) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_one_time_curve_in_range_and_monotone(family, data):
+    params, lo, hi = ONE_TIME[family]
+    grid = sorted(data.draw(st.lists(st.floats(lo, hi), min_size=2, max_size=6, unique=True)))
+    if FAMILIES[family].threshold == "thresholds":
+        grid = [[a] for a in grid]
+    values = np.array(evaluate_curve(CdfQuery(family, params), grid))
+    assert np.all(values >= -1e-8) and np.all(values <= 1.0 + 1e-8), values
+    assert np.all(np.diff(values) >= -1e-8), values
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: below a ~ 1 the two-time flat BLPP "
+                                       "determinant exceeds its one-time marginals and even 1")
+def test_two_time_flat_blpp_below_marginals():
+    mu, times = [-0.5, -1.0], [1.0, 2.0]
+    for a in (0.0, 0.5):
+        joint = cdf_blpp(FLAT, mu, times, [a, a])
+        marginal = min(cdf_blpp(FLAT, mu, [t], [a]) for t in times)
+        assert joint <= marginal + 1e-8, (a, joint, marginal)

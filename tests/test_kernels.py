@@ -187,8 +187,8 @@ def test_k_flat_far_time_decomposition_consistent_with_direct():
     from noncolliding.kernels import _flat_far_time_engine, _nw_flat_engine
     xs, ys = np.array([0.5]), np.array([1.2])
     for mus in (np.array([-0.9]), np.array([-0.5, -1.0])):
-        d1 = _nw_flat_engine(mus, 5.0, 5.0, xs, ys, flat=True)[0, 0]
-        d2 = _flat_far_time_engine(mus, 5.0, xs, ys)[0, 0]
+        d1 = _nw_flat_engine(mus, 5.0, 5.0, xs, ys, flat=True)(xs, ys)[0, 0]
+        d2 = _flat_far_time_engine(mus, 5.0, xs, ys)(xs, ys)[0, 0]
         assert abs(d1 - d2) < 1e-9
 
 
@@ -204,11 +204,10 @@ def test_k_flat_burke_permutation():
 def test_k_delta_real_and_contour_stability():
     val = k_delta(2.0, 0.0, 1.0, _complex=True)
     assert abs(val.imag) < 1e-9
-    a = _k_delta_engine(2.0, np.array([0.0]), np.array([0.0]), complex_gamma)[0, 0]
-    b = _k_delta_engine(2.0, np.array([0.0]), np.array([0.0]), complex_gamma,
-                        rec_extension=2.0)[0, 0]
-    c = _k_delta_engine(2.0, np.array([0.0]), np.array([0.0]), complex_gamma,
-                        node_factor=2.0)[0, 0]
+    zero = np.array([0.0])
+    a = _k_delta_engine(2.0, zero, zero, complex_gamma)(zero, zero)[0, 0]
+    b = _k_delta_engine(2.0, zero, zero, complex_gamma, rec_extension=2.0)(zero, zero)[0, 0]
+    c = _k_delta_engine(2.0, zero, zero, complex_gamma, node_factor=2.0)(zero, zero)[0, 0]
     assert abs(a - b) < 1e-9
     assert abs(a - c) < 1e-8
 
