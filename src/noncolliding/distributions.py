@@ -11,7 +11,7 @@ from .fredholm import (BlockKernel, apply_conjugation, det_nystrom, det_ratio,
                        single_slot_kernel, slot_nodes)
 from .kernels import (_brownian_block, _brownian_engine, _drifts, _dyson_edge_engine,
                       _jairy_engine, _k_delta_engine, _piflat_engine, BoundaryFunction,
-                      RowCache, Side, heat_op_full, k_flat, kixjy_conjugation)
+                      heat_op_full, k_flat, kixjy_conjugation, shifted_rows)
 
 __all__ = [
     "EdgeScaling", "edge_scaling", "f_class_bounds", "f_class_contains",
@@ -111,25 +111,27 @@ def _det(K, nodes):
 def _dets(makers, nodes):
     """One evaluator per kernel maker: a call without arguments returning its determinant.
 
-    Each kernel is made when its evaluator runs, so its row cache lives only
-    as long as its determinant.
+    Each kernel is made when its evaluator runs, so it lives only as long as its determinant.
     """
     return [lambda make=make: _det(make(), nodes) for make in makers]
 
 
 def _curve(block, grid, nodes, engine):
-    """Evaluators of det(I - block(a, build)) for each threshold a of grid, one build.
+    """Evaluators of det(I - block(a, fill)) for each threshold a of grid, one build.
 
-    ``engine(spans)`` makes the build from the Nystrom nodes that the grid's
-    determinants fill at: spans[k][i] holds those of slot i at grid[k], read
-    from a kernel block(a, None) made for that purpose.  A one-point grid has
-    nothing to share: its blocks build from their own nodes as they fill,
-    which sizes them alike and holds one block's couplings at a time.
+    ``engine(spans, base, made)`` returns at(a), the fill of threshold a.
+    spans[k][i] holds the Nystrom nodes of slot i at grid[k], read from a
+    kernel block(a, None), and base[i] those at threshold 0, where the build
+    makes every side's rows into the dict ``made`` before any determinant
+    runs.  A one-point grid has nothing to share: its blocks build from
+    their own nodes as they fill, which sizes them alike and holds one
+    block's couplings at a time.
     """
     if len(grid) == 1:
         return _dets([partial(block, grid[0], None)], nodes)
-    build = engine([slot_nodes(block(a, None), nodes) for a in grid])
-    return _dets([partial(block, a, build) for a in grid], nodes)
+    at = engine([slot_nodes(block(a, None), nodes) for a in grid],
+                slot_nodes(block(0.0 * np.asarray(grid[0]), None), nodes), {})
+    return _dets([partial(block, a, at(a)) for a in grid], nodes)
 
 
 def _span(spans, i):
@@ -137,24 +139,39 @@ def _span(spans, i):
     return np.concatenate([nodes[i] for nodes in spans])
 
 
+def _at(fills, made, shifts, extra=None):
+    """fills[i][j] where slot i fills at its base nodes + shifts[i], from the rows in made.
+
+    ``extra[i]`` is added to the top of slot i's x rows and taken from its y rows.
+    """
+    extra = np.zeros(len(shifts)) if extra is None else extra
+    rx = [shifted_rows(made, float(a), e) for a, e in zip(shifts, extra)]
+    ry = [shifted_rows(made, float(a), -e) for a, e in zip(shifts, extra)]
+    return [[partial(fill, rx=rx[i], ry=ry[j]) for j, fill in enumerate(row)]
+            for i, row in enumerate(fills)]
+
 
 # ---------------------------------------------------------------------------
 # single-contour product-kernel families
 # ---------------------------------------------------------------------------
 
-def piflat_block(beta, a, length=None, build=None):
-    """Rate-kernel block on [max(a, 0), infinity); ``build`` is a grid's shared fill."""
+def piflat_block(beta, a, length=None, fill=None):
+    """Rate-kernel block on [max(a, 0), infinity); ``fill`` is a grid's fill at a."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if length is None:
         length = max(12.0, 36.0 / (2.0 * beta.min()))
-    fill = build or (lambda xs, ys: _piflat_engine(beta, xs, ys)(xs, ys))
+    fill = fill or (lambda xs, ys: _piflat_engine(beta, xs, ys)(xs, ys))
     return single_slot_kernel(fill, max(float(a), 0.0), length, "piflat")
 
 
 def _piflat_curve(beta, grid, nodes=None, length=None):
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    return _curve(lambda a, build: piflat_block(beta, a, length, build), grid, nodes,
-                  lambda spans: _piflat_engine(beta, _span(spans, 0), _span(spans, 0)))
+
+    def engine(spans, base, made):
+        fill = _piflat_engine(beta, _span(spans, 0), _span(spans, 0), made, base * 2)
+        return lambda a: _at([[fill]], made, [max(a, 0.0)])[0][0]
+
+    return _curve(lambda a, fill: piflat_block(beta, a, length, fill), grid, nodes, engine)
 
 
 def loe_block(n, a, length=None):
@@ -221,16 +238,20 @@ def cdf_bridge_runningmax(n, s, a, nodes=None, length=None):
     return _det(runningmax_block(n, s, a, length), nodes)
 
 
-def arith_block(delta, a, length=None, gamma_func=None, build=None):
-    """Gamma-ratio block on [a, infinity); ``build`` is a grid's shared fill."""
+def arith_block(delta, a, length=None, gamma_func=None, fill=None):
+    """Gamma-ratio block on [a, infinity); ``fill`` is a grid's fill at a."""
     length = 40.0 + max(0.0, -float(a)) if length is None else length
-    fill = build or (lambda xs, ys: _k_delta_engine(delta, xs, ys, gamma_func)(xs, ys))
+    fill = fill or (lambda xs, ys: _k_delta_engine(delta, xs, ys, gamma_func)(xs, ys))
     return single_slot_kernel(lambda xs, ys: fill(xs, ys).real, float(a), length, "arith")
 
 
 def _arith_curve(delta, grid, nodes=None, length=None):
-    return _curve(lambda a, build: arith_block(delta, a, length, build=build), grid, nodes,
-                  lambda spans: _k_delta_engine(delta, _span(spans, 0), _span(spans, 0)))
+    def engine(spans, base, made):
+        fill = _k_delta_engine(delta, _span(spans, 0), _span(spans, 0), made=made, base=base * 2)
+        # below 0 the default length 40 - a makes the nodes no translate of the base nodes
+        return lambda a: fill if length is None and a < 0 else _at([[fill]], made, [a])[0][0]
+
+    return _curve(lambda a, fill: arith_block(delta, a, length, fill=fill), grid, nodes, engine)
 
 
 def cdf_arithmetic_limit(delta, a, nodes=None, length=None):
@@ -259,11 +280,11 @@ def _drift_conjugation(mu, k):
     return c
 
 
-def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True, build=None):
+def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True, fills=None):
     """Block kernel of boundary-driven BLPP at several times (closed forms).
 
-    ``build[i][j]`` is a grid's shared fill of block (i, j); without it each
-    fill builds its own.
+    ``fills[i][j]`` is a grid's fill of block (i, j) at these thresholds;
+    without it each block builds its own.
     """
     mu = _drifts(mu)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -279,11 +300,10 @@ def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True, build=Non
         drift_push = max(0.0, mu.max()) * tmax
         lengths = max(12.0, 2.0 * np.sqrt(tmax * (DEFAULTS["decay_drop"] - 5.0))
                       + 2.0 * drift_push)
-    rows = RowCache() if build else Side.rows
 
     def eval_block(i, j, xs, ys):
         return _brownian_block(b.kind, mu, times[i], times[j], xs, ys,
-                               build[i][j] if build else None, rows)
+                               fills[i][j] if fills else None)
 
     K = BlockKernel(times, thresholds, eval_block, lengths, label="blpp-" + b.kind)
     if conjugate:
@@ -295,13 +315,13 @@ def _blpp_curve(b, mu, times, grid, nodes=None, lengths=None, conjugate=True):
     mu = _drifts(mu)
     times = np.atleast_1d(np.asarray(times, dtype=float))
 
-    def engine(spans):
+    def engine(spans, base, made):
         span = [_span(spans, i) for i in range(len(times))]
-        made = {}
-        return [[_brownian_engine(b.kind, mu, ti, tj, span[i], span[j], made)
-                 for j, tj in enumerate(times)] for i, ti in enumerate(times)]
+        fills = [[_brownian_engine(b.kind, mu, ti, tj, span[i], span[j], made, (base[i], base[j]))
+                  for j, tj in enumerate(times)] for i, ti in enumerate(times)]
+        return lambda a: _at(fills, made, a)
 
-    return _curve(lambda a, build: blpp_block(b, mu, times, a, lengths, conjugate, build),
+    return _curve(lambda a, fills: blpp_block(b, mu, times, a, lengths, conjugate, fills),
                   grid, nodes, engine)
 
 
@@ -310,13 +330,13 @@ def cdf_blpp(b, mu, times, thresholds, nodes=None, lengths=None, conjugate=True)
     return _det(blpp_block(b, mu, times, thresholds, lengths, conjugate), nodes)
 
 
-def airy_block(times, xi, lengths=14.0, build=None):
+def airy_block(times, xi, lengths=14.0, fills=None):
     """Block kernel whose determinant gives P(A(t_i) <= xi_i for all i).
 
     Block (i, j) is -e^{(t_j - t_i) d^2} 1{t_j > t_i} + J_Airy at
     (t_i, x + xi_i; t_j, y + xi_j), scaled by the :func:`kixjy_conjugation`
     ratio so that it equals K_Airy(t_i, x + xi_i + t_i^2; t_j, y + xi_j + t_j^2)
-    pointwise and decays in both arguments.  ``build`` as for :func:`blpp_block`.
+    pointwise and decays in both arguments.  ``fills`` as for :func:`blpp_block`.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -324,12 +344,11 @@ def airy_block(times, xi, lengths=14.0, build=None):
         raise ParameterError("times must be strictly increasing")
     if len(times) != len(xi):
         raise ParameterError("need one threshold per time")
-    rows = RowCache() if build else Side.rows
 
     def eval_block(i, j, xs, ys):
         u, v = xs + xi[i], ys + xi[j]
-        fill = build[i][j] if build else _jairy_engine(times[i], times[j], u, v)
-        block = fill(u, v, rows)
+        fill = fills[i][j] if fills else _jairy_engine(times[i], times[j], u, v)
+        block = fill(u, v)
         if times[j] > times[i]:
             block = block - heat_op_full(times[j] - times[i], u[:, None], v[None, :])
         ci = kixjy_conjugation(times[i], u)
@@ -343,15 +362,15 @@ def _airy_curve(times, grid, nodes=None, lengths=14.0):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     grid = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in grid]
 
-    def engine(spans):
+    def engine(spans, base, made):
         # the blocks fill at x + xi_i, so the span of slot i moves with each threshold
         span = [np.concatenate([nodes[i] + xi[i] for nodes, xi in zip(spans, grid)])
                 for i in range(len(times))]
-        made = {}
-        return [[_jairy_engine(ti, tj, span[i], span[j], made=made)
-                 for j, tj in enumerate(times)] for i, ti in enumerate(times)]
+        fills = [[_jairy_engine(ti, tj, span[i], span[j], made=made, base=(base[i], base[j]))
+                  for j, tj in enumerate(times)] for i, ti in enumerate(times)]
+        return lambda xi: _at(fills, made, xi)
 
-    return _curve(lambda xi, build: airy_block(times, xi, lengths, build), grid, nodes, engine)
+    return _curve(lambda xi, fills: airy_block(times, xi, lengths, fills), grid, nodes, engine)
 
 
 def airy_fdd(times, xi, nodes=None, lengths=14.0):
@@ -373,15 +392,12 @@ def dyson_edge_block(nu, taus, xis, lengths=13.0):
     the explicit exponential factor from the saddle-point normal form so
     entries stay O(1).
     """
-    return _dyson_edge_curve(nu, taus, [xis], lengths)[0]()
+    times, b, rho, shift, g, slots = _dyson_edge_setup(nu, taus, [xis], lengths)
+    return _dyson_edge_kernel(times, b, rho, shift[0], g[0], slots(shift[0], g[0]), lengths)
 
 
-def _dyson_edge_curve(nu, taus, grid, lengths=13.0):
-    """A maker of :func:`dyson_edge_block` per threshold vector of grid, from one build.
-
-    The contours depend on the thresholds only through the range of the
-    shifts, so they are sized for the shifts of the whole grid.
-    """
+def _dyson_edge_setup(nu, taus, grid, lengths):
+    """Slot times, b, rho, a row of shift and g per threshold of grid, and slots sized for all."""
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     xis = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in grid]
@@ -403,23 +419,32 @@ def _dyson_edge_curve(nu, taus, grid, lengths=13.0):
     # one row per threshold vector
     ahat = a + 2.0 * taus * d * d * (b - a) / n13 + d * xis / n13 ** 2
     rho = d * n13
-    s = 1.0 / times
     shift = ahat / times
-
     # conjugation exponent g_i - rho b x from the saddle normal form
     g = -n13 ** 2 * d * d * taus * b * b - rho * b * (ahat + 2.0 * taus ** 2 * d ** 3 * b)
-    slots = _dyson_edge_engine(nu, b, rho, s, shift, float(np.max(np.abs(taus))),
-                               float(np.max(lengths)))
-    return [partial(_dyson_edge_kernel, times, b, rho, shift[k], g[k], slots, lengths)
-            for k in range(len(xis))]
+    return times, b, rho, shift, g, _dyson_edge_engine(
+        nu, b, rho, 1.0 / times, shift, float(np.max(np.abs(taus))), float(np.max(lengths)))
 
 
-def _dyson_edge_kernel(times, b, rho, shift, g, slots, lengths):
-    fill = slots(shift, g)
-    rows = RowCache()
+def _dyson_edge_curve(nu, taus, grid, nodes=None, lengths=13.0):
+    """Makers of the kernels of :func:`dyson_edge_block` over grid, one build.
 
+    They fill only at the Nystrom nodes of resolution ``nodes``.  The sides are made
+    once, at each slot's middle shift ref and g_ref; a threshold's shift_i v is then the
+    column scaling of the argument (shift_i - ref_i)/rho along m = rho (v - b), and
+    g_i - g_ref_i + (shift_i - ref_i) b is added to top: both 0 on a one-point grid.
+    """
+    times, b, rho, shift, g, slots = _dyson_edge_setup(nu, taus, grid, lengths)
+    ref, g_ref, made = 0.5 * (shift.min(0) + shift.max(0)), 0.5 * (g.min(0) + g.max(0)), {}
+    fill = slots(ref, g_ref, made, slot_nodes(BlockKernel(times, 0 * times, None, lengths), nodes))
+    a, top = (shift - ref) / rho, g - g_ref + (shift - ref) * b
+    return [partial(_dyson_edge_kernel, times, b, rho, shift[k], g[k],
+                    _at(fill, made, a[k], top[k]), lengths) for k in range(len(shift))]
+
+
+def _dyson_edge_kernel(times, b, rho, shift, g, fills, lengths):
     def eval_block(i, j, xs, ys):
-        block = fill(i, j, xs, ys, rows)
+        block = fills[i][j](xs, ys)
         if times[j] < times[i]:
             dt = 1.0 / times[j] - 1.0 / times[i]
             X = rho * xs + shift[i]
@@ -435,7 +460,7 @@ def _dyson_edge_kernel(times, b, rho, shift, g, slots, lengths):
 
 def cdf_dyson_edge(nu, taus, xis, nodes=None, lengths=13.0):
     """Finite-n edge law P(rescaled lambda_max(tau_i) <= xi_i for all i)."""
-    return _det(dyson_edge_block(nu, taus, xis, lengths), nodes)
+    return _dets(_dyson_edge_curve(nu, taus, [xis], nodes, lengths), nodes)[0]()
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +475,8 @@ class Family:
     parameter that receives it (``thresholds`` takes one value per time),
     and ``curve(params, grid, nodes, length)`` returns one evaluator per
     threshold of grid: a call without arguments that returns the value
-    there.  The kernel families build contours, sides and couplings once
-    for the whole grid.  bridge-allmax (rates 1 - nu/r) and bridge-runmax
+    there.  The kernel families build contours, sides, couplings and rows
+    once for the whole grid.  bridge-allmax (rates 1 - nu/r) and bridge-runmax
     (time a^2 s/(1-s)) change the kernel with the threshold, so each of
     their evaluators builds its own, and detratio is a closed form.
     """
@@ -480,7 +505,7 @@ FAMILIES = {
     "airy": Family(("times",), "thresholds", lambda p, grid, nodes, length:
                    _airy_curve(p["times"], grid, nodes)),
     "dyson-edge": Family(("nu", "times"), "thresholds", lambda p, grid, nodes, length:
-                         _dets(_dyson_edge_curve(p["nu"], p["times"], grid), nodes)),
+                         _dets(_dyson_edge_curve(p["nu"], p["times"], grid, nodes), nodes)),
     "detratio": Family(("beta",), "a", lambda p, grid, nodes, length: [
         partial(det_ratio, p["beta"], a) for a in grid]),
 }
@@ -513,9 +538,9 @@ def evaluate_curve(query, grid, map=map):
     not used.  ``grid`` lists the thresholds, one vector per point for the
     families that take one threshold per time.  ``map`` runs the
     per-threshold determinants, for instance a thread pool's; the values do
-    not depend on it.  Because the contours are sized for the whole grid,
-    a value can differ from the one-point curve :func:`evaluate_cdf` gives
-    by the kernel-quadrature error of the two contour choices.
+    not depend on it.  A value can differ from the one-point curve that
+    :func:`evaluate_cdf` gives by the kernel-quadrature error of contours
+    sized for the whole grid, and by the rounding of the rows' scaling.
     """
     family, grid = _family(query.family), list(grid)
     if not grid:

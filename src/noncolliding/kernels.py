@@ -12,9 +12,11 @@ exponential growth or decay evaluate without overflow.
 Each family's ``_*_engine`` is split in two.  The build (the engine call)
 sizes the contours for the argument spans it is given and makes the
 sides' argument-free factors and the couplings; the fill it returns takes
-the arguments of one block.  A threshold grid builds once from the union
-of its Nystrom nodes and fills every threshold from that build; a
-pointwise kernel builds from its own arguments.
+the arguments of one block.  A pointwise kernel builds from its own
+arguments.  A threshold grid builds once from the union of its Nystrom
+nodes.  Slot i then fills at its base nodes u shifted by a_i, so the build
+makes each side's rows once, at u, and a threshold scales their columns by
+e^{a_i m} (:func:`shifted_rows`): one complex multiply per entry, no exp.
 
 Heat-operator conventions (two distinct semigroups appear and differ by a
 factor of 2 in the variance; both are housed here explicitly):
@@ -27,6 +29,7 @@ factor of 2 in the variance; both are housed here explicitly):
 
 import numpy as np
 from dataclasses import dataclass
+from functools import partial
 
 from .contours import gauss_legendre, make_contour, ray_wedge
 from .defaults import DEFAULTS
@@ -152,7 +155,7 @@ class Side:
     ``m`` the multiplier of the argument u and ``log_factor`` the log of the
     pole, zero or Gamma factor.  It is added after u m: the arith sum cancels
     about six digits, so that order is part of its values.  Sides compare by
-    identity, so a build can key its couplings and row caches on them.
+    identity, so a build can key its couplings and base rows on them.
     """
 
     nodes: np.ndarray
@@ -161,10 +164,10 @@ class Side:
     m: np.ndarray
     log_factor: np.ndarray = 0.0
 
-    def rows(self, us):
-        """One row per argument, scaled by e^{-top} with top its largest real exponent."""
+    def rows(self, us, mask=slice(None)):
+        """One row per argument in us[mask], scaled by e^{-top}, top its largest real exponent."""
         # in place: a fresh temporary of this size costs more than the arithmetic on it
-        expo = np.multiply.outer(us, self.m)
+        expo = np.multiply.outer(us[mask], self.m)
         expo += self.phi
         expo += self.log_factor
         top = expo.real.max(axis=1)
@@ -172,21 +175,19 @@ class Side:
         return np.multiply(np.exp(expo, out=expo), self.weights, out=expo), top
 
 
-class RowCache:
-    """``rows(side, us)`` like ``Side.rows``, kept per side for the last arguments seen.
+def shifted_rows(made, a, extra=0.0):
+    """Rows hook of a slot along a curve that fills at its base nodes u shifted by a.
 
-    The blocks of one slot fill at the same arguments, so one determinant's
-    cache makes the rows of a side its blocks share once.
+    From ``made[side]``, the rows at u: column k scaled by e^{a m_k - c} and c + ``extra``
+    added to top, c = max_k Re(a m_k).  Only the mask of the arguments is read.
     """
+    def rows(side, us, mask=slice(None)):
+        A, top = made[side]
+        scale = a * side.m
+        c = scale.real.max()
+        return A[mask] * np.exp(scale - c), top[mask] + (c + extra)
 
-    def __init__(self):
-        self._rows = {}
-
-    def __call__(self, side, us):
-        hit = self._rows.get(side)
-        if hit is None or not np.array_equal(hit[0], us):
-            hit = self._rows[side] = (us, side.rows(us))
-        return hit[1]
+    return rows
 
 
 def _made(made, key, make):
@@ -196,6 +197,13 @@ def _made(made, key, make):
     if key not in made:
         made[key] = make()
     return made[key]
+
+
+def _base_rows(made, base, xsides, ysides):
+    """Along a curve, base = (ux, uy): make each side's rows, at ux or uy, once into made."""
+    for sides, us in zip((xsides, ysides), base or ()):
+        for side in sides:
+            _made(made, side, lambda: side.rows(us))
 
 
 def couplings(w, z, signs=(1.0,)):
@@ -294,7 +302,7 @@ def _bands(vals, width):
 # product kernels on a single closed contour
 # ---------------------------------------------------------------------------
 
-def _piflat_engine(beta, xs, ys):
+def _piflat_engine(beta, xs, ys, made=None, base=None):
     """Rate kernel fill(xs, ys); the circle is sized for the largest |x + y| over the spans."""
     beta = np.asarray(beta, dtype=float)
     if not np.all(beta > 0):
@@ -312,7 +320,8 @@ def _piflat_engine(beta, xs, ys):
     left = Side(c.nodes, sign * c.weights, 0.0, -c.nodes,
                 _log_poly(c.nodes, -beta) - _log_poly(c.nodes, beta))
     right = Side(c.nodes, 1.0, 0.0, -c.nodes)
-    return lambda xs, ys, rows=Side.rows: contour_fill(rows(left, xs), rows(right, ys)).real
+    _base_rows(made, base, [left], [right])
+    return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys)).real
 
 
 def k_piflat(beta, x, y):
@@ -499,13 +508,14 @@ def _line_floor(center, radius, flat):
     return (max(center + radius, radius - center) if flat else center + radius) + 0.5
 
 
-def _nw_flat_engine(mu, t1, t2, xs, ys, flat, made=None):
+def _nw_flat_engine(mu, t1, t2, xs, ys, flat, made=None, base=None):
     """Narrow-wedge or flat kernel fill(xs, ys), its contours sized for the spans xs, ys.
 
     One vertical z line per y-band keeps the line near the Gaussian saddle.
     The bands are laid over the span ys; a fill puts each of its y in the
     band that holds it.  Builds that share the dict ``made`` share each
-    contour, side and coupling they have in common.
+    contour, side and coupling they have in common; along a curve each band's
+    rows are made over all of the slot's base nodes, and its mask selects.
     """
     mu = _drifts(mu)
     xs, ys = _args(xs, ys)
@@ -527,20 +537,21 @@ def _nw_flat_engine(mu, t1, t2, xs, ys, flat, made=None):
         cz = _made(made, ("line", d, t2, slope), lambda: _vertical_auto(d, t2, m, slope))
         right = _made(made, (cz, t2), lambda: _gaussian_side(cz, t2, mu, 1.0))
         bands.append((select, right, _coupling(made, cw, cz, signs)))
+    _base_rows(made, base, [left], [right for _, right, _ in bands])
 
-    def fill(xs, ys, rows=Side.rows):
-        A = rows(left, xs)
+    def fill(xs, ys, rx=Side.rows, ry=Side.rows):
+        A = rx(left, xs)
         out = np.zeros((len(xs), len(ys)))
         for select, right, coupled in bands:
             mask = select(ys)
             if np.any(mask):
-                out[:, mask] = contour_fill(A, rows(right, ys[mask]), coupled()).real
+                out[:, mask] = contour_fill(A, ry(right, ys, mask), coupled()).real
         return out * (ys > 0)[None, :] if flat else out
 
     return fill
 
 
-def _flat_far_time_engine(mu, t, xs, ys):
+def _flat_far_time_engine(mu, t, xs, ys, made=None, base=None):
     """Flat kernel fill at equal large times via the extracted z = -w residue.
 
     For all-negative drifts the vertical line shifts to Re z = 0, picking
@@ -560,16 +571,17 @@ def _flat_far_time_engine(mu, t, xs, ys):
     cz = _vertical_auto(0.0, t, m, float(np.max(np.abs(ys))) + m + 1.0)
     left, right = _gaussian_side(cw, t, mu, -1.0), _gaussian_side(cz, t, mu, 1.0)
     coupled = couplings(cw.nodes, cz.nodes, (1.0, -1.0))
-    residue = _piflat_engine(-mu, xs, ys)
+    residue = _piflat_engine(-mu, xs, ys, made, base)
+    _base_rows(made, base, [left], [right])
 
-    def fill(xs, ys, rows=Side.rows):
-        rem = contour_fill(rows(left, xs), rows(right, ys), coupled).real
-        return (rem + residue(xs, ys, rows)) * (ys > 0)[None, :]
+    def fill(xs, ys, rx=Side.rows, ry=Side.rows):
+        rem = contour_fill(rx(left, xs), ry(right, ys), coupled).real
+        return (rem + residue(xs, ys, rx, ry)) * (ys > 0)[None, :]
 
     return fill
 
 
-def _flat_engine(mu, t1, t2, xs, ys, made=None):
+def _flat_engine(mu, t1, t2, xs, ys, made=None, base=None):
     """Flat kernel fill: the far-time decomposition where its integrands do not cancel.
 
     That is at equal times, with all drifts below -0.3 and the line far right
@@ -578,8 +590,8 @@ def _flat_engine(mu, t1, t2, xs, ys, made=None):
     mu = _drifts(mu)
     d_min = _line_floor(*_pole_circle(mu, float(np.max(np.abs(xs)))), flat=True)
     if t1 == t2 and mu.max() < -0.3 and 0.5 * t1 * d_min ** 2 > 8.0:
-        return _flat_far_time_engine(mu, t1, xs, ys)
-    return _nw_flat_engine(mu, t1, t2, xs, ys, True, made)
+        return _flat_far_time_engine(mu, t1, xs, ys, made, base)
+    return _nw_flat_engine(mu, t1, t2, xs, ys, True, made, base)
 
 
 def k_nw(mu, t1, x, t2, y):
@@ -610,27 +622,12 @@ def k_flat(mu, t1, x, t2, y):
     return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
-def compose_kernels(left, right, u_lo, u_hi, n=400):
-    """Numerical composition int_{u_lo}^{u_hi} left(x, u) right(u, y) du.
-
-    Test oracle for the analytic 1/(z-w) resolution inside the extended
-    kernels; ``left``/``right`` take broadcastable array arguments.
-    """
-    u, wu = gauss_legendre(u_lo, u_hi, n)
-
-    def composed(x, y):
-        L = left(np.asarray(x)[..., None], u)
-        R = right(u, np.asarray(y)[..., None])
-        return np.sum(L * R * wu, axis=-1)
-
-    return composed
-
-
 # ---------------------------------------------------------------------------
 # arithmetic-spectrum kernel (Gamma-ratio double contour)
 # ---------------------------------------------------------------------------
 
-def _k_delta_engine(delta, xs, ys, gamma_func=None, rec_extension=1.0, node_factor=1.0):
+def _k_delta_engine(delta, xs, ys, gamma_func=None, rec_extension=1.0, node_factor=1.0,
+                    made=None, base=None):
     """Gamma-ratio kernel fill(xs, ys), its contours sized for the spans xs, ys."""
     if not delta > 0:
         raise DomainError("need delta > 0")
@@ -654,7 +651,9 @@ def _k_delta_engine(delta, xs, ys, gamma_func=None, rec_extension=1.0, node_fact
     right = Side(cz.nodes, cz.weights, 0.5 * d2 * cz.nodes ** 2, -cz.nodes,
                  -np.log(gamma_func(cz.nodes)))
     coupled = couplings(crec.nodes, cz.nodes)
-    return lambda xs, ys, rows=Side.rows: contour_fill(rows(left, xs), rows(right, ys), coupled)
+    _base_rows(made, base, [left], [right])
+    return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys),
+                                                                   coupled)
 
 
 def k_delta(delta, x, y, gamma_func=None, _complex=False):
@@ -739,7 +738,7 @@ def _jairy_contours(tmax, xlo, ylo, mode, delta1=None, delta2=None):
     return cw, cz
 
 
-def _jairy_engine(t1, t2, xs, ys, mode="wedge", delta1=None, delta2=None, made=None):
+def _jairy_engine(t1, t2, xs, ys, mode="wedge", delta1=None, delta2=None, made=None, base=None):
     """Extended Airy double-contour fill(xs, ys), its contours sized for the spans xs, ys."""
     xs, ys = _args(xs, ys)
     tmax = max(abs(t1), abs(t2))
@@ -751,8 +750,9 @@ def _jairy_engine(t1, t2, xs, ys, mode="wedge", delta1=None, delta2=None, made=N
     right = _made(made, (cz, t2), lambda: Side(
         cz.nodes, cz.weights, cz.nodes ** 3 / 3.0 + t2 * cz.nodes ** 2, -cz.nodes))
     coupled = _coupling(made, cw, cz)
-    return lambda xs, ys, rows=Side.rows: contour_fill(rows(left, xs), rows(right, ys),
-                                                       coupled()).real
+    _base_rows(made, base, [left], [right])
+    return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys),
+                                                                   coupled()).real
 
 
 def j_airy(t1, x, t2, y, mode="wedge", delta1=None, delta2=None):
@@ -780,7 +780,9 @@ def _dyson_edge_engine(nu, b, rho, s, shifts, tmax, length):
     w wedge opens at 5pi/6 through b + (tmax + 1/2)/rho, the z line runs at
     b + (tmax + 1)/rho, sized for every shift in ``shifts`` (those of all
     thresholds of a curve) and arguments up to ``length``.  ``slots(shift,
-    g)`` makes the sides of one threshold and returns its fill(i, j, xs, ys).
+    g)`` makes the sides of one threshold and returns its fills[i][j](xs, ys);
+    with a dict ``made`` and ``base[i]``, the base nodes of slot i, it also
+    makes the rows of slot i's sides there once.
     """
     delta2 = tmax + 0.5
     line = b + (delta2 + 0.5) / rho
@@ -800,16 +802,18 @@ def _dyson_edge_engine(nu, b, rho, s, shifts, tmax, length):
     log_poly_w, log_poly_z = _log_poly(w, nu), _log_poly(z, nu)
     coupled = couplings(w, z)
 
-    def slots(shift, g):
+    def slots(shift, g, made=None, base=()):
         lefts = [Side(w, cw.weights, g[i] - 0.5 * s[i] * w2 + shift[i] * w, rho * (w - b),
                       -log_poly_w) for i in range(len(s))]
         rights = [Side(z, cz.weights, 0.5 * s[j] * z2 - shift[j] * z - g[j], rho * (b - z),
                        log_poly_z) for j in range(len(s))]
+        for left, right, u in zip(lefts, rights, base):
+            _base_rows(made, (u, u), [left], [right])
 
-        def fill(i, j, xs, ys, rows=Side.rows):
-            return rho * contour_fill(rows(lefts[i], xs), rows(rights[j], ys), coupled).real
+        def fill(left, right, xs, ys, rx=Side.rows, ry=Side.rows):
+            return rho * contour_fill(rx(left, xs), ry(right, ys), coupled).real
 
-        return fill
+        return [[partial(fill, left, right) for right in rights] for left in lefts]
 
     return slots
 
@@ -830,21 +834,21 @@ def kixjy_conjugation(t, u):
 # extended Brownian and Hermitian kernels
 # ---------------------------------------------------------------------------
 
-def _brownian_engine(kind, mu, t1, t2, xs, ys, made=None):
+def _brownian_engine(kind, mu, t1, t2, xs, ys, made=None, base=None):
     """Narrow-wedge or flat kernel fill at times (t1, t2), sized for the spans xs, ys."""
     if kind == "narrow_wedge":
-        return _nw_flat_engine(mu, t1, t2, xs, ys, False, made)
-    return _flat_engine(mu, t1, t2, xs, ys, made)
+        return _nw_flat_engine(mu, t1, t2, xs, ys, False, made, base)
+    return _flat_engine(mu, t1, t2, xs, ys, made, base)
 
 
-def _brownian_block(kind, mu, t_i, t_j, xs, ys, fill=None, rows=Side.rows):
+def _brownian_block(kind, mu, t_i, t_j, xs, ys, fill=None):
     """Narrow-wedge or flat block of the extended Brownian kernel on a grid.
 
     k_nw or k_flat at (t_i, x; t_j, y), minus e^{(t_j-t_i) d^2/2}(x, y)
     when t_i < t_j.  Without a prepared ``fill`` the block builds its own.
     """
     fill = fill or _brownian_engine(kind, mu, t_i, t_j, xs, ys)
-    block = fill(xs, ys, rows)
+    block = fill(xs, ys)
     if t_i < t_j:
         block = block - heat_op_half(t_j - t_i, xs[:, None], ys[None, :])
     return block

@@ -175,11 +175,43 @@ def test_console_entry_point_subprocess():
     assert "threshold,value" in proc.stdout
 
 
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [l for l in block.splitlines() if l.startswith("noncolliding ")]
+    assert commands, "README 'Command line' lists no command"
+    return commands
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(capsys, line):
+    code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
+    rows = [l for l in out.splitlines() if l and not l.startswith("#")]
+    assert rows, out
+    if "--show-defaults" not in line:  # a header and at least one row of as many fields
+        fields = [len(r.split(",")) for r in rows]
+        assert len(rows) >= 2 and fields[0] >= 2 and set(fields) == {fields[0]}, out
+
+
+# every family whose curve shares one build; the rows the build makes along
+# the curve exist before the pool runs, so the output cannot depend on it
+SHARED_BUILD_CURVES = [
+    ("piflat", "--beta", "0.5,1.5", "--a", "0.2:2.2:0.4"),
+    ("airy", "--times", "0", "--a", "-3:1:0.5"),
+    ("airy", "--times", "0,0.5", "--a", "-2:0:0.5"),
+    ("arith", "--delta", "2", "--a", "-1.5:1.5:0.5"),
+    ("blpp-flat", "--mu", "-0.5,-1", "--times", "1,2", "--a", "1.5:3:0.5"),
+    ("dyson-edge", "--nu", "-1,-0.7,-0.5,-0.2,0", "--times", "0,0.3", "--a", "-2:1:0.5"),
+]
+
+
 def test_thread_count_does_not_change_results(capsys):
-    args = ("cdf", "--family", "piflat", "--beta", "0.5,1.5", "--a", "0.2:2.2:0.4")
-    _, out1, _ = run_cli(capsys, *args, "--threads", "1")
-    _, out8, _ = run_cli(capsys, *args, "--threads", "8")
-    assert out1 == out8
+    for family, *options in SHARED_BUILD_CURVES:
+        args = ("cdf", "--family", family, *options)
+        _, out1, _ = run_cli(capsys, *args, "--threads", "1")
+        _, out8, _ = run_cli(capsys, *args, "--threads", "8")
+        assert out1 == out8, args
 
 
 @pytest.mark.parametrize("grid", ["1:0:1", "1:2", "0:1:0"])

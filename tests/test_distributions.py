@@ -317,19 +317,33 @@ CURVE_TOL = {"arith": 1e-9, "blpp-nw": 3e-12, "bridge-allmax": 0.0, "bridge-runm
              "detratio": 0.0}
 
 
+# wide grids: along each, the column scaling e^{a m} of the rows made at the
+# base nodes spans tens to hundreds of e-folds (arith about 200).  The arith
+# grid starts at 0: below it the nodes are no translate of the base nodes and
+# keep the rows of their own arguments, as CURVES["arith"] checks
+WIDE_CURVES = {
+    "airy": ({"times": [0.0]}, [[a] for a in np.linspace(-8.0, 6.0, 8)]),
+    "piflat": ({"beta": [0.8, 1.4]}, list(np.linspace(0.0, 30.0, 7))),
+    "arith": ({"delta": 2.0}, list(np.linspace(0.0, 20.0, 8))),
+    "dyson-edge": ({"nu": np.linspace(-1.0, 0.0, 12), "times": [0.0, 0.3]},
+                   [[a, a] for a in np.linspace(-6.0, 4.0, 6)]),
+}
+
+
 def test_curves_cover_the_registry():
     assert sorted(CURVES) == sorted(FAMILIES)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_curve_matches_one_point_values(family):
-    params, grid = CURVES[family]
+@pytest.mark.parametrize("family,params,grid", [
+    pytest.param(family, *CURVES[family], id=family) for family in sorted(FAMILIES)] + [
+    pytest.param(family, *WIDE_CURVES[family], id="wide-" + family) for family in WIDE_CURVES])
+def test_curve_matches_one_point_values(family, params, grid):
     threshold = FAMILIES[family].threshold
     curve = evaluate_curve(CdfQuery(family, params), grid)
     points = [evaluate_cdf(CdfQuery(family, {**params, threshold: a})) for a in grid]
     tol = CURVE_TOL.get(family, 1e-12)
     for a, got, want in zip(grid, curve, points):
-        assert abs(got - want) <= tol, (family, a, got, want)
+        assert np.isfinite(got) and abs(got - want) <= tol, (family, a, got, want)
 
 
 # one-time curves with a threshold range on which each law is defined; the

@@ -3,19 +3,59 @@ import math
 import numpy as np
 import pytest
 
+from noncolliding.contours import gauss_legendre, make_contour
 from noncolliding.exceptions import DomainError, ParameterError
 from noncolliding.distributions import airy_block
 from noncolliding.kernels import (BoundaryFunction, DriftVector, airy_kernel_ext,
-                                  brownian_block_kernel, compose_kernels,
-                                  heat_op_full, heat_op_half, hermitian_block_kernel,
-                                  j_airy, k_bridge, k_delta, k_flat, k_loe, k_nw,
-                                  k_piflat, s_bar, s_bar_hermite, s_hypo_flat,
+                                  brownian_block_kernel, heat_op_full, heat_op_half,
+                                  hermitian_block_kernel, j_airy, k_bridge, k_delta, k_flat,
+                                  k_loe, k_nw, k_piflat, s_bar, s_bar_hermite, s_hypo_flat,
                                   s_hypo_mc, s_minus)
-from noncolliding.kernels import _k_delta_engine
+from noncolliding.kernels import Side, _base_rows, _k_delta_engine, shifted_rows
 from noncolliding.rng import RngStream
 from noncolliding.special import complex_gamma, heat_kernel
 
 GAMMA_THIRD = 2.678938534707748
+
+
+def compose_kernels(left, right, u_lo, u_hi, n=400):
+    """Numerical composition int_{u_lo}^{u_hi} left(x, u) right(u, y) du.
+
+    Oracle for the analytic 1/(z-w) resolution inside the extended kernels;
+    ``left``/``right`` take broadcastable array arguments.
+    """
+    u, wu = gauss_legendre(u_lo, u_hi, n)
+
+    def composed(x, y):
+        L = left(np.asarray(x)[..., None], u)
+        R = right(u, np.asarray(y)[..., None])
+        return np.sum(L * R * wu, axis=-1)
+
+    return composed
+
+
+# ---------------------------------------------------------------------------
+# separable sides
+# ---------------------------------------------------------------------------
+
+def test_shifted_rows_match_rows_at_shifted_arguments():
+    # rows made once at u, their columns scaled by e^{a m}: on a circle of
+    # radius 5 the scaling at a = +-160 spans 1600 e-folds, so it is finite
+    # only with its largest exponent moved to top
+    c = make_contour("circle", center=0.5, radius=5.0, nodes=256)
+    side = Side(c.nodes, c.weights, -0.5 * c.nodes ** 2, c.nodes, np.log(c.nodes + 6.0))
+    u = np.linspace(0.0, 3.0, 7)
+    made = {}
+    _base_rows(made, (u, u), [side], [])
+    for a in (-160.0, -2.5, 0.0, 40.0, 160.0):
+        got, top = shifted_rows(made, a)(side, u + a)
+        want, want_top = side.rows(u + a)
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(top)), a
+        assert np.max(np.abs(got * np.exp(top - want_top)[:, None] - want)) < 1e-12, a
+    mask = u > 1.0
+    got, top = shifted_rows(made, 2.0)(side, u + 2.0, mask)
+    want, want_top = side.rows(u + 2.0, mask)
+    assert np.max(np.abs(got * np.exp(top - want_top)[:, None] - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
