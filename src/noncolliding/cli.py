@@ -50,7 +50,7 @@ SAMPLERS = {
     "arith": Sampler(("n", "delta"), lambda args, stream, n: sample_arith_max(
         args.n, args.delta, 0.0, stream=stream, samples=n)[1]),
     "dyson-max": Sampler(("nu", "times"), lambda args, stream, n: sample_dyson_max(
-        args.nu, args.times, stream=stream, samples=n)[:, -1]),
+        args.nu, args.times, stream=stream, samples=n)[..., -1]),
 }
 
 

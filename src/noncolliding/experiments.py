@@ -21,8 +21,8 @@ from .distributions import (CdfQuery, airy_fdd, blpp_block, cdf_blpp, cdf_bridge
                             evaluate_curve, loe_block, piflat_block)
 from .fredholm import apply_conjugation, det_nystrom, det_ratio, det_series
 from .kernels import BoundaryFunction, s_bar, s_minus
-from .montecarlo import (dkw_band, empirical_cdf, sample_arith_max, sample_blpp,
-                         sample_bridge_topmax, sample_dyson_max, sample_loe_max,
+from .montecarlo import (_eig_max_2x2, dkw_band, empirical_cdf, sample_arith_max,
+                         sample_blpp, sample_bridge_topmax, sample_dyson_max, sample_loe_max,
                          sample_piflat)
 from .rng import RngStream
 from .special import heat_kernel
@@ -444,18 +444,16 @@ def _matrix_running_supmax(mu, t, step, stream, paths):
     gen = stream.generator()
     out = np.empty(paths)
     done = 0
-    chunk = max(1, int(1.2e7 / J))
+    chunk = min(paths, max(1, int(1.2e7 / J)))
+    bufs = np.empty((5, chunk, J))
     while done < paths:
         b = min(chunk, paths - done)
-        comps = []
-        for sc in (1.0, 1.0, 0.5, 0.5):
-            inc = gen.standard_normal((b, J)) * np.sqrt(step * sc)
-            comps.append(np.cumsum(inc, axis=1))
-        h11 = comps[0] + ts[None, :] * mu[0]
-        h22 = comps[1] + ts[None, :] * mu[1]
-        lam = (0.5 * (h11 + h22)
-               + np.sqrt(0.25 * (h11 - h22) ** 2 + comps[2] ** 2 + comps[3] ** 2))
-        out[done:done + b] = np.maximum(lam.max(axis=1), 0.0)
+        for x, sc in zip(bufs[:4, :b], (1.0, 1.0, 0.5, 0.5)):  # h11, h22, re12, im12
+            gen.standard_normal(out=x)
+            x *= np.sqrt(step * sc)
+            np.cumsum(x, axis=1, out=x)
+        bufs[:2, :b] += mu[:2, None, None] * ts
+        out[done:done + b] = np.maximum(_eig_max_2x2(*bufs[:, :b]).max(axis=1), 0.0)
         done += b
     return out
 

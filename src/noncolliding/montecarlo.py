@@ -52,16 +52,30 @@ def _default_stream(stream):
     return RngStream(DEFAULTS["seed"]) if stream is None else stream
 
 
+def _hermitian_noise(gen, b, n):
+    """b Hermitian matrices with the law of (W + W*)/sqrt(2), from n^2 normals
+    each: for one (b, n, n) draw X, entry (i, j), i < j, is (X_ij + i X_ji)
+    / sqrt(2) and the diagonal is X_ii."""
+    X = gen.standard_normal((b, n, n))
+    diagonal = X.reshape(b, n * n)[:, ::n + 1].copy()
+    X *= np.sqrt(0.5)
+    Xt, upper = np.swapaxes(X, -1, -2), np.triu(np.ones((n, n), dtype=bool), 1)
+    H = np.empty((b, n, n), dtype=complex)
+    H.real = Xt
+    np.copyto(H.real, X, where=upper)
+    np.negative(X, out=H.imag)
+    np.copyto(H.imag, Xt, where=upper)
+    H.reshape(b, n * n)[:, ::n + 1] = diagonal
+    return H
+
+
 def sample_gue(n, stream=None, samples=1):
     """GUE matrices H = (W + W*)/sqrt(2) with standard complex Gaussian W.
 
     Convention: diagonal entries are real N(0,1), off-diagonal complex with
     E|H_ij|^2 = 1.  Returns (n, n) for samples=1, else (samples, n, n).
     """
-    gen = _default_stream(stream).generator()
-    shape = (samples, n, n)
-    W = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
-    H = (W + np.conj(np.swapaxes(W, -1, -2))) / np.sqrt(2.0)
+    H = _hermitian_noise(_default_stream(stream).generator(), samples, n)
     return H[0] if samples == 1 else H
 
 
@@ -80,10 +94,8 @@ def sample_arith_max(n, delta, lam1, stream=None, samples=1, chunk=64):
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        shape = (b, n, n)
-        W = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
-        H = (W + np.conj(np.swapaxes(W, -1, -2))) / np.sqrt(2.0)
-        H += np.diag(diag)[None, :, :]
+        H = _hermitian_noise(gen, b, n)
+        H.reshape(b, n * n)[:, ::n + 1] += diag
         out[done:done + b] = np.linalg.eigvalsh(H)[:, -1]
         done += b
     rescaled = delta * (out - lam1) - (np.log(n - 1) if n > 1 else 0.0)
@@ -103,20 +115,26 @@ def sample_blpp(b, mu, m, t, grid_step=None, stream=None, paths=1):
     if len(mu) != m:
         raise ParameterError("need one drift per row")
     step = (t / DEFAULTS["blpp_grid"]) if grid_step is None else float(grid_step)
-    J = int(round(t / step))
+    J = max(1, int(round(t / step)))
+    step = t / J
     gen = _default_stream(stream).generator()
-    ts = np.arange(J + 1) * step
-    boundary = np.asarray(b(ts))
+    boundary = np.asarray(b(np.arange(J + 1) * step))
     out = np.empty(paths)
+    chunk = min(paths, max(1, int(4e7 / J)))
+    L, B = np.empty((chunk, J + 1)), np.empty((chunk, J))
     done = 0
-    chunk = max(1, int(4e7 / max(1, J)))
     while done < paths:
         npath = min(chunk, paths - done)
-        prev = np.broadcast_to(boundary, (npath, J + 1)).copy()
+        prev, Bk = L[:npath], B[:npath]  # Bk holds B_k(t_1..t_J); B_k(0) = 0
+        prev[:] = boundary
         for k in range(m):
-            inc = gen.standard_normal((npath, J)) * np.sqrt(step) + mu[k] * step
-            Bk = np.concatenate([np.zeros((npath, 1)), np.cumsum(inc, axis=1)], axis=1)
-            prev = Bk + np.maximum.accumulate(prev - Bk, axis=1)
+            gen.standard_normal(out=Bk)
+            Bk *= np.sqrt(step)
+            Bk += mu[k] * step
+            np.cumsum(Bk, axis=1, out=Bk)
+            prev[:, 1:] -= Bk
+            np.maximum.accumulate(prev, axis=1, out=prev)
+            prev[:, 1:] += Bk
         out[done:done + npath] = prev[:, -1]
         done += npath
     return float(out[0]) if paths == 1 else out
@@ -171,6 +189,10 @@ def sample_dyson_max(nu, times, stream=None, samples=1, chunk=64):
 
     H is sampled at the sorted times through independent Gaussian
     increments; returns shape (samples, len(times)) (or (len(times),)).
+    One time and a constant nu = nu_0 take the Dumitriu-Edelman beta = 2
+    model, sqrt(t) lambda_max(T) + nu_0 with T tridiagonal, N(0,1) diagonal
+    and sqrt(Gamma(k)) off-diagonal, k = n-1..1: GUE's lambda_max law at
+    O(n) draws.  Other inputs sample the full matrix path.
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     n = len(nu)
@@ -179,26 +201,58 @@ def sample_dyson_max(nu, times, stream=None, samples=1, chunk=64):
         raise ParameterError("times must be positive and strictly increasing")
     gen = _default_stream(stream).generator()
     out = np.empty((samples, len(times)))
+    tridiagonal = len(times) == 1 and np.all(nu == nu[0])
+    chunk = max(1, int(5e5 / n)) if tridiagonal else chunk
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        H = np.zeros((b, n, n), dtype=complex)
-        t_prev = 0.0
-        for k, t in enumerate(times):
-            dt = t - t_prev
-            shape = (b, n, n)
-            W = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
-            H = H + np.sqrt(dt) * (W + np.conj(np.swapaxes(W, -1, -2))) / np.sqrt(2.0)
-            out[done:done + b, k] = np.linalg.eigvalsh(H + np.diag(nu)[None, :, :])[:, -1]
-            t_prev = t
+        if tridiagonal:
+            d = gen.standard_normal((n, b))
+            e = np.sqrt(gen.standard_gamma(np.arange(n - 1, 0, -1)[:, None], (n - 1, b)))
+            out[done:done + b, 0] = np.sqrt(times[0]) * _top_eig_tridiagonal(d, e) + nu[0]
+        else:
+            H, t_prev = np.zeros((b, n, n), dtype=complex), 0.0
+            for k, t in enumerate(times):
+                H += np.sqrt(t - t_prev) * _hermitian_noise(gen, b, n)
+                out[done:done + b, k] = np.linalg.eigvalsh(H + np.diag(nu))[:, -1]
+                t_prev = t
         done += b
     return out[0] if samples == 1 else out
 
 
-def _eig_max_2x2(h11, h22, re12, im12):
-    mean = 0.5 * (h11 + h22)
-    disc = np.sqrt(0.25 * (h11 - h22) ** 2 + re12 ** 2 + im12 ** 2)
-    return mean + disc
+def _top_eig_tridiagonal(d, e):
+    """Largest eigenvalue of symmetric tridiagonal matrices by Sturm bisection.
+
+    Column j of ``d`` (n, b) and ``e`` (n-1, b) holds matrix j's diagonal
+    and off-diagonal.  x is above every eigenvalue exactly when all LDL^T
+    pivots of x - T are positive; [max d, Gershgorin bound] halves to an ulp.
+    """
+    e2, r = e * e, np.pad(np.abs(e), ((1, 1), (0, 0)))
+    lo, hi = d.max(axis=0), (d + r[1:] + r[:-1]).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not np.any((lo < mid) & (mid < hi)):
+                return hi
+            pivots = mid - d
+            for k in range(1, len(d)):
+                pivots[k] -= e2[k - 1] / pivots[k - 1]
+            above = pivots.min(axis=0) > 0
+            hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+
+
+def _eig_max_2x2(h11, h22, re12, im12, out):
+    """Top eigenvalue of [[h11, re12 + i im12], [re12 - i im12, h22]] into
+    ``out``, overwriting h11, re12 and im12."""
+    np.add(h11, h22, out=out)
+    out *= 0.5
+    h11 -= h22
+    np.square(h11, out=h11)
+    h11 *= 0.25
+    h11 += np.square(re12, out=re12)
+    h11 += np.square(im12, out=im12)
+    out += np.sqrt(h11, out=h11)
+    return out
 
 
 def _bridge_grid(s, step):
@@ -226,33 +280,29 @@ def sample_bridge_topmax(n, s, nu=None, grid_step=None, stream=None, paths=1, ch
     J = len(ts)
     gen = _default_stream(stream).generator()
     nu = None if nu is None else np.atleast_1d(np.asarray(nu, dtype=float))
+    if nu is not None and len(nu) != n:
+        raise ParameterError("need one starting point per eigenvalue")
     out = np.empty(paths)
     done = 0
 
     if n <= 2:
         # fully vectorized over the grid via the real coordinates of H
         scales = [1.0] if n == 1 else [1.0, 1.0, 0.5, 0.5]  # h11 | h11, h22, re12, im12
-        chunk = chunk or max(1, int(1.2e7 / J))
+        chunk = min(paths, chunk or max(1, int(1.2e7 / J)))
         dts = np.diff(np.concatenate([[0.0], ts]))
+        bufs = np.empty((len(scales) + 1, chunk, J))
         while done < paths:
             b = min(chunk, paths - done)
-            comps = []
-            for sc in scales:
-                inc = gen.standard_normal((b, J)) * np.sqrt(dts * sc)[None, :]
-                B = np.cumsum(inc, axis=1)
+            comps, tmp = bufs[:-1, :b], bufs[-1, :b]
+            for x, sc in zip(comps, scales):
+                gen.standard_normal(out=x)
+                x *= np.sqrt(dts * sc)
+                np.cumsum(x, axis=1, out=x)
                 tail = gen.standard_normal((b, 1)) * np.sqrt(max(1.0 - ts[-1], 0.0) * sc)
-                H1 = B[:, -1:] + tail
-                comps.append(B - ts[None, :] * H1)
-            if n == 1:
-                lam = comps[0]
-                if nu is not None:
-                    lam = lam + (1.0 - ts[None, :]) * nu[0]
-            else:
-                h11, h22, re12, im12 = comps
-                if nu is not None:
-                    h11 = h11 + (1.0 - ts[None, :]) * nu[0]
-                    h22 = h22 + (1.0 - ts[None, :]) * nu[1]
-                lam = _eig_max_2x2(h11, h22, re12, im12)
+                x -= np.multiply(ts, x[:, -1:] + tail, out=tmp)
+            if nu is not None:
+                comps[:n] += nu[:, None, None] * (1.0 - ts)
+            lam = comps[0] if n == 1 else _eig_max_2x2(*comps, tmp)
             out[done:done + b] = np.maximum(lam.max(axis=1), 0.0 if nu is None else -np.inf)
             done += b
         return float(out[0]) if paths == 1 else out
@@ -264,11 +314,9 @@ def sample_bridge_topmax(n, s, nu=None, grid_step=None, stream=None, paths=1, ch
         best = np.full(b, 0.0 if nu is None else -np.inf)
         t_prev = 0.0
         for k, t_k in enumerate(ts):
-            dt = t_k - t_prev
-            shape = (b, n, n)
-            W = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
-            G = np.sqrt(dt) * (W + np.conj(np.swapaxes(W, -1, -2))) / np.sqrt(2.0)
-            H = H * ((1.0 - t_k) / (1.0 - t_prev)) + G * np.sqrt((1.0 - t_k) / (1.0 - t_prev))
+            shrink = (1.0 - t_k) / (1.0 - t_prev)
+            H *= shrink
+            H += np.sqrt((t_k - t_prev) * shrink) * _hermitian_noise(gen, b, n)
             M = H if nu is None else H + (1.0 - t_k) * np.diag(nu)[None, :, :]
             best = np.maximum(best, np.linalg.eigvalsh(M)[:, -1])
             t_prev = t_k

@@ -289,3 +289,17 @@ def test_unknown_family_lists_known_families(capsys, command, table, extra):
     assert code == 2
     message = _usage_error(err)
     assert all(name in message for name in table)
+
+
+
+@pytest.mark.parametrize("family", sorted(cli.SAMPLERS))
+def test_simulate_one_sample_prints_one_row(capsys, family):
+    # dyson-max at one time and nu 0,0 is the tridiagonal path
+    values = dict(OPTION_VALUES, times="1", nu="0,0")
+    argv = ["simulate", "--family", family, "--samples", "1"]
+    for name in cli.SAMPLERS[family].options:
+        argv += ["--" + name, values[name]]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert rows[0] == "index,value" and len(rows) == 2 and rows[1].startswith("0,")

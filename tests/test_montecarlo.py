@@ -1,15 +1,44 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from noncolliding.exceptions import ParameterError
+from noncolliding.experiments import _matrix_running_supmax
 from noncolliding.kernels import BoundaryFunction
-from noncolliding.montecarlo import (dkw_band, empirical_cdf, sample_arith_max,
-                                     sample_blpp, sample_bridge_topmax,
+from noncolliding.montecarlo import (_top_eig_tridiagonal, dkw_band, empirical_cdf,
+                                     sample_arith_max, sample_blpp, sample_bridge_topmax,
                                      sample_dyson_max, sample_gue, sample_loe_max,
                                      sample_piflat)
 from noncolliding.rng import RngStream
+
+FLAT, NW = BoundaryFunction.flat(), BoundaryFunction.narrow_wedge()
+
+# Outputs of the path samplers, in data/sampler_golden.json, as made before
+# they moved to preallocated buffers; the buffers keep every draw and every
+# floating-point operation in order, so the outputs must match bit for bit.
+PINNED = {
+    "blpp flat m=2": lambda: sample_blpp(FLAT, [-0.5, -1.0], 2, 1.0, grid_step=1 / 64,
+                                         stream=RngStream(31, 1), paths=5),
+    "blpp narrow-wedge m=3": lambda: sample_blpp(NW, [0.3, -0.2, 0.1], 3, 1.5, grid_step=1.5 / 64,
+                                                 stream=RngStream(31, 2), paths=5),
+    "blpp flat default grid": lambda: sample_blpp(FLAT, [-0.5, -1.0], 2, 1.0,
+                                                  stream=RngStream(31, 3), paths=3),
+    "bridge n=1": lambda: sample_bridge_topmax(1, 1.0, grid_step=1 / 128,
+                                               stream=RngStream(31, 4), paths=5),
+    "bridge n=1 nu": lambda: sample_bridge_topmax(1, 0.6, nu=[0.4], grid_step=1 / 128,
+                                                  stream=RngStream(31, 5), paths=5),
+    "bridge n=2": lambda: sample_bridge_topmax(2, 0.5, grid_step=1 / 128,
+                                               stream=RngStream(31, 6), paths=5),
+    "bridge n=2 nu chunked": lambda: sample_bridge_topmax(
+        2, 0.7, nu=[0.4, -0.3], grid_step=1 / 100, stream=RngStream(31, 7), paths=5, chunk=2),
+    "bridge n=2 default grid": lambda: sample_bridge_topmax(2, 1.0, stream=RngStream(31, 8),
+                                                            paths=3),
+    "matrix running supmax": lambda: _matrix_running_supmax(np.array([-0.5, -1.0]), 1.0, 1 / 64,
+                                                            RngStream(31, 9), 5),
+}
 
 
 def test_dkw_band_formula():
@@ -153,4 +182,49 @@ def test_sampler_validation():
     with pytest.raises(ParameterError):
         sample_bridge_topmax(2, 1.5)
     with pytest.raises(ParameterError):
+        sample_bridge_topmax(2, 0.5, nu=[0.1])
+    with pytest.raises(ParameterError):
         sample_dyson_max([0.0], [1.0, 0.5])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_path_samplers_match_pinned_outputs(name):
+    pinned = json.loads((Path(__file__).parent / "data" / "sampler_golden.json").read_text())
+    assert np.array_equal(np.atleast_1d(PINNED[name]()), np.array(pinned[name]))
+
+
+def test_blpp_grid_step_not_dividing_t_ends_at_t():
+    # m = 1 narrow wedge is B(t) ~ N(0, t); step 0.4 rounds to two steps of 0.5
+    x = sample_blpp(NW, [0.0], 1, 1.0, grid_step=0.4, stream=RngStream(13), paths=20000)
+    assert abs(np.var(x) - 1.0) < 3 * math.sqrt(2.0 / 20000)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("zero_offdiagonal", [False, True])
+def test_top_eig_tridiagonal_matches_eigvalsh(n, zero_offdiagonal):
+    gen = np.random.default_rng(n)
+    d, e = gen.standard_normal((n, 16)), gen.standard_normal((n - 1, 16))
+    if zero_offdiagonal:
+        e[::2] = 0.0
+    got = _top_eig_tridiagonal(d, e)
+    for j in range(16):
+        lam = np.linalg.eigvalsh(np.diag(d[:, j]) + np.diag(e[:, j], 1) + np.diag(e[:, j], -1))
+        assert abs(got[j] - lam[-1]) <= 1e-12 * np.max(np.abs(lam))
+
+
+def test_dyson_max_tridiagonal_path_matches_full_matrix_law():
+    # one time and constant nu take the tridiagonal model; column 0 of a
+    # two-time draw is the full-matrix lambda_max at the same time
+    n, t, nu0, N = 6, 0.7, 0.3, 20000
+    tri = sample_dyson_max(np.full(n, nu0), [t], stream=RngStream(14), samples=N)[:, 0]
+    full = sample_dyson_max(np.full(n, nu0), [t, 1.0], stream=RngStream(15), samples=N)[:, 0]
+    grid = np.sort(np.concatenate([tri, full]))
+    ks = np.max(np.abs(empirical_cdf(tri, grid) - empirical_cdf(full, grid)))
+    assert ks < 1.63 * math.sqrt(2.0 / N)  # two-sample KS critical value at 1%
+
+
+@pytest.mark.parametrize("nu,times", [([0.2, 0.2, 0.2], [1.0]), ([0.0, 0.1, 0.2], [1.0]),
+                                      ([0.2, 0.2, 0.2], [0.5, 1.0])])
+def test_dyson_max_shapes(nu, times):
+    assert sample_dyson_max(nu, times, stream=RngStream(16)).shape == (len(times),)
+    assert sample_dyson_max(nu, times, stream=RngStream(16), samples=3).shape == (3, len(times))
