@@ -116,6 +116,13 @@ def _dets(makers, nodes):
     return [lambda make=make: _det(make(), nodes) for make in makers]
 
 
+# the fewest thresholds whose build compresses its couplings to low rank.  A
+# coupling's sketch costs about as much as the dense products of 3
+# (narrow-wedge, flat) to 8 (Airy, arith) thresholds, and its factors hold a
+# fraction of the dense coupling's memory for the rest of the curve
+_LOW_RANK_FROM = 4
+
+
 def _curve(block, grid, nodes, engine):
     """Evaluators of det(I - block(a, fill)) for each threshold a of grid, one build.
 
@@ -123,14 +130,16 @@ def _curve(block, grid, nodes, engine):
     spans[k][i] holds the Nystrom nodes of slot i at grid[k], read from a
     kernel block(a, None), and base[i] those at threshold 0, where the build
     makes every side's rows into the dict ``made`` before any determinant
-    runs.  A one-point grid has nothing to share: its blocks build from
-    their own nodes as they fill, which sizes them alike and holds one
-    block's couplings at a time.
+    runs.  From ``_LOW_RANK_FROM`` thresholds on, the build also compresses
+    each contour coupling to low rank.  A one-point grid has nothing to
+    share: its blocks build from their own nodes as they fill, which sizes
+    them alike and holds one block's couplings at a time.
     """
     if len(grid) == 1:
         return _dets([partial(block, grid[0], None)], nodes)
     at = engine([slot_nodes(block(a, None), nodes) for a in grid],
-                slot_nodes(block(0.0 * np.asarray(grid[0]), None), nodes), {})
+                slot_nodes(block(0.0 * np.asarray(grid[0]), None), nodes),
+                {"low_rank": len(grid) >= _LOW_RANK_FROM})
     return _dets([partial(block, a, at(a)) for a in grid], nodes)
 
 
@@ -174,8 +183,15 @@ def _piflat_curve(beta, grid, nodes=None, length=None):
     return _curve(lambda a, fill: piflat_block(beta, a, length, fill), grid, nodes, engine)
 
 
+def _loe_rates(n):
+    """The rates of the order-n LOE law: n ones."""
+    if n < 1:
+        raise ParameterError("need n >= 1, got %r" % (n,))
+    return np.ones(int(n))
+
+
 def loe_block(n, a, length=None):
-    return piflat_block(np.ones(int(n)), a, length)
+    return piflat_block(_loe_rates(n), a, length)
 
 
 def bridge_block(nu, r, length=None):
@@ -207,7 +223,14 @@ def cdf_loe_max(n, a, nodes=None, length=None):
 
 
 def cdf_bridge_allmax(nu, r, nodes=None, length=None):
-    """P(max over [0,1] of the top nu-started noncolliding bridge <= r)."""
+    """P(max over [0,1] of the top nu-started noncolliding bridge <= r).
+
+    The top bridge starts at max(nu) and ends at 0, so its maximum is at
+    least max(nu, 0): for r <= max(nu, 0) the value is 0, as it is for
+    :func:`cdf_piflat` below 0.
+    """
+    if r <= max(np.max(nu), 0.0):
+        return 0.0
     return _det(bridge_block(nu, r, length), nodes)
 
 
@@ -490,7 +513,7 @@ FAMILIES = {
     "piflat": Family(("beta",), "a", lambda p, grid, nodes, length:
                      _piflat_curve(p["beta"], grid, nodes, length)),
     "loe": Family(("n",), "a", lambda p, grid, nodes, length:
-                  _piflat_curve(np.ones(int(p["n"])), grid, nodes, length)),
+                  _piflat_curve(_loe_rates(p["n"]), grid, nodes, length)),
     "bridge-allmax": Family(("nu",), "r", lambda p, grid, nodes, length: [
         partial(cdf_bridge_allmax, p["nu"], r, nodes, length) for r in grid]),
     "bridge-runmax": Family(("n", "s"), "a", lambda p, grid, nodes, length: [

@@ -3,11 +3,12 @@
 Every kernel is a (single or double) contour integral; on contour nodes
 it is K(x, y) = L(x) C R(y)^T.  Each family declares its two
 :class:`Side` objects and :func:`contour_fill` forms every product.  C is
-dense, a sum of 1/(z -+ w) terms, for the double contours (narrow-wedge,
-flat, arith, Airy, Dyson edge), or diagonal when both sides share one
-contour (the rate kernels, s_minus, s_bar).  Every row of L and R is
-stabilized by subtracting its largest exponent, so kernels with
-exponential growth or decay evaluate without overflow.
+a sum of 1/(z -+ w) terms for the double contours (narrow-wedge, flat,
+arith, Airy, Dyson edge), dense or factored as P Q by :func:`low_rank`, or
+diagonal when both sides share one contour (the rate kernels, s_minus,
+s_bar).  Every row of L and R is stabilized by subtracting its largest
+exponent, so kernels with exponential growth or decay evaluate without
+overflow.
 
 Each family's ``_*_engine`` is split in two.  The build (the engine call)
 sizes the contours for the argument spans it is given and makes the
@@ -17,6 +18,8 @@ arguments.  A threshold grid builds once from the union of its Nystrom
 nodes.  Slot i then fills at its base nodes u shifted by a_i, so the build
 makes each side's rows once, at u, and a threshold scales their columns by
 e^{a_i m} (:func:`shifted_rows`): one complex multiply per entry, no exp.
+A grid of enough thresholds also factors each coupling once, to low rank
+(:func:`_coupling`); a single query keeps the dense couplings.
 
 Heat-operator conventions (two distinct semigroups appear and differ by a
 factor of 2 in the variance; both are housed here explicitly):
@@ -211,16 +214,49 @@ def couplings(w, z, signs=(1.0,)):
     return [1.0 / (z[None, :] - s * w[:, None]) for s in signs]
 
 
+def low_rank(C):
+    """(P, Q) with P @ Q equal to C to machine precision, or C itself when its rank is high.
+
+    A fixed-seed Gaussian sketch Y = C Omega of k columns spans the range of
+    C once C's rank r is below k (Halko, Martinsson & Tropp, SIAM Rev. 53,
+    2011).  The left singular vectors U_r of Y whose singular values exceed
+    machine epsilon times the largest give C = U_r (U_r^H C).  k is 32, then
+    64; a sketch holds when 8 of its columns are left over, and C comes
+    back dense when neither does.  Couplings between separated contours are
+    Cauchy matrices, whose singular values decay geometrically (Beckermann
+    & Townsend, SIAM J. Matrix Anal. Appl. 38, 2017): their rank is about
+    10 between the narrow-wedge or flat contours, about 40 between the Airy
+    or arith ones, so the first sketch is enough for the former.
+    """
+    n = min(64, *C.shape)
+    omega = np.random.default_rng(0).standard_normal((C.shape[1], n))
+    for k in sorted({min(32, n), n}):
+        U, s = np.linalg.svd(C @ omega[:, :k], full_matrices=False)[:2]
+        r = int(np.count_nonzero(s > np.finfo(float).eps * s[0]))
+        if r + 8 <= k:
+            return U[:, :r], U[:, :r].conj().T @ C
+    return C
+
+
 def _coupling(made, cw, cz, signs=(1.0,)):
     """The couplings of two contours, as a call that returns them.
 
     Builds that share a dict ``made`` (a grid's) make them once and keep
-    them.  A lone build makes them at each call, so a fill holds one band's
-    couplings at a time.
+    them; when ``made["low_rank"]`` is set, as one sum over the signs
+    compressed by :func:`low_rank`.  A lone build makes the dense couplings
+    at each call, so a fill holds one band's couplings at a time.
     """
+    dense = partial(couplings, cw.nodes, cz.nodes, signs)
     if made is None:
-        return lambda: couplings(cw.nodes, cz.nodes, signs)
-    coupled = _made(made, (cw, cz), lambda: couplings(cw.nodes, cz.nodes, signs))
+        return dense
+
+    def compressed():
+        C, *rest = dense()
+        for term in rest:
+            C += term  # in place: the couplings are the build's largest arrays
+        return [low_rank(C)]
+
+    coupled = _made(made, (cw, cz), compressed if made.get("low_rank") else dense)
     return lambda: coupled
 
 
@@ -229,9 +265,10 @@ def contour_fill(left_rows, right_rows, coupled=None):
 
     ``left_rows`` and ``right_rows`` are what :meth:`Side.rows` returns for
     the arguments xs and ys.  With ``coupled`` (double contour), C = sum of
-    the coupling matrices / (2 pi i)^2, one product per term.  Without, both
-    sides share one contour, only the left one carries dz-weights, and
-    C = I / (2 pi i).
+    the coupling terms / (2 pi i)^2, one product per term.  A term is a dense
+    matrix, or a pair (P, Q) from :func:`low_rank` with C = P Q, formed as
+    (L P)(Q R^T) at rank-r cost.  Without, both sides share one contour, only
+    the left one carries dz-weights, and C = I / (2 pi i).
     """
     (A, top_x), (B, top_y) = left_rows, right_rows
     if coupled is None:
@@ -239,7 +276,10 @@ def contour_fill(left_rows, right_rows, coupled=None):
     else:
         acc, norm = 0.0, _TWO_PI_I ** 2
         for C in coupled:
-            acc = acc + (A @ C) @ B.T
+            if isinstance(C, tuple):
+                acc = acc + (A @ C[0]) @ (C[1] @ B.T)
+            else:
+                acc = acc + (A @ C) @ B.T
     return acc * np.exp(top_x[:, None] + top_y[None, :]) / norm
 
 
@@ -570,12 +610,12 @@ def _flat_far_time_engine(mu, t, xs, ys, made=None, base=None):
     m = len(mu)
     cz = _vertical_auto(0.0, t, m, float(np.max(np.abs(ys))) + m + 1.0)
     left, right = _gaussian_side(cw, t, mu, -1.0), _gaussian_side(cz, t, mu, 1.0)
-    coupled = couplings(cw.nodes, cz.nodes, (1.0, -1.0))
+    coupled = _coupling(made, cw, cz, (1.0, -1.0))
     residue = _piflat_engine(-mu, xs, ys, made, base)
     _base_rows(made, base, [left], [right])
 
     def fill(xs, ys, rx=Side.rows, ry=Side.rows):
-        rem = contour_fill(rx(left, xs), ry(right, ys), coupled).real
+        rem = contour_fill(rx(left, xs), ry(right, ys), coupled()).real
         return (rem + residue(xs, ys, rx, ry)) * (ys > 0)[None, :]
 
     return fill
@@ -650,10 +690,10 @@ def _k_delta_engine(delta, xs, ys, gamma_func=None, rec_extension=1.0, node_fact
                 np.log(gamma_func(crec.nodes)))
     right = Side(cz.nodes, cz.weights, 0.5 * d2 * cz.nodes ** 2, -cz.nodes,
                  -np.log(gamma_func(cz.nodes)))
-    coupled = couplings(crec.nodes, cz.nodes)
+    coupled = _coupling(made, crec, cz)
     _base_rows(made, base, [left], [right])
     return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys),
-                                                                   coupled)
+                                                                   coupled())
 
 
 def k_delta(delta, x, y, gamma_func=None, _complex=False):
@@ -880,24 +920,4 @@ def brownian_block_kernel(b, mu, times, thresholds, i, x, j, y, mc_paths=20000, 
     val = float(np.sum(wu * sm * sh))
     if t_i < t_j:
         val = val - heat_op_half(t_j - t_i, x, y)
-    return val
-
-
-def hermitian_block_kernel(nu, times, thresholds, i, x, j, y):
-    """Extended kernel for the largest eigenvalue of Brownian motion plus a
-    Hermitian shift, by time inversion of the narrow-wedge kernel.
-
-    K(i,x;j,y) = -e^{(1/t_j - 1/t_i) d^2/2}(x + a_i/t_i, y + a_j/t_j) 1{t_j < t_i}
-                 + K_nw(1/t_i, x + a_i/t_i; 1/t_j, y + a_j/t_j)  (drifts nu).
-    The heat indicator is reversed relative to the forward-time kernel.
-    """
-    times = np.asarray(times, dtype=float)
-    thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ParameterError("times must be positive and strictly increasing")
-    xs = x + thresholds[i] / times[i]
-    ys = y + thresholds[j] / times[j]
-    val = k_nw(nu, 1.0 / times[i], xs, 1.0 / times[j], ys)
-    if times[j] < times[i]:
-        val = val - heat_op_half(1.0 / times[j] - 1.0 / times[i], xs, ys)
     return val

@@ -111,6 +111,8 @@ def sample_blpp(b, mu, m, t, grid_step=None, stream=None, paths=1):
     The grid maximum is biased low by ~sqrt(step log) for continuum maxima;
     comparison tolerances account for it.
     """
+    if not t > 0:
+        raise ParameterError("need t > 0, got %r" % (t,))
     mu = np.atleast_1d(np.asarray(mu, dtype=float))[:m] if np.ndim(mu) else np.full(m, float(mu))
     if len(mu) != m:
         raise ParameterError("need one drift per row")
@@ -172,6 +174,8 @@ def sample_piflat(beta, stream=None, samples=1, n=None):
 
 def sample_loe_max(n, stream=None, samples=1, chunk=512):
     """Largest eigenvalue of X^t X for X an (n+1) x n standard normal matrix."""
+    if n < 1:
+        raise ParameterError("need n >= 1")
     gen = _default_stream(stream).generator()
     out = np.empty(samples)
     done = 0
@@ -273,6 +277,8 @@ def sample_bridge_topmax(n, s, nu=None, grid_step=None, stream=None, paths=1, ch
     validated as the law of nu-started noncolliding bridges) and excluded
     from acceptance checks.
     """
+    if n < 1:
+        raise ParameterError("need n >= 1")
     if not 0.0 < s <= 1.0:
         raise ParameterError("need 0 < s <= 1")
     step = (1.0 / DEFAULTS["bridge_grid"]) if grid_step is None else float(grid_step)

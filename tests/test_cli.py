@@ -303,3 +303,29 @@ def test_simulate_one_sample_prints_one_row(capsys, family):
     assert code == 0
     rows = [l for l in out.splitlines() if not l.startswith("#")]
     assert rows[0] == "index,value" and len(rows) == 2 and rows[1].startswith("0,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cdf", "--family", "loe", "--n", "0", "--a=1"],
+    ["simulate", "--family", "loe", "--n", "0", "--samples", "3"],
+    ["simulate", "--family", "bridge-topmax", "--n", "0", "--s", "0.5", "--samples", "2"],
+    ["simulate", "--family", "blpp-nw", "--mu", "0", "--t", "-1", "--samples", "2"],
+], ids=["cdf-loe-n0", "simulate-loe-n0", "simulate-bridge-topmax-n0", "simulate-blpp-nw-t-1"])
+def test_parameter_outside_its_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("parameter error:"), err
+    assert "index,value" not in out
+
+
+def test_bridge_allmax_grid_across_zero_is_monotone(capsys):
+    # the top bridge starts at max(nu, 0) = 0, so the law is 0 up to r = 0
+    code, out, _ = run_cli(capsys, "cdf", "--family", "bridge-allmax", "--nu=0,0",
+                           "--a=-1:2:0.25")
+    assert code == 0
+    rows = np.array([[float(v) for v in l.split(",")[:2]] for l in out.splitlines()
+                     if l and not l.startswith(("#", "threshold"))])
+    r, values = rows[:, 0], rows[:, 1]
+    assert len(r) == 13
+    assert np.all(values[r <= 0] == 0.0) and np.all(values[r > 0] > 0.0)
+    assert np.all(np.diff(values) >= 0.0), values

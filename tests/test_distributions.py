@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noncolliding import distributions, kernels
 from noncolliding.distributions import (FAMILIES, CdfQuery, airy_fdd, cdf_arithmetic_limit,
                                         cdf_blpp, cdf_bridge_allmax,
                                         cdf_bridge_runningmax, cdf_dyson_edge,
@@ -87,6 +88,19 @@ def test_three_way_agreement():
     nu = np.array([-0.5, 0.0, 0.3])
     for r in (1.0, 2.0):
         assert abs(cdf_bridge_allmax(nu, r) - det_ratio(r - nu, r)) < 1e-6
+
+
+@pytest.mark.parametrize("nu,r", [((0.0, 0.0), -1.0), ((0.0, 0.0), 0.0), ((0.5, 0.0), 0.3)])
+def test_bridge_allmax_is_zero_below_its_start(nu, r):
+    # the top bridge starts at max(nu) and ends at 0
+    assert cdf_bridge_allmax(list(nu), r) == 0.0
+
+
+def test_loe_needs_one_row():
+    with pytest.raises(ParameterError):
+        cdf_loe_max(0, 1.0)
+    with pytest.raises(ParameterError):
+        evaluate_cdf(CdfQuery("loe", {"n": 0, "a": 1.0}))
 
 
 def test_bridge_chain_and_monotonicity():
@@ -344,6 +358,43 @@ def test_curve_matches_one_point_values(family, params, grid):
     tol = CURVE_TOL.get(family, 1e-12)
     for a, got, want in zip(grid, curve, points):
         assert np.isfinite(got) and abs(got - want) <= tol, (family, a, got, want)
+
+
+# ---------------------------------------------------------------------------
+# low-rank couplings
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family", ["airy", "arith", "blpp-nw", "blpp-flat"])
+def test_low_rank_couplings_match_their_dense_sums(family, monkeypatch):
+    # a CURVES grid is long enough to compress its couplings, and
+    # test_curve_matches_one_point_values checks the values they give
+    params, grid = CURVES[family]
+    assert len(grid) >= distributions._LOW_RANK_FROM
+    made, low_rank = [], kernels.low_rank
+
+    def spy(C):
+        made.append((C.copy(), low_rank(C)))
+        return made[-1][1]
+
+    monkeypatch.setattr(kernels, "low_rank", spy)
+    evaluate_curve(CdfQuery(family, params), grid)
+    assert made
+    for C, factored in made:
+        # C is the sum over the coupling signs: both for the flat kernel
+        P, Q = factored
+        assert np.max(np.abs(P @ Q - C)) <= 1e-13 * np.max(np.abs(C))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_one_point_queries_keep_dense_couplings(family, monkeypatch):
+    # the golden tables pin one-point values; the dense path keeps them
+    def refuse(C):
+        raise AssertionError("a one-point query compressed a coupling")
+
+    monkeypatch.setattr(kernels, "low_rank", refuse)
+    params, grid = CURVES[family]
+    value = evaluate_cdf(CdfQuery(family, {**params, FAMILIES[family].threshold: grid[0]}))
+    assert 0.0 <= value <= 1.0
 
 
 # one-time curves with a threshold range on which each law is defined; the

@@ -7,11 +7,10 @@ from noncolliding.contours import gauss_legendre, make_contour
 from noncolliding.exceptions import DomainError, ParameterError
 from noncolliding.distributions import airy_block
 from noncolliding.kernels import (BoundaryFunction, DriftVector, airy_kernel_ext,
-                                  brownian_block_kernel, heat_op_full, heat_op_half,
-                                  hermitian_block_kernel, j_airy, k_bridge, k_delta, k_flat,
-                                  k_loe, k_nw, k_piflat, s_bar, s_bar_hermite, s_hypo_flat,
-                                  s_hypo_mc, s_minus)
-from noncolliding.kernels import Side, _base_rows, _k_delta_engine, shifted_rows
+                                  brownian_block_kernel, heat_op_full, heat_op_half, j_airy,
+                                  k_bridge, k_delta, k_flat, k_loe, k_nw, k_piflat, s_bar,
+                                  s_bar_hermite, s_hypo_flat, s_hypo_mc, s_minus)
+from noncolliding.kernels import Side, _base_rows, _k_delta_engine, low_rank, shifted_rows
 from noncolliding.rng import RngStream
 from noncolliding.special import complex_gamma, heat_kernel
 
@@ -56,6 +55,24 @@ def test_shifted_rows_match_rows_at_shifted_arguments():
     got, top = shifted_rows(made, 2.0)(side, u + 2.0, mask)
     want, want_top = side.rows(u + 2.0, mask)
     assert np.max(np.abs(got * np.exp(top - want_top)[:, None] - want)) < 1e-12
+
+
+def test_low_rank_keeps_a_full_rank_matrix_dense():
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
+    assert low_rank(C) is C
+
+
+def test_low_rank_factors_a_separated_cauchy_matrix():
+    # a circle and a vertical line 0.5 to its right, as the narrow-wedge
+    # kernel couples them: singular values fall below 1e-16 of the largest
+    # at about 40
+    c = make_contour("circle", center=0.0, radius=1.0, nodes=256)
+    z = 1.5 + 1j * np.linspace(-8.0, 8.0, 192)
+    C = 1.0 / (z[None, :] - c.nodes[:, None])
+    P, Q = low_rank(C)
+    assert P.shape[1] == Q.shape[0] <= 40
+    assert np.max(np.abs(P @ Q - C)) <= 1e-13 * np.max(np.abs(C))
 
 
 # ---------------------------------------------------------------------------
@@ -344,24 +361,6 @@ def test_brownian_block_mc_boundary_smoke():
                               mc_paths=2000, stream=RngStream(11))
     want = k_nw(mus, 1.0, 0.3, 1.0, 0.4)
     assert abs(v - want) < 0.05
-
-
-def test_hermitian_block_kernel_reduction_and_indicator():
-    nu = [0.3, -0.3]
-    times = [0.6, 1.4]
-    a = [0.5, 0.8]
-    # single time: K_nw at inverted time with shifted arguments
-    v = hermitian_block_kernel(nu, [1.2], [0.7], 0, 0.1, 0, 0.4)
-    want = k_nw(nu, 1 / 1.2, 0.1 + 0.7 / 1.2, 1 / 1.2, 0.4 + 0.7 / 1.2)
-    assert abs(v - want) < 1e-12
-    # indicator reversed: heat enters when t_j < t_i
-    v01 = hermitian_block_kernel(nu, times, a, 0, 0.1, 1, 0.4)  # t_j > t_i: no heat
-    base01 = k_nw(nu, 1 / 0.6, 0.1 + a[0] / 0.6, 1 / 1.4, 0.4 + a[1] / 1.4)
-    assert abs(v01 - base01) < 1e-12
-    v10 = hermitian_block_kernel(nu, times, a, 1, 0.1, 0, 0.4)  # t_j < t_i: heat
-    base10 = k_nw(nu, 1 / 1.4, 0.1 + a[1] / 1.4, 1 / 0.6, 0.4 + a[0] / 0.6)
-    dt = 1 / 0.6 - 1 / 1.4
-    assert abs(v10 - (base10 - heat_op_half(dt, 0.1 + a[1] / 1.4, 0.4 + a[0] / 0.6))) < 1e-12
 
 
 def test_kernel_contour_perturbation_invariance():

@@ -187,6 +187,16 @@ def test_sampler_validation():
         sample_dyson_max([0.0], [1.0, 0.5])
 
 
+def test_samplers_reject_empty_systems_and_nonpositive_times():
+    with pytest.raises(ParameterError):
+        sample_bridge_topmax(0, 0.5)
+    with pytest.raises(ParameterError):
+        sample_loe_max(0)
+    for t in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            sample_blpp(NW, [0.0], 1, t)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_path_samplers_match_pinned_outputs(name):
     pinned = json.loads((Path(__file__).parent / "data" / "sampler_golden.json").read_text())
