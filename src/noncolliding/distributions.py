@@ -180,7 +180,8 @@ def _piflat_curve(beta, grid, nodes=None, length=None):
         fill = _piflat_engine(beta, _span(spans, 0), _span(spans, 0), made, base * 2)
         return lambda a: _at([[fill]], made, [max(a, 0.0)])[0][0]
 
-    return _curve(lambda a, fill: piflat_block(beta, a, length, fill), grid, nodes, engine)
+    curve = _curve(lambda a, fill: piflat_block(beta, a, length, fill), grid, nodes, engine)
+    return [value if a > 0 else (lambda: 0.0) for a, value in zip(grid, curve)]
 
 
 def _loe_rates(n):
@@ -210,16 +211,15 @@ def bridge_block(nu, r, length=None):
 def cdf_piflat(beta, a, nodes=None, length=None):
     """Law of the point-to-line passage value: det(I - chi K chi).
 
-    The projection is onto [max(a, 0), infinity); for a < 0 the value is 0
-    (the passage value is almost surely positive, and the determinant
-    vanishes identically there).
+    The projection is onto [a, infinity).  The passage value is almost
+    surely positive, so for a <= 0 the value is exactly 0.
     """
-    return _det(piflat_block(beta, a, length), nodes)
+    return _piflat_curve(beta, [a], nodes, length)[0]()
 
 
 def cdf_loe_max(n, a, nodes=None, length=None):
-    """P(largest eigenvalue of X^t X <= 4a) for X (n+1) x n standard normal."""
-    return _det(loe_block(n, a, length), nodes)
+    """P(largest eigenvalue of X^t X <= 4a) for X (n+1) x n standard normal; 0 for a <= 0."""
+    return cdf_piflat(_loe_rates(n), a, nodes, length)
 
 
 def cdf_bridge_allmax(nu, r, nodes=None, length=None):
@@ -254,6 +254,8 @@ def cdf_bridge_runningmax(n, s, a, nodes=None, length=None):
     Uses the flat kernel at equal times T = a^2 s/(1-s) with all drifts -1
     and both arguments shifted by a^2.  s = 1 reduces to the all-time law.
     """
+    if not a > 0:
+        raise DomainError("need a > 0")
     if s == 1.0:
         return cdf_loe_max(n, a * a, nodes)
     if s == 0.0:

@@ -21,7 +21,7 @@ from .distributions import (CdfQuery, airy_fdd, blpp_block, cdf_blpp, cdf_bridge
                             evaluate_curve, loe_block, piflat_block)
 from .fredholm import apply_conjugation, det_nystrom, det_ratio, det_series
 from .kernels import BoundaryFunction, s_bar, s_minus
-from .montecarlo import (_eig_max_2x2, dkw_band, empirical_cdf, sample_arith_max,
+from .montecarlo import (_matrix_running_supmax, dkw_band, empirical_cdf, sample_arith_max,
                          sample_blpp, sample_bridge_topmax, sample_dyson_max, sample_loe_max,
                          sample_piflat)
 from .rng import RngStream
@@ -435,27 +435,6 @@ def eigen_identity(seed=None, paths=10 ** 5):
     rows = [("cdf", g, a, b, abs(a - b)) for g, a, b in zip(grid, e1, e2)]
     disc = float(np.max(np.abs(e1 - e2)))
     return _result("eigen-identity", t0, disc, 2 * dkw_band(paths) + 0.008, rows)
-
-
-def _matrix_running_supmax(mu, t, step, stream, paths):
-    """sup over the grid of lambda_max(H(s) + s diag(mu)) for 2x2 matrices."""
-    J = int(round(t / step))
-    ts = np.arange(1, J + 1) * step
-    gen = stream.generator()
-    out = np.empty(paths)
-    done = 0
-    chunk = min(paths, max(1, int(1.2e7 / J)))
-    bufs = np.empty((5, chunk, J))
-    while done < paths:
-        b = min(chunk, paths - done)
-        for x, sc in zip(bufs[:4, :b], (1.0, 1.0, 0.5, 0.5)):  # h11, h22, re12, im12
-            gen.standard_normal(out=x)
-            x *= np.sqrt(step * sc)
-            np.cumsum(x, axis=1, out=x)
-        bufs[:2, :b] += mu[:2, None, None] * ts
-        out[done:done + b] = np.maximum(_eig_max_2x2(*bufs[:, :b]).max(axis=1), 0.0)
-        done += b
-    return out
 
 
 EXPERIMENTS = {

@@ -147,6 +147,9 @@ def sample_piflat(beta, stream=None, samples=1, n=None):
 
     Cell (i, j) with i+j <= n+1 carries an Exponential(beta_i + beta_{n+1-j})
     weight; the value is the best up/right path from (1,1) to the boundary.
+    The dynamic program keeps only the previous row and the current one, in
+    one array of n cells: cell j holds G(i-1, j) until row i overwrites it
+    with G(i, j).
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     n = len(beta) if n is None else int(n)
@@ -155,20 +158,14 @@ def sample_piflat(beta, stream=None, samples=1, n=None):
     if np.any(beta <= 0):
         raise ParameterError("rates must be positive")
     gen = _default_stream(stream).generator()
-    G = {}
+    G, out = np.zeros((n, samples)), np.zeros(samples)
     for i in range(1, n + 1):
         for j in range(1, n + 2 - i):
             rate = beta[i - 1] + beta[n - j]  # beta_{n+1-j}, 1-based
-            w = gen.exponential(1.0 / rate, size=samples)
-            best = np.zeros(samples)
-            if (i - 1, j) in G:
-                best = np.maximum(best, G[(i - 1, j)])
-            if (i, j - 1) in G:
-                best = np.maximum(best, G[(i, j - 1)])
-            G[(i, j)] = best + w
-    out = np.zeros(samples)
-    for i in range(1, n + 1):
-        out = np.maximum(out, G[(i, n + 1 - i)])
+            if j > 1:
+                np.maximum(G[j - 1], G[j - 2], out=G[j - 1])
+            G[j - 1] += gen.exponential(1.0 / rate, size=samples)
+        np.maximum(out, G[n - i], out=out)
     return float(out[0]) if samples == 1 else out
 
 
@@ -245,18 +242,53 @@ def _top_eig_tridiagonal(d, e):
             hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
 
 
-def _eig_max_2x2(h11, h22, re12, im12, out):
-    """Top eigenvalue of [[h11, re12 + i im12], [re12 - i im12, h22]] into
-    ``out``, overwriting h11, re12 and im12."""
-    np.add(h11, h22, out=out)
-    out *= 0.5
-    h11 -= h22
-    np.square(h11, out=h11)
-    h11 *= 0.25
-    h11 += np.square(re12, out=re12)
-    h11 += np.square(im12, out=im12)
-    out += np.sqrt(h11, out=h11)
+def _hermitian_path_max(draw, n, paths, J, chunk, floor):
+    """Per path, max(floor, grid maximum of the top eigenvalue of an n x n
+    Hermitian path), n <= 2; ``draw(x, k)`` fills x (b, J) with real
+    coordinate k (h11, h22, re12, im12) of a chunk of b paths.
+
+    A 2x2 chunk holds three (b, J) arrays: lambda = (h11 + h22)/2 +
+    sqrt((h11 - h22)^2/4 + re12^2 + im12^2), and re12, then im12, are drawn
+    into h22's array once h11 holds (h11 - h22)^2/4.
+    """
+    out = np.empty(paths)
+    bufs = np.empty((1 if n == 1 else 3, min(paths, chunk), J))
+    done = 0
+    while done < paths:
+        b = min(chunk, paths - done)
+        lam = h11 = bufs[0, :b]
+        draw(h11, 0)
+        if n == 2:
+            x, lam = bufs[1, :b], bufs[2, :b]
+            draw(x, 1)
+            np.add(h11, x, out=lam)
+            lam *= 0.5
+            h11 -= x
+            np.square(h11, out=h11)
+            h11 *= 0.25
+            for k in (2, 3):
+                draw(x, k)
+                h11 += np.square(x, out=x)
+            lam += np.sqrt(h11, out=h11)
+        out[done:done + b] = np.maximum(lam.max(axis=1), floor)
+        done += b
     return out
+
+
+def _matrix_running_supmax(mu, t, step, stream, paths):
+    """sup over the grid of lambda_max(H(s) + s diag(mu)) for 2x2 matrices."""
+    J = int(round(t / step))
+    ts = np.arange(1, J + 1) * step
+    gen = stream.generator()
+
+    def draw(x, k):
+        gen.standard_normal(out=x)
+        x *= np.sqrt(step * (1.0 if k < 2 else 0.5))
+        np.cumsum(x, axis=1, out=x)
+        if k < 2:
+            x += mu[k] * ts
+
+    return _hermitian_path_max(draw, 2, paths, J, max(1, int(1.2e7 / J)), 0.0)
 
 
 def _bridge_grid(s, step):
@@ -275,7 +307,8 @@ def sample_bridge_topmax(n, s, nu=None, grid_step=None, stream=None, paths=1, ch
     usual missed-excursion estimate; tolerances account for it.  For nu
     given, (1-t) diag(nu) is added; that variant is experimental (not
     validated as the law of nu-started noncolliding bridges) and excluded
-    from acceptance checks.
+    from acceptance checks.  For n <= 2 a chunk of paths holds three
+    (paths, steps) arrays, one for n = 1.
     """
     if n < 1:
         raise ParameterError("need n >= 1")
@@ -288,31 +321,29 @@ def sample_bridge_topmax(n, s, nu=None, grid_step=None, stream=None, paths=1, ch
     nu = None if nu is None else np.atleast_1d(np.asarray(nu, dtype=float))
     if nu is not None and len(nu) != n:
         raise ParameterError("need one starting point per eigenvalue")
-    out = np.empty(paths)
-    done = 0
-
     if n <= 2:
-        # fully vectorized over the grid via the real coordinates of H
-        scales = [1.0] if n == 1 else [1.0, 1.0, 0.5, 0.5]  # h11 | h11, h22, re12, im12
-        chunk = min(paths, chunk or max(1, int(1.2e7 / J)))
+        # vectorized over the grid via the real coordinates of H
         dts = np.diff(np.concatenate([[0.0], ts]))
-        bufs = np.empty((len(scales) + 1, chunk, J))
-        while done < paths:
-            b = min(chunk, paths - done)
-            comps, tmp = bufs[:-1, :b], bufs[-1, :b]
-            for x, sc in zip(comps, scales):
-                gen.standard_normal(out=x)
-                x *= np.sqrt(dts * sc)
-                np.cumsum(x, axis=1, out=x)
-                tail = gen.standard_normal((b, 1)) * np.sqrt(max(1.0 - ts[-1], 0.0) * sc)
-                x -= np.multiply(ts, x[:, -1:] + tail, out=tmp)
-            if nu is not None:
-                comps[:n] += nu[:, None, None] * (1.0 - ts)
-            lam = comps[0] if n == 1 else _eig_max_2x2(*comps, tmp)
-            out[done:done + b] = np.maximum(lam.max(axis=1), 0.0 if nu is None else -np.inf)
-            done += b
+        chunk = min(paths, chunk or max(1, int(1.2e7 / J)))
+        rows = -(-chunk // 16)
+
+        def draw(x, k):
+            sc = 1.0 if k < 2 else 0.5
+            gen.standard_normal(out=x)
+            x *= np.sqrt(dts * sc)
+            np.cumsum(x, axis=1, out=x)
+            tail = gen.standard_normal((len(x), 1)) * np.sqrt(max(1.0 - ts[-1], 0.0) * sc)
+            end = x[:, -1:] + tail
+            for i in range(0, len(x), rows):  # pin in sixteenths: no (b, J) scratch
+                x[i:i + rows] -= ts * end[i:i + rows]
+            if nu is not None and k < n:
+                x += nu[k] * (1.0 - ts)
+
+        out = _hermitian_path_max(draw, n, paths, J, chunk, 0.0 if nu is None else -np.inf)
         return float(out[0]) if paths == 1 else out
 
+    out = np.empty(paths)
+    done = 0
     chunk = chunk or max(1, int(2e6 / max(1, J * n * n)))
     while done < paths:
         b = min(chunk, paths - done)

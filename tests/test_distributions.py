@@ -96,6 +96,18 @@ def test_bridge_allmax_is_zero_below_its_start(nu, r):
     assert cdf_bridge_allmax(list(nu), r) == 0.0
 
 
+@pytest.mark.parametrize("a", [-1.0, 0.0])
+def test_piflat_and_loe_are_zero_at_and_below_zero(a):
+    # the passage value and the top eigenvalue are almost surely positive
+    assert cdf_piflat([1.0], a) == 0.0
+    assert cdf_loe_max(2, a) == 0.0
+    assert evaluate_cdf(CdfQuery("piflat", {"beta": [1.0], "a": a})) == 0.0
+    assert evaluate_cdf(CdfQuery("loe", {"n": 2, "a": a})) == 0.0
+    for family, params in (("piflat", {"beta": [1.0, 2.0]}), ("loe", {"n": 2})):
+        curve = evaluate_curve(CdfQuery(family, params), [a, 0.5, 1.0, 2.0])
+        assert curve[0] == 0.0 and 0.0 < curve[1] < curve[2] < curve[3] < 1.0
+
+
 def test_loe_needs_one_row():
     with pytest.raises(ParameterError):
         cdf_loe_max(0, 1.0)
@@ -115,8 +127,9 @@ def test_runningmax_limits():
     assert cdf_bridge_runningmax(2, 1e-4, 1.0) >= 0.99
     assert cdf_bridge_runningmax(3, 1.0, 0.9) == pytest.approx(cdf_loe_max(3, 0.81), abs=1e-12)
     assert cdf_bridge_runningmax(2, 0.0, 1.0) == 1.0
-    with pytest.raises(DomainError):
-        cdf_bridge_runningmax(2, 0.5, -1.0)
+    for s in (0.5, 1.0, 0.0):
+        with pytest.raises(DomainError):
+            cdf_bridge_runningmax(2, s, -1.0)
 
 
 def test_blpp_narrow_wedge_normal_identity():

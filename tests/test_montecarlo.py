@@ -1,24 +1,26 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from noncolliding.exceptions import ParameterError
-from noncolliding.experiments import _matrix_running_supmax
 from noncolliding.kernels import BoundaryFunction
-from noncolliding.montecarlo import (_top_eig_tridiagonal, dkw_band, empirical_cdf,
-                                     sample_arith_max, sample_blpp, sample_bridge_topmax,
-                                     sample_dyson_max, sample_gue, sample_loe_max,
-                                     sample_piflat)
+from noncolliding.montecarlo import (_matrix_running_supmax, _top_eig_tridiagonal, dkw_band,
+                                     empirical_cdf, sample_arith_max, sample_blpp,
+                                     sample_bridge_topmax, sample_dyson_max, sample_gue,
+                                     sample_loe_max, sample_piflat)
 from noncolliding.rng import RngStream
 
 FLAT, NW = BoundaryFunction.flat(), BoundaryFunction.narrow_wedge()
 
-# Outputs of the path samplers, in data/sampler_golden.json, as made before
-# they moved to preallocated buffers; the buffers keep every draw and every
-# floating-point operation in order, so the outputs must match bit for bit.
+# Outputs of the path samplers and of sample_piflat, in
+# data/sampler_golden.json, as made before they moved to preallocated
+# buffers (the piflat entries: before its dynamic program kept one row); the
+# buffers keep every draw and every floating-point operation in order, so the
+# outputs must match bit for bit.
 PINNED = {
     "blpp flat m=2": lambda: sample_blpp(FLAT, [-0.5, -1.0], 2, 1.0, grid_step=1 / 64,
                                          stream=RngStream(31, 1), paths=5),
@@ -38,6 +40,10 @@ PINNED = {
                                                             paths=3),
     "matrix running supmax": lambda: _matrix_running_supmax(np.array([-0.5, -1.0]), 1.0, 1 / 64,
                                                             RngStream(31, 9), 5),
+    "piflat n=1": lambda: sample_piflat([1.5], stream=RngStream(31, 10), samples=200),
+    "piflat n=3": lambda: sample_piflat([0.9, 1.4, 2.2], stream=RngStream(31, 11), samples=300),
+    "piflat n=5": lambda: sample_piflat([0.5, 1.0, 1.3, 2.0, 0.7], stream=RngStream(31, 12),
+                                        samples=250),
 }
 
 
@@ -201,6 +207,35 @@ def test_samplers_reject_empty_systems_and_nonpositive_times():
 def test_path_samplers_match_pinned_outputs(name):
     pinned = json.loads((Path(__file__).parent / "data" / "sampler_golden.json").read_text())
     assert np.array_equal(np.atleast_1d(PINNED[name]()), np.array(pinned[name]))
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["bridge", "matrix"])
+def test_2x2_paths_hold_three_path_arrays(name):
+    # one chunk of b = 500 paths on J = 1024 steps: three (b, J) arrays and
+    # less than a third of one more for the pin's blocks and the grid vectors
+    b, J = 500, 1024
+    call = {"bridge": lambda: sample_bridge_topmax(2, 1.0, grid_step=1 / J,
+                                                   stream=RngStream(17), paths=b),
+            "matrix": lambda: _matrix_running_supmax(np.array([-0.5, -1.0]), 1.0, 1 / J,
+                                                     RngStream(17), b)}[name]
+    assert _peak_bytes(call) <= 3.3 * b * J * 8
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_piflat_holds_one_row_of_cells(n):
+    samples = 20000
+    peak = _peak_bytes(lambda: sample_piflat(np.linspace(0.6, 2.0, n), stream=RngStream(18),
+                                             samples=samples))
+    assert peak <= (n + 3) * samples * 8
 
 
 def test_blpp_grid_step_not_dividing_t_ends_at_t():
