@@ -7,10 +7,10 @@ success, 1 on numerical non-convergence, 2 on usage errors.
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,13 +137,8 @@ def cmd_cdf(args, seed):
         grid_values = [[a] * len(args.times) for a in grid]
     else:
         grid_values = grid
-    workers = DEFAULTS["threads"] if args.threads is None else args.threads
-    if workers < 1:
-        raise UsageError("--threads must be at least 1, got %d" % workers)
-    # one build for the whole grid; the pool runs its per-threshold determinants
     query = CdfQuery(args.family, params, nodes=args.nodes, length=args.length)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        values = evaluate_curve(query, grid_values, pool.map)
+    values = evaluate_curve(query, grid_values)
     lines = _meta(args, seed)
     lines.append("threshold,value,resolution,error_estimate")
     nodes = args.nodes or DEFAULTS["nystrom_nodes_per_slot"]
@@ -194,6 +189,7 @@ def cmd_compare(args, seed):
     return 0 if result.passed else 1
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="noncolliding",
@@ -205,7 +201,6 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--stream", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--output", default=None)
         p.add_argument("--nodes", type=int, default=None)
         p.add_argument("--length", type=float, default=None)

@@ -5,7 +5,7 @@ here so that reported numbers are reproducible.  ``noncolliding
 --show-defaults`` prints this table.
 """
 
-DEFAULTS_VERSION = "2"
+DEFAULTS_VERSION = "3"
 
 DEFAULTS = {
     # quadrature resolutions
@@ -26,8 +26,6 @@ DEFAULTS = {
     "bridge_grid": 2048,
     "euler_steps": 2000,
     "ecdf_points": 1000,
-    # CLI
-    "threads": 4,
 }
 
 

@@ -129,11 +129,11 @@ def _curve(block, grid, nodes, engine):
     ``engine(spans, base, made)`` returns at(a), the fill of threshold a.
     spans[k][i] holds the Nystrom nodes of slot i at grid[k], read from a
     kernel block(a, None), and base[i] those at threshold 0, where the build
-    makes every side's rows into the dict ``made`` before any determinant
-    runs.  From ``_LOW_RANK_FROM`` thresholds on, the build also compresses
-    each contour coupling to low rank.  A one-point grid has nothing to
-    share: its blocks build from their own nodes as they fill, which sizes
-    them alike and holds one block's couplings at a time.
+    makes every side's rows into the dict ``made``.  From ``_LOW_RANK_FROM``
+    thresholds on, the build also compresses each contour coupling to low
+    rank.  A one-point grid has nothing to share: its blocks build from
+    their own nodes as they fill, which sizes them alike and holds one
+    block's couplings at a time.
     """
     if len(grid) == 1:
         return _dets([partial(block, grid[0], None)], nodes)
@@ -488,6 +488,12 @@ def cdf_dyson_edge(nu, taus, xis, nodes=None, lengths=13.0):
     return _dets(_dyson_edge_curve(nu, taus, [xis], nodes, lengths), nodes)[0]()
 
 
+def _det_ratio_law(beta, a):
+    """:func:`det_ratio`, and 0 for a <= 0: the all-time maximum is at least 0."""
+    value = det_ratio(beta, max(a, 0.0))  # checks the rates at every threshold
+    return value if a > 0 else 0.0
+
+
 # ---------------------------------------------------------------------------
 # family registry (used by the command line)
 # ---------------------------------------------------------------------------
@@ -532,7 +538,7 @@ FAMILIES = {
     "dyson-edge": Family(("nu", "times"), "thresholds", lambda p, grid, nodes, length:
                          _dets(_dyson_edge_curve(p["nu"], p["times"], grid, nodes), nodes)),
     "detratio": Family(("beta",), "a", lambda p, grid, nodes, length: [
-        partial(det_ratio, p["beta"], a) for a in grid]),
+        partial(_det_ratio_law, p["beta"], a) for a in grid]),
 }
 
 
@@ -552,25 +558,21 @@ def _family(name):
     return FAMILIES[name]
 
 
-def _call(evaluator):
-    return evaluator()
-
-
-def evaluate_curve(query, grid, map=map):
+def evaluate_curve(query, grid):
     """Values of a named CDF family at every threshold of grid, from one build.
 
     ``query.params`` gives the family's options; a threshold among them is
     not used.  ``grid`` lists the thresholds, one vector per point for the
-    families that take one threshold per time.  ``map`` runs the
-    per-threshold determinants, for instance a thread pool's; the values do
-    not depend on it.  A value can differ from the one-point curve that
-    :func:`evaluate_cdf` gives by the kernel-quadrature error of contours
-    sized for the whole grid, and by the rounding of the rows' scaling.
+    families that take one threshold per time.  The determinants run one
+    after another in the calling thread.  A value can differ from the
+    one-point curve that :func:`evaluate_cdf` gives by the kernel-quadrature
+    error of contours sized for the whole grid, by the rounding of the rows'
+    scaling and by that of the low-rank couplings.
     """
     family, grid = _family(query.family), list(grid)
     if not grid:
         return []
-    return list(map(_call, family.curve(query.params, grid, query.nodes, query.length)))
+    return [value() for value in family.curve(query.params, grid, query.nodes, query.length)]
 
 
 def evaluate_cdf(query):

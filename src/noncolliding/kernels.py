@@ -221,17 +221,18 @@ def low_rank(C):
     C once C's rank r is below k (Halko, Martinsson & Tropp, SIAM Rev. 53,
     2011).  The left singular vectors U_r of Y whose singular values exceed
     machine epsilon times the largest give C = U_r (U_r^H C).  k is 32, then
-    64; a sketch holds when 8 of its columns are left over, and C comes
-    back dense when neither does.  Couplings between separated contours are
-    Cauchy matrices, whose singular values decay geometrically (Beckermann
-    & Townsend, SIAM J. Matrix Anal. Appl. 38, 2017): their rank is about
-    10 between the narrow-wedge or flat contours, about 40 between the Airy
-    or arith ones, so the first sketch is enough for the former.
+    64, both read from one product; a sketch holds when 8 of its columns are
+    left over, and C comes back dense when neither does.  Couplings between
+    separated contours are Cauchy matrices, whose singular values decay
+    geometrically (Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38,
+    2017): their rank is about 10 between the narrow-wedge or flat contours,
+    about 40 between the Airy or arith ones, so the first sketch is enough
+    for the former.
     """
     n = min(64, *C.shape)
-    omega = np.random.default_rng(0).standard_normal((C.shape[1], n))
+    Y = C @ np.random.default_rng(0).standard_normal((C.shape[1], n))
     for k in sorted({min(32, n), n}):
-        U, s = np.linalg.svd(C @ omega[:, :k], full_matrices=False)[:2]
+        U, s = np.linalg.svd(Y[:, :k], full_matrices=False)[:2]
         r = int(np.count_nonzero(s > np.finfo(float).eps * s[0]))
         if r + 8 <= k:
             return U[:, :r], U[:, :r].conj().T @ C
@@ -242,19 +243,21 @@ def _coupling(made, cw, cz, signs=(1.0,)):
     """The couplings of two contours, as a call that returns them.
 
     Builds that share a dict ``made`` (a grid's) make them once and keep
-    them; when ``made["low_rank"]`` is set, as one sum over the signs
-    compressed by :func:`low_rank`.  A lone build makes the dense couplings
-    at each call, so a fill holds one band's couplings at a time.
+    them; when ``made["low_rank"]`` is set, as one sum over the signs, made
+    in place as 2z/(z^2 - w^2) for the flat pair, compressed by
+    :func:`low_rank`.  A lone build makes the dense couplings at each call,
+    so a fill holds one band's couplings at a time.
     """
     dense = partial(couplings, cw.nodes, cz.nodes, signs)
     if made is None:
         return dense
 
     def compressed():
-        C, *rest = dense()
-        for term in rest:
-            C += term  # in place: the couplings are the build's largest arrays
-        return [low_rank(C)]
+        if len(signs) == 1:
+            return [low_rank(dense()[0])]
+        w, z = cw.nodes, cz.nodes
+        C = z[None, :] ** 2 - w[:, None] ** 2
+        return [low_rank(np.divide(2.0 * z, C, out=C))]
 
     coupled = _made(made, (cw, cz), compressed if made.get("low_rank") else dense)
     return lambda: coupled

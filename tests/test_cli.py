@@ -135,7 +135,7 @@ def test_compare_unknown_experiment_lists_known(capsys):
 
 
 def test_numerical_error_exit_code(capsys, monkeypatch):
-    def boom(query, grid, map=map):
+    def boom(query, grid):
         from noncolliding.exceptions import ConvergenceError
         raise ConvergenceError("did not converge")
 
@@ -164,7 +164,8 @@ def test_output_file_and_metadata(tmp_path, capsys):
 def test_show_defaults(capsys):
     code, out, _ = run_cli(capsys, "--show-defaults")
     assert code == 0
-    assert "defaults_version" in out and "nystrom_nodes_per_slot" in out
+    assert "defaults_version: 3" in out and "nystrom_nodes_per_slot" in out
+    assert "threads" not in out
 
 
 def test_console_entry_point_subprocess():
@@ -194,8 +195,7 @@ def test_readme_command_runs(capsys, line):
         assert len(rows) >= 2 and fields[0] >= 2 and set(fields) == {fields[0]}, out
 
 
-# every family whose curve shares one build; the rows the build makes along
-# the curve exist before the pool runs, so the output cannot depend on it
+# every family whose curve shares one build
 SHARED_BUILD_CURVES = [
     ("piflat", "--beta", "0.5,1.5", "--a", "0.2:2.2:0.4"),
     ("airy", "--times", "0", "--a", "-3:1:0.5"),
@@ -206,12 +206,15 @@ SHARED_BUILD_CURVES = [
 ]
 
 
-def test_thread_count_does_not_change_results(capsys):
+def test_repeated_calls_in_one_process_print_the_same(capsys):
+    # main reuses one parser; nothing of one call's options reaches the next
     for family, *options in SHARED_BUILD_CURVES:
         args = ("cdf", "--family", family, *options)
-        _, out1, _ = run_cli(capsys, *args, "--threads", "1")
-        _, out8, _ = run_cli(capsys, *args, "--threads", "8")
-        assert out1 == out8, args
+        first, second = run_cli(capsys, *args), run_cli(capsys, *args)
+        assert first[0] == 0 and first == second, args
+        code, coarse, _ = run_cli(capsys, *args, "--nodes", "32")
+        assert code == 0 and "nodes=32" in coarse and ",32," in coarse
+        assert run_cli(capsys, *args) == first, args
 
 
 @pytest.mark.parametrize("grid", ["1:0:1", "1:2", "0:1:0"])
@@ -237,14 +240,13 @@ def test_help_exits_0(capsys):
     assert "--family" in out
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_thread_count_below_one_exits_2(capsys, threads):
-    # 0 used to become the default 4 and -1 escaped as a ValueError traceback
+def test_threads_option_is_gone(capsys):
+    # a curve's determinants run in the calling thread; there is no pool to size
     code, out, err = run_cli(capsys, "cdf", "--family", "loe", "--n", "1", "--a", "1",
-                             "--threads", threads)
+                             "--threads", "2")
     assert code == 2
     assert out == ""
-    assert _usage_error(err) == "usage error: --threads must be at least 1, got %s" % threads
+    assert "unrecognized arguments: --threads 2" in err
 
 
 def test_no_command_exits_2(capsys):
@@ -311,8 +313,9 @@ def test_simulate_one_sample_prints_one_row(capsys, family):
     ["simulate", "--family", "bridge-topmax", "--n", "0", "--s", "0.5", "--samples", "2"],
     ["simulate", "--family", "blpp-nw", "--mu", "0", "--t", "-1", "--samples", "2"],
     ["cdf", "--family", "bridge-runmax", "--n", "2", "--s", "1", "--a=-1"],
+    ["cdf", "--family", "detratio", "--beta", "1,1", "--a=-1"],
 ], ids=["cdf-loe-n0", "simulate-loe-n0", "simulate-bridge-topmax-n0", "simulate-blpp-nw-t-1",
-        "cdf-bridge-runmax-s1-a-1"])
+        "cdf-bridge-runmax-s1-a-1", "cdf-detratio-repeated-rates-a-1"])
 def test_parameter_outside_its_range_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -331,3 +334,16 @@ def test_bridge_allmax_grid_across_zero_is_monotone(capsys):
     assert len(r) == 13
     assert np.all(values[r <= 0] == 0.0) and np.all(values[r > 0] > 0.0)
     assert np.all(np.diff(values) >= 0.0), values
+
+
+def test_detratio_grid_across_zero_is_monotone(capsys):
+    # the all-time maximum is at least 0, so the law is 0 up to a = 0
+    code, out, err = run_cli(capsys, "cdf", "--family", "detratio", "--beta", "1,2",
+                             "--a=-1:1:0.5")
+    assert code == 0, err
+    rows = [l.split(",")[:2] for l in out.splitlines()
+            if l and not l.startswith(("#", "threshold"))]
+    a, values = np.array([[float(v) for v in r] for r in rows]).T
+    assert list(a) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert [r[1] for r in rows[:3]] == ["0", "0", "0"]
+    assert np.all(values[a > 0] > 0.0) and np.all(np.diff(values) >= 0.0), values

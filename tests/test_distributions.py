@@ -398,6 +398,28 @@ def test_low_rank_couplings_match_their_dense_sums(family, monkeypatch):
         assert np.max(np.abs(P @ Q - C)) <= 1e-13 * np.max(np.abs(C))
 
 
+def test_flat_couplings_are_made_as_one_matrix(monkeypatch):
+    # a grid's flat coupling is 2z/(z^2 - w^2), made directly; it must equal
+    # the sum of the two dense couplings 1/(z - w) + 1/(z + w)
+    seen, made, low_rank, coupling = [], [], kernels.low_rank, kernels._coupling
+
+    def spy(made_dict, cw, cz, signs=(1.0,)):
+        before = len(seen)
+        coupled = coupling(made_dict, cw, cz, signs)
+        made.extend((C, cw.nodes, cz.nodes, signs) for C in seen[before:])
+        return coupled
+
+    monkeypatch.setattr(kernels, "low_rank", lambda C: seen.append(C.copy()) or low_rank(C))
+    monkeypatch.setattr(kernels, "_coupling", spy)
+    for family in sorted(CURVES):
+        evaluate_curve(CdfQuery(family, CURVES[family][0]), CURVES[family][1])
+    flat = [(C, w, z) for C, w, z, signs in made if signs == (1.0, -1.0)]
+    assert len(flat) >= 4
+    for C, w, z in flat:
+        assert np.max(np.abs(C - sum(kernels.couplings(w, z, (1.0, -1.0))))) <= (
+            1e-14 * np.max(np.abs(C)))
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_one_point_queries_keep_dense_couplings(family, monkeypatch):
     # the golden tables pin one-point values; the dense path keeps them
