@@ -116,9 +116,9 @@ def _dets(makers, nodes):
     return [lambda make=make: _det(make(), nodes) for make in makers]
 
 
-# the fewest thresholds whose build compresses its couplings to low rank.  A
-# coupling's sketch costs about as much as the dense products of 3
-# (narrow-wedge, flat) to 8 (Airy, arith) thresholds, and its factors hold a
+# the fewest thresholds whose build compresses its Airy and arith couplings to
+# low rank (narrow-wedge and flat ones have rank m anyway).  A sketch costs
+# about as much as the dense products of 8 thresholds, and its factors hold a
 # fraction of the dense coupling's memory for the rest of the curve
 _LOW_RANK_FROM = 4
 
@@ -130,8 +130,8 @@ def _curve(block, grid, nodes, engine):
     spans[k][i] holds the Nystrom nodes of slot i at grid[k], read from a
     kernel block(a, None), and base[i] those at threshold 0, where the build
     makes every side's rows into the dict ``made``.  From ``_LOW_RANK_FROM``
-    thresholds on, the build also compresses each contour coupling to low
-    rank.  A one-point grid has nothing to share: its blocks build from
+    thresholds on, the build also compresses each Airy and arith coupling to
+    low rank.  A one-point grid has nothing to share: its blocks build from
     their own nodes as they fill, which sizes them alike and holds one
     block's couplings at a time.
     """
@@ -175,6 +175,8 @@ def piflat_block(beta, a, length=None, fill=None):
 
 def _piflat_curve(beta, grid, nodes=None, length=None):
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    if not np.all(beta > 0):  # before a <= 0 gives 0 without building a kernel
+        raise ParameterError("rates beta must all be positive")
 
     def engine(spans, base, made):
         fill = _piflat_engine(beta, _span(spans, 0), _span(spans, 0), made, base * 2)
@@ -488,12 +490,6 @@ def cdf_dyson_edge(nu, taus, xis, nodes=None, lengths=13.0):
     return _dets(_dyson_edge_curve(nu, taus, [xis], nodes, lengths), nodes)[0]()
 
 
-def _det_ratio_law(beta, a):
-    """:func:`det_ratio`, and 0 for a <= 0: the all-time maximum is at least 0."""
-    value = det_ratio(beta, max(a, 0.0))  # checks the rates at every threshold
-    return value if a > 0 else 0.0
-
-
 # ---------------------------------------------------------------------------
 # family registry (used by the command line)
 # ---------------------------------------------------------------------------
@@ -509,7 +505,7 @@ class Family:
     there.  The kernel families build contours, sides, couplings and rows
     once for the whole grid.  bridge-allmax (rates 1 - nu/r) and bridge-runmax
     (time a^2 s/(1-s)) change the kernel with the threshold, so each of
-    their evaluators builds its own, and detratio is a closed form.
+    their evaluators builds its own; detratio is det_ratio at max(a, 0): its maximum is >= 0.
     """
 
     options: tuple
@@ -538,7 +534,7 @@ FAMILIES = {
     "dyson-edge": Family(("nu", "times"), "thresholds", lambda p, grid, nodes, length:
                          _dets(_dyson_edge_curve(p["nu"], p["times"], grid, nodes), nodes)),
     "detratio": Family(("beta",), "a", lambda p, grid, nodes, length: [
-        partial(_det_ratio_law, p["beta"], a) for a in grid]),
+        partial(det_ratio, p["beta"], max(a, 0.0)) for a in grid]),
 }
 
 

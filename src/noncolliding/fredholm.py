@@ -207,4 +207,4 @@ def det_ratio(beta, a):
     j = np.arange(n)
     vand = beta[:, None] ** j[None, :]
     numer = vand - np.exp(-2.0 * beta * a)[:, None] * (-beta[:, None]) ** j[None, :]
-    return float(np.linalg.det(numer) / np.linalg.det(vand))
+    return float(np.linalg.det(numer) / np.linalg.det(vand)) + 0.0  # unsigns a 0 at a = 0

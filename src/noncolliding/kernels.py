@@ -3,12 +3,12 @@
 Every kernel is a (single or double) contour integral; on contour nodes
 it is K(x, y) = L(x) C R(y)^T.  Each family declares its two
 :class:`Side` objects and :func:`contour_fill` forms every product.  C is
-a sum of 1/(z -+ w) terms for the double contours (narrow-wedge, flat,
-arith, Airy, Dyson edge), dense or factored as P Q by :func:`low_rank`, or
-diagonal when both sides share one contour (the rate kernels, s_minus,
-s_bar).  Every row of L and R is stabilized by subtracting its largest
-exponent, so kernels with exponential growth or decay evaluate without
-overflow.
+1/(z - w) for the arith, Airy and Dyson-edge double contours, dense or as
+P Q by :func:`low_rank`; exact rank-m factors V Q for the narrow-wedge and
+flat ones, with m drifts (:func:`_drift_coupling`); or diagonal when both
+sides share one contour (the rate kernels, s_minus, s_bar).  Every row of
+L and R is stabilized by subtracting its largest exponent, so kernels with
+exponential growth or decay evaluate without overflow.
 
 Each family's ``_*_engine`` is split in two.  The build (the engine call)
 sizes the contours for the argument spans it is given and makes the
@@ -18,8 +18,8 @@ arguments.  A threshold grid builds once from the union of its Nystrom
 nodes.  Slot i then fills at its base nodes u shifted by a_i, so the build
 makes each side's rows once, at u, and a threshold scales their columns by
 e^{a_i m} (:func:`shifted_rows`): one complex multiply per entry, no exp.
-A grid of enough thresholds also factors each coupling once, to low rank
-(:func:`_coupling`); a single query keeps the dense couplings.
+A grid of enough thresholds also factors each Airy and arith coupling
+once, to low rank (:func:`_coupling`); a single query keeps them dense.
 
 Heat-operator conventions (two distinct semigroups appear and differ by a
 factor of 2 in the variance; both are housed here explicitly):
@@ -209,58 +209,62 @@ def _base_rows(made, base, xsides, ysides):
             _made(made, side, lambda: side.rows(us))
 
 
-def couplings(w, z, signs=(1.0,)):
-    """The dense couplings 1/(z - s w) between left nodes w and right nodes z, one per sign."""
-    return [1.0 / (z[None, :] - s * w[:, None]) for s in signs]
+def couplings(w, z):
+    """The dense coupling 1/(z - w) between left nodes w and right nodes z, as a one-term list."""
+    return [1.0 / (z[None, :] - w[:, None])]
 
 
 def low_rank(C):
     """(P, Q) with P @ Q equal to C to machine precision, or C itself when its rank is high.
 
-    A fixed-seed Gaussian sketch Y = C Omega of k columns spans the range of
-    C once C's rank r is below k (Halko, Martinsson & Tropp, SIAM Rev. 53,
-    2011).  The left singular vectors U_r of Y whose singular values exceed
-    machine epsilon times the largest give C = U_r (U_r^H C).  k is 32, then
-    64, both read from one product; a sketch holds when 8 of its columns are
-    left over, and C comes back dense when neither does.  Couplings between
+    A fixed-seed Gaussian sketch Y = C Omega of k = 64 columns spans the
+    range of C once C's rank r is below k (Halko, Martinsson & Tropp, SIAM
+    Rev. 53, 2011), and the left singular vectors U_r of Y whose singular
+    values exceed machine epsilon times the largest give C = U_r (U_r^H C).
+    C stays dense unless 8 columns are left over.  Couplings between
     separated contours are Cauchy matrices, whose singular values decay
     geometrically (Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38,
-    2017): their rank is about 10 between the narrow-wedge or flat contours,
-    about 40 between the Airy or arith ones, so the first sketch is enough
-    for the former.
+    2017): their rank is about 40 between the Airy or arith contours.
     """
-    n = min(64, *C.shape)
-    Y = C @ np.random.default_rng(0).standard_normal((C.shape[1], n))
-    for k in sorted({min(32, n), n}):
-        U, s = np.linalg.svd(Y[:, :k], full_matrices=False)[:2]
-        r = int(np.count_nonzero(s > np.finfo(float).eps * s[0]))
-        if r + 8 <= k:
-            return U[:, :r], U[:, :r].conj().T @ C
-    return C
+    k = min(64, *C.shape)
+    Y = C @ np.random.default_rng(0).standard_normal((C.shape[1], k))
+    U, s = np.linalg.svd(Y, full_matrices=False)[:2]
+    r = int(np.count_nonzero(s > np.finfo(float).eps * s[0]))
+    return (U[:, :r], U[:, :r].conj().T @ C) if r + 8 <= k else C
 
 
-def _coupling(made, cw, cz, signs=(1.0,)):
-    """The couplings of two contours, as a call that returns them.
+def _coupling(made, cw, cz):
+    """:func:`couplings` of two contours, made once by the builds that share a dict ``made``.
 
-    Builds that share a dict ``made`` (a grid's) make them once and keep
-    them; when ``made["low_rank"]`` is set, as one sum over the signs, made
-    in place as 2z/(z^2 - w^2) for the flat pair, compressed by
-    :func:`low_rank`.  A lone build makes the dense couplings at each call,
-    so a fill holds one band's couplings at a time.
+    A grid's build compresses them by :func:`low_rank` when ``made["low_rank"]`` is set.
     """
-    dense = partial(couplings, cw.nodes, cz.nodes, signs)
-    if made is None:
-        return dense
+    compress = low_rank if made and made.get("low_rank") else (lambda C: C)
+    return _made(made, (cw, cz), lambda: [compress(C) for C in couplings(cw.nodes, cz.nodes)])
 
-    def compressed():
-        if len(signs) == 1:
-            return [low_rank(dense()[0])]
-        w, z = cw.nodes, cz.nodes
-        C = z[None, :] ** 2 - w[:, None] ** 2
-        return [low_rank(np.divide(2.0 * z, C, out=C))]
 
-    coupled = _made(made, (cw, cz), compressed if made.get("low_rank") else dense)
-    return lambda: coupled
+def _drift_coupling(mu, cw, cz, flat):
+    """The nw/flat coupling 1/(z - w), + 1/(z + w) if flat, as one exact rank-m term [(V, Q)].
+
+    The w integrand's only poles in the circle cw are the drifts, the roots
+    of q(w), so 1/(z - w) may become (q(z) - q(w))/((z - w) q(z)): the part
+    left out, q(w)/((z - w) q(z)), cancels them, and with z outside the
+    circle it integrates to 0.  So may -1/(-z - w) = 1/(z + w), -z being
+    outside too (:func:`_line_floor`).  With c the centre, v = w - c and
+    q(c + v) = sum_k a_k v^k, the part kept is sum_p v^p c_p(z - c)/q(z), with
+    c_p(zeta) = sum_{k>p} a_k zeta^{k-1-p}: V holds the columns v^p, Q the rows.
+    """
+    c, m = cw.geometry["center"], len(mu)
+    a = np.poly(mu - c)[::-1]
+
+    def coefficients(z):
+        # c_{m-1} = a_m = 1, c_{p-1} = a_p + zeta c_p and q(z) = a_0 + zeta c_0
+        zeta, cp = z - c, [np.ones_like(z)]
+        for p in range(m - 1, 0, -1):
+            cp.append(a[p] + zeta * cp[-1])
+        return np.array(cp[::-1]) / (a[0] + zeta * cp[-1])
+
+    Q = coefficients(cz.nodes) - coefficients(-cz.nodes) if flat else coefficients(cz.nodes)
+    return [(np.power.outer(cw.nodes - c, np.arange(m)), Q)]
 
 
 def contour_fill(left_rows, right_rows, coupled=None):
@@ -269,9 +273,10 @@ def contour_fill(left_rows, right_rows, coupled=None):
     ``left_rows`` and ``right_rows`` are what :meth:`Side.rows` returns for
     the arguments xs and ys.  With ``coupled`` (double contour), C = sum of
     the coupling terms / (2 pi i)^2, one product per term.  A term is a dense
-    matrix, or a pair (P, Q) from :func:`low_rank` with C = P Q, formed as
-    (L P)(Q R^T) at rank-r cost.  Without, both sides share one contour, only
-    the left one carries dz-weights, and C = I / (2 pi i).
+    matrix, or a pair (P, Q) with C = P Q (:func:`low_rank`,
+    :func:`_drift_coupling`), formed as (L P)(Q R^T) at rank-r cost.  Without,
+    both sides share one contour, only the left one carries dz-weights, and
+    C = I / (2 pi i).
     """
     (A, top_x), (B, top_y) = left_rows, right_rows
     if coupled is None:
@@ -557,29 +562,28 @@ def _nw_flat_engine(mu, t1, t2, xs, ys, flat, made=None, base=None):
     One vertical z line per y-band keeps the line near the Gaussian saddle.
     The bands are laid over the span ys; a fill puts each of its y in the
     band that holds it.  Builds that share the dict ``made`` share each
-    contour, side and coupling they have in common; along a curve each band's
-    rows are made over all of the slot's base nodes, and its mask selects.
+    contour and side they have in common; along a curve each band's rows are
+    made over all of the slot's base nodes, and its mask selects.
     """
     mu = _drifts(mu)
     xs, ys = _args(xs, ys)
     m = len(mu)
     reach = float(np.max(np.abs(xs)))
     center, radius = _pole_circle(mu, reach)
-    # the circle often has the same nodes at every time, so key it (and the
-    # couplings) by its geometry, and the sides by contour and time
+    # the circle often has the same nodes at every time, so key it by its
+    # geometry, and the sides by contour and time
     n_w = _circle_nodes(reach + t1 * radius, radius)
     cw = _made(made, ("circle", center, radius, n_w),
                lambda: make_contour("circle", center=center, radius=radius, nodes=n_w))
     left = _made(made, (cw, t1), lambda: _gaussian_side(cw, t1, mu, -1.0))
     d_min = _line_floor(center, radius, flat)
-    signs = (1.0, -1.0) if flat else (1.0,)
     bands = []
     for ybar, mask, select in _bands(ys, width=8.0 * np.sqrt(t2)):
         d = max(d_min, ybar / t2)
         slope = max(abs(t2 * d - ys[mask].min()), abs(t2 * d - ys[mask].max())) + m + 1.0
         cz = _made(made, ("line", d, t2, slope), lambda: _vertical_auto(d, t2, m, slope))
         right = _made(made, (cz, t2), lambda: _gaussian_side(cz, t2, mu, 1.0))
-        bands.append((select, right, _coupling(made, cw, cz, signs)))
+        bands.append((select, right, _drift_coupling(mu, cw, cz, flat)))
     _base_rows(made, base, [left], [right for _, right, _ in bands])
 
     def fill(xs, ys, rx=Side.rows, ry=Side.rows):
@@ -588,7 +592,7 @@ def _nw_flat_engine(mu, t1, t2, xs, ys, flat, made=None, base=None):
         for select, right, coupled in bands:
             mask = select(ys)
             if np.any(mask):
-                out[:, mask] = contour_fill(A, ry(right, ys, mask), coupled()).real
+                out[:, mask] = contour_fill(A, ry(right, ys, mask), coupled).real
         return out * (ys > 0)[None, :] if flat else out
 
     return fill
@@ -613,12 +617,12 @@ def _flat_far_time_engine(mu, t, xs, ys, made=None, base=None):
     m = len(mu)
     cz = _vertical_auto(0.0, t, m, float(np.max(np.abs(ys))) + m + 1.0)
     left, right = _gaussian_side(cw, t, mu, -1.0), _gaussian_side(cz, t, mu, 1.0)
-    coupled = _coupling(made, cw, cz, (1.0, -1.0))
+    coupled = _drift_coupling(mu, cw, cz, True)
     residue = _piflat_engine(-mu, xs, ys, made, base)
     _base_rows(made, base, [left], [right])
 
     def fill(xs, ys, rx=Side.rows, ry=Side.rows):
-        rem = contour_fill(rx(left, xs), ry(right, ys), coupled()).real
+        rem = contour_fill(rx(left, xs), ry(right, ys), coupled).real
         return (rem + residue(xs, ys, rx, ry)) * (ys > 0)[None, :]
 
     return fill
@@ -696,7 +700,7 @@ def _k_delta_engine(delta, xs, ys, gamma_func=None, rec_extension=1.0, node_fact
     coupled = _coupling(made, crec, cz)
     _base_rows(made, base, [left], [right])
     return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys),
-                                                                   coupled())
+                                                                   coupled)
 
 
 def k_delta(delta, x, y, gamma_func=None, _complex=False):
@@ -795,7 +799,7 @@ def _jairy_engine(t1, t2, xs, ys, mode="wedge", delta1=None, delta2=None, made=N
     coupled = _coupling(made, cw, cz)
     _base_rows(made, base, [left], [right])
     return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys),
-                                                                   coupled()).real
+                                                                   coupled).real
 
 
 def j_airy(t1, x, t2, y, mode="wedge", delta1=None, delta2=None):

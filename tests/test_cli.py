@@ -314,8 +314,10 @@ def test_simulate_one_sample_prints_one_row(capsys, family):
     ["simulate", "--family", "blpp-nw", "--mu", "0", "--t", "-1", "--samples", "2"],
     ["cdf", "--family", "bridge-runmax", "--n", "2", "--s", "1", "--a=-1"],
     ["cdf", "--family", "detratio", "--beta", "1,1", "--a=-1"],
+    ["cdf", "--family", "piflat", "--beta=-1,2", "--a=-1"],
 ], ids=["cdf-loe-n0", "simulate-loe-n0", "simulate-bridge-topmax-n0", "simulate-blpp-nw-t-1",
-        "cdf-bridge-runmax-s1-a-1", "cdf-detratio-repeated-rates-a-1"])
+        "cdf-bridge-runmax-s1-a-1", "cdf-detratio-repeated-rates-a-1",
+        "cdf-piflat-negative-rate-a-1"])
 def test_parameter_outside_its_range_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

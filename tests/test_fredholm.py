@@ -97,6 +97,16 @@ def test_det_ratio_closed_forms():
         det_ratio([-1.0], 0.5)
 
 
+@pytest.mark.parametrize("beta", [[1.0, 2.0], [0.5, 1.5, 4.0], [0.3, 0.9, 1.7, 2.2, 3.1],
+                                  [2.5, 0.4, 1.1, 0.7]])
+def test_det_ratio_is_plus_zero_at_zero(beta):
+    # the LU of the numerator's zero column signs its determinant by the pivots,
+    # which follow the order of the rates: (2, 1) gave -0.0, printed as -0
+    for order in (beta, beta[::-1]):
+        value = det_ratio(order, 0.0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0, (order, value)
+
+
 def test_block_kernel_pointwise_eval():
     K = piflat_block([1.0], 0.0)
     from noncolliding.kernels import k_piflat
