@@ -15,8 +15,7 @@ from noncolliding import (RngStream, cdf_arithmetic_limit, empirical_cdf, k_delt
                           sample_arith_max)
 
 print("== kernel sanity ==")
-v = k_delta(2.0, 0.0, 1.0, _complex=True)
-print("K_2(0, 1) = %.12f  (|imag| %.1e)" % (v.real, abs(v.imag)))
+print("K_2(0, 1) = %.12f" % k_delta(2.0, 0.0, 1.0))
 
 print("\n== the limit CDF candidate ==")
 grid = np.linspace(-3.0, 4.0, 8)

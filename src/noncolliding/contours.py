@@ -10,10 +10,18 @@ clockwise; open contours (vertical line, wedge) run upward, i.e. with
 increasing imaginary part through the apex / axis crossing.  Open contours
 are truncated and record their truncation length so refinement tests can
 double it.
+
+Every contour is symmetric about the horizontal line through its centre,
+offset or apex (the real axis, for every contour a kernel draws) and is
+built from its upper half.  The lower half is its exact mirror image,
+z -> z-bar with weights w -> -conj(w), as the path runs through it the
+other way.  An integrand with real parameters has f(z-bar) = conj f(z), so
+its integral is 2 Re of the sum over ``upper_nodes`` and ``upper_weights``,
+in which a node on the axis, its own mirror, has half its weight.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,14 +62,36 @@ def graded_edges(length, first, growth=1.7):
 
 @dataclass(eq=False)
 class Contour:
-    """A parametrized complex path with quadrature nodes and dz-weights."""
+    """A parametrized complex path with quadrature nodes and dz-weights.
+
+    Kept as its upper half, a node on the axis Im z = ``axis`` at half
+    weight; ``nodes`` and ``weights``, the whole path, are made when read.
+    """
 
     kind: str
-    nodes: np.ndarray
-    weights: np.ndarray
+    upper_nodes: np.ndarray
+    upper_weights: np.ndarray
     closed: bool
     truncation: float | None = None
     geometry: dict = field(default_factory=dict)
+    axis: float = 0.0
+
+    @cached_property
+    def _path(self):
+        z, w = self.upper_nodes, self.upper_weights
+        on_axis = z.imag == self.axis
+        upper = (z, np.where(on_axis, 2.0 * w, w))
+        lower = (np.conj(z[~on_axis][::-1]) + 2j * self.axis, -np.conj(w[~on_axis][::-1]))
+        halves = [upper, lower] if self.closed else [lower, upper]
+        return np.concatenate([h[0] for h in halves]), np.concatenate([h[1] for h in halves])
+
+    @property
+    def nodes(self):
+        return self._path[0]
+
+    @property
+    def weights(self):
+        return self._path[1]
 
     def integrate(self, f):
         return np.sum(self.weights * f(self.nodes))
@@ -76,49 +106,76 @@ class Contour:
         return make_contour(self.kind, **geo)
 
 
-def _circle(center, radius, nodes):
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    z = center + radius * np.exp(1j * theta)
-    w = (2j * np.pi / nodes) * (z - center)  # periodic trapezoid, dz = i(z-c) dθ
-    return z, w
+def mirrored(kind, origin, u, w, closed, truncation, geometry):
+    """The contour origin + u, u its upper half (Im u >= 0) with weights w, and its mirror image.
+
+    The lower half is origin + conj(u) with weights -conj(w).  A node with
+    Im u = 0 is its own mirror, so it appears once, and at half weight in
+    the upper half.
+    """
+    return Contour(kind, origin + u, np.where(u.imag == 0, 0.5 * w, w), closed, truncation,
+                   geometry, float(np.imag(origin)))
 
 
-def _vertical(offset, half_height, nodes):
-    t, wt = gauss_legendre(-half_height, half_height, nodes)
-    return offset + 1j * t, 1j * wt
+@lru_cache(maxsize=256)
+def upper_legendre(half_height, panels, per_panel):
+    """The t >= 0 half of the composite Gauss-Legendre rule on [-half_height, half_height].
+
+    ``panels`` equal panels of ``per_panel`` nodes, as :func:`composite_legendre`
+    makes them; a node at t = 0 keeps its whole weight.  Cached, so read-only.
+    """
+    x, w = _leggauss(per_panel)
+    edges = np.linspace(-half_height, half_height, panels + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    if panels % 2:
+        mid[panels // 2] = 0.0  # the middle panel, centred on the axis up to rounding
+    t = (mid[:, None] + half[:, None] * x).ravel()
+    keep = t >= 0
+    t, w = t[keep], (half[:, None] * w).ravel()[keep]
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _circle(radius, nodes):
+    theta = 2.0 * np.pi * np.arange(nodes // 2 + 1) / nodes
+    u = radius * np.exp(1j * theta)
+    u[0] = radius
+    if nodes % 2 == 0:
+        u[-1] = -radius
+    return u, (2j * np.pi / nodes) * u  # periodic trapezoid, dz = i(z-c) dtheta
+
+
+def _vertical(half_height, nodes):
+    t, wt = upper_legendre(half_height, 1, nodes)
+    return 1j * t, 1j * wt
 
 
 def _rectangle(left, right, half_height, nodes):
     width, height = right - left, 2.0 * half_height
     per_unit = max(8, int(round(nodes / (2.0 * (width + height)))))
-    sides = [
-        (complex(left, -half_height), complex(right, -half_height)),
-        (complex(right, -half_height), complex(right, half_height)),
-        (complex(right, half_height), complex(left, half_height)),
-        (complex(left, half_height), complex(left, -half_height)),
-    ]
-    zs, ws = [], []
-    for a, b in sides:
-        n_side = max(8, int(np.ceil(abs(b - a) * per_unit)))
-        edges = np.linspace(0.0, 1.0, max(2, int(np.ceil(abs(b - a) / 2.0)) + 1))
-        t, wt = composite_legendre(edges, max(8, n_side // (len(edges) - 1)))
-        zs.append(a + (b - a) * t)
-        ws.append((b - a) * wt)
-    return np.concatenate(zs), np.concatenate(ws)
+
+    def rule(length):
+        """(panels, nodes per panel) of a side of this length."""
+        panels = max(1, int(np.ceil(length / 2.0)))
+        return panels, max(8, max(8, int(np.ceil(length * per_unit))) // panels)
+
+    # upward along the right side from the axis, leftward along the top, down the left side
+    s, ws = upper_legendre(half_height, *rule(height))
+    panels, per_panel = rule(width)
+    t, wt = composite_legendre(np.linspace(0.0, 1.0, panels + 1), per_panel)
+    u = np.concatenate([right + 1j * s, right - width * t + 1j * half_height, left + 1j * s[::-1]])
+    w = np.concatenate([1j * ws, -width * wt, -1j * ws[::-1]])
+    return u, w
 
 
-def _wedge(apex, angle, length, nodes, first_panel=0.75):
+def _wedge(angle, length, nodes, first_panel=0.75):
     if not 0.0 < angle < np.pi:
         raise ParameterError("wedge angle must lie in (0, pi), got %r" % (angle,))
     edges = graded_edges(length, first_panel)
     per_panel = max(8, int(round(nodes / (len(edges) - 1))))
     t, wt = composite_legendre(edges, per_panel)
-    lo = np.exp(-1j * angle)
     up = np.exp(1j * angle)
-    # traversal: lower ray from far end to apex, then apex out the upper ray
-    z = np.concatenate([apex + lo * t[::-1], apex + up * t])
-    w = np.concatenate([-lo * wt[::-1], up * wt])
-    return z, w
+    return up * t, up * wt  # the upper ray, out from the apex
 
 
 def make_contour(kind, *, nodes=None, **geometry):
@@ -146,26 +203,26 @@ def make_contour(kind, *, nodes=None, **geometry):
             raise ParameterError("%s must be positive, got %r" % (key, geometry[key]))
 
     if kind == "circle":
-        z, w = _circle(geometry["center"], geometry["radius"], nodes)
-        closed, trunc = True, None
+        origin, closed, trunc = geometry["center"], True, None
+        u, w = _circle(geometry["radius"], nodes)
     elif kind == "vertical":
-        z, w = _vertical(geometry["offset"], geometry["half_height"], nodes)
-        closed, trunc = False, geometry["half_height"]
+        origin, closed, trunc = geometry["offset"], False, geometry["half_height"]
+        u, w = _vertical(geometry["half_height"], nodes)
     elif kind == "rectangle":
         if not geometry["right"] > geometry["left"]:
             raise ParameterError("rectangle needs right > left")
-        z, w = _rectangle(geometry["left"], geometry["right"], geometry["half_height"], nodes)
-        closed, trunc = True, None
+        origin, closed, trunc = 0.0, True, None
+        u, w = _rectangle(geometry["left"], geometry["right"], geometry["half_height"], nodes)
     elif kind == "wedge":
-        z, w = _wedge(geometry["apex"], geometry["angle"], geometry["length"], nodes,
+        origin, closed, trunc = geometry["apex"], False, geometry["length"]
+        u, w = _wedge(geometry["angle"], geometry["length"], nodes,
                       geometry.get("first_panel", 0.75))
-        closed, trunc = False, geometry["length"]
     else:
         raise ParameterError("unknown contour kind %r" % (kind,))
 
     geometry = dict(geometry)
     geometry["nodes"] = nodes
-    return Contour(kind, z, w, closed, trunc, geometry)
+    return mirrored(kind, origin, u, w, closed, trunc, geometry)
 
 
 def adaptive_ray(psi, max_length, drop=None, base_step=0.2, nodes_per_radian=1.5,
@@ -214,11 +271,8 @@ def ray_wedge(apex, angle, psi, max_length):
     """
     u = np.exp(1j * angle)
     tau, wt = adaptive_ray(lambda t: psi(apex + u * t), max_length)
-    lo = np.conj(u)
-    nodes = np.concatenate([apex + lo * tau[::-1], apex + u * tau])
-    weights = np.concatenate([-lo * wt[::-1], u * wt])
-    return Contour("wedge", nodes, weights, False, float(tau.max()),
-                   {"apex": apex, "angle": angle, "nodes": len(nodes)})
+    return mirrored("wedge", apex, u * tau, u * wt, False, float(tau.max()),
+                    {"apex": apex, "angle": angle, "nodes": 2 * len(tau)})
 
 
 @dataclass(eq=False)

@@ -269,7 +269,7 @@ def arith_block(delta, a, length=None, gamma_func=None, fill=None):
     """Gamma-ratio block on [a, infinity); ``fill`` is a grid's fill at a."""
     length = 40.0 + max(0.0, -float(a)) if length is None else length
     fill = fill or (lambda xs, ys: _k_delta_engine(delta, xs, ys, gamma_func)(xs, ys))
-    return single_slot_kernel(lambda xs, ys: fill(xs, ys).real, float(a), length, "arith")
+    return single_slot_kernel(fill, float(a), length, "arith")
 
 
 def _arith_curve(delta, grid, nodes=None, length=None):

@@ -21,9 +21,9 @@ from .distributions import (CdfQuery, airy_fdd, blpp_block, cdf_blpp, cdf_bridge
                             evaluate_curve, loe_block, piflat_block)
 from .fredholm import apply_conjugation, det_nystrom, det_ratio, det_series
 from .kernels import BoundaryFunction, s_bar, s_minus
-from .montecarlo import (_matrix_running_supmax, dkw_band, empirical_cdf, sample_arith_max,
-                         sample_blpp, sample_bridge_topmax, sample_dyson_max, sample_loe_max,
-                         sample_piflat)
+from .montecarlo import (_hermitian_noise, _matrix_running_supmax, dkw_band, empirical_cdf,
+                         sample_arith_max, sample_blpp, sample_bridge_topmax, sample_dyson_max,
+                         sample_loe_max, sample_piflat)
 from .rng import RngStream
 from .special import heat_kernel
 
@@ -198,10 +198,7 @@ def narrow_wedge(seed=None, n_samples=10 ** 6):
         disc1 = max(disc1, abs(got - want))
     if disc1 > 1e-6:
         return _result("narrow-wedge", t0, disc1, 1e-6, rows, "normal stage failed")
-    gen = RngStream(_seed(seed), 81).generator()
-    shape = (n_samples, 2, 2)
-    W = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
-    H = (W + np.conj(np.swapaxes(W, -1, -2))) / np.sqrt(2.0)
+    H = _hermitian_noise(RngStream(_seed(seed), 81).generator(), n_samples, 2)
     h11, h22, h12 = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1]
     lam = 0.5 * (h11 + h22) + np.sqrt(0.25 * (h11 - h22) ** 2 + np.abs(h12) ** 2)
     grid = np.quantile(lam, np.linspace(0.02, 0.98, 21))

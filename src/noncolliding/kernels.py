@@ -10,6 +10,12 @@ sides share one contour (the rate kernels, s_minus, s_bar).  Every row of
 L and R is stabilized by subtracting its largest exponent, so kernels with
 exponential growth or decay evaluate without overflow.
 
+Every kernel here has real parameters, so it is real, and every contour is
+symmetric about the real axis (see :mod:`.contours`).  A side holds only
+its contour's upper half, and :func:`contour_fill` returns 2 Re of the sum
+over it: the lower half enters through f(z-bar) = conj f(z) and
+w(z-bar) = -conj w(z) alone, and is never evaluated.
+
 Each family's ``_*_engine`` is split in two.  The build (the engine call)
 sizes the contours for the argument spans it is given and makes the
 sides' argument-free factors and the couplings; the fill it returns takes
@@ -34,12 +40,11 @@ import numpy as np
 from dataclasses import dataclass
 from functools import partial
 
-from .contours import gauss_legendre, make_contour, ray_wedge
+from .contours import gauss_legendre, make_contour, mirrored, ray_wedge, upper_legendre
 from .defaults import DEFAULTS
 from .exceptions import DomainError, ParameterError
 from .special import _airy_any_real, complex_gamma, heat_kernel
 
-_TWO_PI_I = 2j * np.pi
 _DROP = DEFAULTS["decay_drop"]
 
 
@@ -154,9 +159,10 @@ def _log_poly(z, roots):
 class Side:
     """One side of a separable kernel: u -> weights * e^{phi + u m + log_factor}.
 
-    Per node (or scalar): ``phi`` is the argument-free polynomial exponent,
-    ``m`` the multiplier of the argument u and ``log_factor`` the log of the
-    pole, zero or Gamma factor.  It is added after u m: the arith sum cancels
+    The nodes and weights are those of a contour's upper half.  Per node
+    (or scalar): ``phi`` is the argument-free polynomial exponent, ``m`` the
+    multiplier of the argument u and ``log_factor`` the log of the pole,
+    zero or Gamma factor.  It is added after u m: the arith sum cancels
     about six digits, so that order is part of its values.  Sides compare by
     identity, so a build can key its couplings and base rows on them.
     """
@@ -210,8 +216,11 @@ def _base_rows(made, base, xsides, ysides):
 
 
 def couplings(w, z):
-    """The dense coupling 1/(z - w) between left nodes w and right nodes z, as a one-term list."""
-    return [1.0 / (z[None, :] - w[:, None])]
+    """The dense coupling 1/(z - w) of left nodes w to right nodes z and to their mirrors z-bar.
+
+    As :func:`contour_fill` takes it: (None, C(w, z), C(w, z-bar)).
+    """
+    return None, 1.0 / (z[None, :] - w[:, None]), 1.0 / (z.conj()[None, :] - w[:, None])
 
 
 def low_rank(C):
@@ -236,14 +245,22 @@ def low_rank(C):
 def _coupling(made, cw, cz):
     """:func:`couplings` of two contours, made once by the builds that share a dict ``made``.
 
-    A grid's build compresses them by :func:`low_rank` when ``made["low_rank"]`` is set.
+    A grid's build compresses the pair by :func:`low_rank` into factors
+    P (Q, Q-bar) when ``made["low_rank"]`` is set.
     """
-    compress = low_rank if made and made.get("low_rank") else (lambda C: C)
-    return _made(made, (cw, cz), lambda: [compress(C) for C in couplings(cw.nodes, cz.nodes)])
+    def make():
+        coupled = couplings(cw.upper_nodes, cz.upper_nodes)
+        factors = low_rank(np.hstack(coupled[1:])) if made and made.get("low_rank") else None
+        if not isinstance(factors, tuple):
+            return coupled
+        P, Q = factors
+        return P, *np.hsplit(Q, 2)
+
+    return _made(made, (cw, cz), make)
 
 
 def _drift_coupling(mu, cw, cz, flat):
-    """The nw/flat coupling 1/(z - w), + 1/(z + w) if flat, as one exact rank-m term [(V, Q)].
+    """The nw/flat coupling 1/(z - w), + 1/(z + w) if flat, as exact rank-m factors (V, Q, None).
 
     The w integrand's only poles in the circle cw are the drifts, the roots
     of q(w), so 1/(z - w) may become (q(z) - q(w))/((z - w) q(z)): the part
@@ -252,6 +269,8 @@ def _drift_coupling(mu, cw, cz, flat):
     outside too (:func:`_line_floor`).  With c the centre, v = w - c and
     q(c + v) = sum_k a_k v^k, the part kept is sum_p v^p c_p(z - c)/q(z), with
     c_p(zeta) = sum_{k>p} a_k zeta^{k-1-p}: V holds the columns v^p, Q the rows.
+    The a_k are real, so Q(z-bar) = conj Q(z), which the None in place of
+    Q-bar tells :func:`contour_fill`.
     """
     c, m = cw.geometry["center"], len(mu)
     a = np.poly(mu - c)[::-1]
@@ -263,32 +282,39 @@ def _drift_coupling(mu, cw, cz, flat):
             cp.append(a[p] + zeta * cp[-1])
         return np.array(cp[::-1]) / (a[0] + zeta * cp[-1])
 
-    Q = coefficients(cz.nodes) - coefficients(-cz.nodes) if flat else coefficients(cz.nodes)
-    return [(np.power.outer(cw.nodes - c, np.arange(m)), Q)]
+    z = cz.upper_nodes
+    Q = coefficients(z) - coefficients(-z) if flat else coefficients(z)
+    return np.power.outer(cw.upper_nodes - c, np.arange(m)), Q, None
 
 
 def contour_fill(left_rows, right_rows, coupled=None):
-    """K(x, y) = L(x) C R(y)^T from the rows of both sides, as a complex array.
+    """K(x, y) = L(x) C R(y)^T over whole contours, from the rows of the sides' upper halves.
 
     ``left_rows`` and ``right_rows`` are what :meth:`Side.rows` returns for
-    the arguments xs and ys.  With ``coupled`` (double contour), C = sum of
-    the coupling terms / (2 pi i)^2, one product per term.  A term is a dense
-    matrix, or a pair (P, Q) with C = P Q (:func:`low_rank`,
-    :func:`_drift_coupling`), formed as (L P)(Q R^T) at rank-r cost.  Without,
-    both sides share one contour, only the left one carries dz-weights, and
-    C = I / (2 pi i).
+    the arguments xs and ys.  A weighted row at a mirrored node z-bar is
+    -conj of the row at z, an unweighted one conj of it.
+
+    Without ``coupled``, both sides share one contour, only the left one
+    carries dz-weights, and C = I / (2 pi i): the node pairs (z, z-bar) sum
+    to 2 Re(A B^T / (2 pi i)) = Im(A B^T) / pi.
+
+    With ``coupled`` (double contour) C = 1/(2 pi i)^2 times the coupling,
+    given as (P, Q, Q-bar): C(w, z) = P Q and C(w, z-bar) = P Q-bar, for w
+    and z on the upper halves.  P None stands for the identity, Q-bar None
+    for conj Q.  The pairs (w, z), (w-bar, z-bar) sum to 2 Re(L C R^T) and
+    the pairs (w, z-bar), (w-bar, z) to -2 Re(L C(w, z-bar) conj(R)^T).  So
+    K = -Re(A P G) / (2 pi^2) with G = Q B^T - Q-bar conj(B)^T, one product
+    for G when Q-bar is conj Q.
     """
     (A, top_x), (B, top_y) = left_rows, right_rows
     if coupled is None:
-        acc, norm = A @ B.T, _TWO_PI_I
+        part = (A @ B.T).imag / np.pi
     else:
-        acc, norm = 0.0, _TWO_PI_I ** 2
-        for C in coupled:
-            if isinstance(C, tuple):
-                acc = acc + (A @ C[0]) @ (C[1] @ B.T)
-            else:
-                acc = acc + (A @ C) @ B.T
-    return acc * np.exp(top_x[:, None] + top_y[None, :]) / norm
+        P, Q, Q_bar = coupled
+        G = Q @ B.T
+        G -= G.conj() if Q_bar is None else Q_bar @ B.T.conj()
+        part = ((A if P is None else A @ P) @ G).real / (-2.0 * np.pi ** 2)
+    return part * np.exp(top_x[:, None] + top_y[None, :])
 
 
 def _args(*us):
@@ -310,20 +336,25 @@ def _pole_circle(points, reach, min_clear=0.12, max_clear=1.0):
     return center, spread + clear
 
 
-def _circle_nodes(reach, radius):
-    n = int(min(8192, max(256, 64 + 3.0 * reach * radius)))
-    return n
+def _circle_nodes(reach, center, radius, poles):
+    """Trapezoid nodes for a circle around ``poles`` that multiply w by arguments up to ``reach``.
+
+    A pole at distance r_p from the centre costs (r_p/radius)^n, so n
+    keeps that below 1e-15 for the farthest pole.
+    """
+    inner = float(np.max(np.abs(np.asarray(poles) - center))) / radius
+    n_pole = np.log(1e-15) / np.log(inner) if inner > 0 else 0.0
+    return int(min(8192, max(256, 64 + 3.0 * reach * radius, np.ceil(n_pole))))
 
 
 def _vertical_auto(offset, quad_coeff, m, slope_bound, drop=_DROP):
     """Vertical contour sized for exponent (q/2) z^2 with phase slope bound."""
-    from .contours import Contour, composite_legendre
     T = np.sqrt(2.0 * (drop + 8.0 + 2.0 * m) / quad_coeff)
     n = int(min(16384, max(192, 64 + 1.4 * slope_bound * T)))
     panels = max(1, int(np.ceil(n / 32)))
-    t, wt = composite_legendre(np.linspace(-T, T, panels + 1), 32)
-    return Contour("vertical", offset + 1j * t, 1j * wt, False, T,
-                   {"offset": offset, "half_height": T, "nodes": len(t)})
+    t, wt = upper_legendre(T, panels, 32)
+    return mirrored("vertical", offset, 1j * t, 1j * wt, False, T,
+                    {"offset": offset, "half_height": T, "nodes": 32 * panels})
 
 
 def _bands(vals, width):
@@ -362,14 +393,15 @@ def _piflat_engine(beta, xs, ys, made=None, base=None):
     radius = min(radius, 0.5 * ((beta.max() - beta.min()) / 2.0 + center + beta.min()))
     if radius <= (beta.max() - beta.min()) / 2.0:
         raise ParameterError("cannot separate poles at +beta from -beta")
-    c = make_contour("circle", center=center, radius=radius, nodes=_circle_nodes(reach, radius))
+    c = make_contour("circle", center=center, radius=radius,
+                     nodes=_circle_nodes(reach, center, radius, beta))
+    z = c.upper_nodes
     # prod (beta_i + w)/(beta_i - w) = (-1)^n prod (w + beta_i)/(w - beta_i)
     sign = -((-1.0) ** len(beta))
-    left = Side(c.nodes, sign * c.weights, 0.0, -c.nodes,
-                _log_poly(c.nodes, -beta) - _log_poly(c.nodes, beta))
-    right = Side(c.nodes, 1.0, 0.0, -c.nodes)
+    left = Side(z, sign * c.upper_weights, 0.0, -z, _log_poly(z, -beta) - _log_poly(z, beta))
+    right = Side(z, 1.0, 0.0, -z)
     _base_rows(made, base, [left], [right])
-    return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys)).real
+    return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys))
 
 
 def k_piflat(beta, x, y):
@@ -425,11 +457,12 @@ def s_minus(mu, t, x, y):
     radius = 1.0 + np.max(np.abs(mu))
     reach = float(np.max(np.abs(s))) if s.size else 1.0
     c = make_contour("circle", center=center, radius=radius,
-                     nodes=_circle_nodes(reach + t * radius, radius))
-    left = Side(c.nodes, c.weights, -0.5 * t * c.nodes ** 2, c.nodes, -_log_poly(c.nodes, mu))
-    right = Side(c.nodes, 1.0, 0.0, -c.nodes)
+                     nodes=_circle_nodes(reach + t * radius, center, radius, mu))
+    z = c.upper_nodes
+    left = Side(z, c.upper_weights, -0.5 * t * z ** 2, z, -_log_poly(z, mu))
+    right = Side(z, 1.0, 0.0, -z)
     # a one-column grid at y = 0 carries every x - y
-    vals = contour_fill(left.rows(s), right.rows(np.zeros(1)))[:, 0].real.reshape(x.shape)
+    vals = contour_fill(left.rows(s), right.rows(np.zeros(1)))[:, 0].reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -451,10 +484,11 @@ def s_bar(mu, t, x, y):
     for sbar, mask, _ in _bands(s, width=4.0 * np.sqrt(t)):
         c = _vertical_auto(-sbar / t, t, len(mu),
                            slope_bound=0.5 * (s[mask].max() - s[mask].min()) + len(mu))
-        left = Side(c.nodes, c.weights, 0.5 * t * c.nodes ** 2, c.nodes, _log_poly(c.nodes, mu))
-        right = Side(c.nodes, 1.0, 0.0, -c.nodes)
+        z = c.upper_nodes
+        left = Side(z, c.upper_weights, 0.5 * t * z ** 2, z, _log_poly(z, mu))
+        right = Side(z, 1.0, 0.0, -z)
         # a one-column grid at y = 0 carries every x - y
-        vals[mask] = contour_fill(left.rows(s[mask]), right.rows(np.zeros(1)))[:, 0].real
+        vals[mask] = contour_fill(left.rows(s[mask]), right.rows(np.zeros(1)))[:, 0]
     vals = vals.reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
@@ -547,8 +581,8 @@ def _gaussian_side(c, t, mu, sign):
 
     sign = -1 gives the w side (the denominator), +1 the z side.
     """
-    return Side(c.nodes, c.weights, sign * 0.5 * t * c.nodes ** 2, -sign * c.nodes,
-                sign * _log_poly(c.nodes, mu))
+    z = c.upper_nodes
+    return Side(z, c.upper_weights, sign * 0.5 * t * z ** 2, -sign * z, sign * _log_poly(z, mu))
 
 
 def _line_floor(center, radius, flat):
@@ -572,7 +606,7 @@ def _nw_flat_engine(mu, t1, t2, xs, ys, flat, made=None, base=None):
     center, radius = _pole_circle(mu, reach)
     # the circle often has the same nodes at every time, so key it by its
     # geometry, and the sides by contour and time
-    n_w = _circle_nodes(reach + t1 * radius, radius)
+    n_w = _circle_nodes(reach + t1 * radius, center, radius, mu)
     cw = _made(made, ("circle", center, radius, n_w),
                lambda: make_contour("circle", center=center, radius=radius, nodes=n_w))
     left = _made(made, (cw, t1), lambda: _gaussian_side(cw, t1, mu, -1.0))
@@ -592,7 +626,7 @@ def _nw_flat_engine(mu, t1, t2, xs, ys, flat, made=None, base=None):
         for select, right, coupled in bands:
             mask = select(ys)
             if np.any(mask):
-                out[:, mask] = contour_fill(A, ry(right, ys, mask), coupled).real
+                out[:, mask] = contour_fill(A, ry(right, ys, mask), coupled)
         return out * (ys > 0)[None, :] if flat else out
 
     return fill
@@ -613,7 +647,7 @@ def _flat_far_time_engine(mu, t, xs, ys, made=None, base=None):
     if center + radius >= -1e-9:
         raise ParameterError("far-time decomposition needs all drifts negative")
     cw = make_contour("circle", center=center, radius=radius,
-                      nodes=_circle_nodes(reach + t * radius, radius))
+                      nodes=_circle_nodes(reach + t * radius, center, radius, mu))
     m = len(mu)
     cz = _vertical_auto(0.0, t, m, float(np.max(np.abs(ys))) + m + 1.0)
     left, right = _gaussian_side(cw, t, mu, -1.0), _gaussian_side(cz, t, mu, 1.0)
@@ -622,7 +656,7 @@ def _flat_far_time_engine(mu, t, xs, ys, made=None, base=None):
     _base_rows(made, base, [left], [right])
 
     def fill(xs, ys, rx=Side.rows, ry=Side.rows):
-        rem = contour_fill(rx(left, xs), ry(right, ys), coupled).real
+        rem = contour_fill(rx(left, xs), ry(right, ys), coupled)
         return (rem + residue(xs, ys, rx, ry)) * (ys > 0)[None, :]
 
     return fill
@@ -693,17 +727,16 @@ def _k_delta_engine(delta, xs, ys, gamma_func=None, rec_extension=1.0, node_fact
     crec = make_contour("rectangle", left=lo, right=0.5, half_height=0.5, nodes=n_rec)
 
     # the z side is e^{(D^2/2) z^2 - y z} / Gamma(z); the w side is the same form, inverted
-    left = Side(crec.nodes, crec.weights, -0.5 * d2 * crec.nodes ** 2, crec.nodes,
-                np.log(gamma_func(crec.nodes)))
-    right = Side(cz.nodes, cz.weights, 0.5 * d2 * cz.nodes ** 2, -cz.nodes,
-                 -np.log(gamma_func(cz.nodes)))
+    w, z = crec.upper_nodes, cz.upper_nodes
+    left = Side(w, crec.upper_weights, -0.5 * d2 * w ** 2, w, np.log(gamma_func(w)))
+    right = Side(z, cz.upper_weights, 0.5 * d2 * z ** 2, -z, -np.log(gamma_func(z)))
     coupled = _coupling(made, crec, cz)
     _base_rows(made, base, [left], [right])
     return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys),
                                                                    coupled)
 
 
-def k_delta(delta, x, y, gamma_func=None, _complex=False):
+def k_delta(delta, x, y, gamma_func=None):
     """Gamma-ratio kernel of the arithmetic-spectrum edge law.
 
     Double contour integral of e^{(D^2/2)(z^2 - zeta^2) - yz + x zeta}
@@ -714,10 +747,7 @@ def k_delta(delta, x, y, gamma_func=None, _complex=False):
     """
     xs, ys = _args(x, y)
     out = _k_delta_engine(delta, xs, ys, gamma_func)(xs, ys)
-    val = out[0, 0] if np.ndim(x) == 0 and np.ndim(y) == 0 else out
-    if _complex:
-        return val
-    return float(val.real) if np.ndim(val) == 0 else val.real
+    return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -792,14 +822,15 @@ def _jairy_engine(t1, t2, xs, ys, mode="wedge", delta1=None, delta2=None, made=N
     xlo, ylo = float(xs.min()), float(ys.min())
     cw, cz = _made(made, (tmax, xlo, ylo),
                    lambda: _jairy_contours(tmax, xlo, ylo, mode, delta1, delta2))
+    w, z = cw.upper_nodes, cz.upper_nodes
     left = _made(made, (cw, t1), lambda: Side(
-        cw.nodes, cw.weights, -(cw.nodes ** 3 / 3.0 + t1 * cw.nodes ** 2), cw.nodes))
+        w, cw.upper_weights, -(w ** 3 / 3.0 + t1 * w ** 2), w))
     right = _made(made, (cz, t2), lambda: Side(
-        cz.nodes, cz.weights, cz.nodes ** 3 / 3.0 + t2 * cz.nodes ** 2, -cz.nodes))
+        z, cz.upper_weights, z ** 3 / 3.0 + t2 * z ** 2, -z))
     coupled = _coupling(made, cw, cz)
     _base_rows(made, base, [left], [right])
     return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys),
-                                                                   coupled).real
+                                                                   coupled)
 
 
 def j_airy(t1, x, t2, y, mode="wedge", delta1=None, delta2=None):
@@ -844,21 +875,21 @@ def _dyson_edge_engine(nu, b, rho, s, shifts, tmax, length):
     T = np.sqrt(2.0 * (_DROP + 10.0 + np.log1p(nu.size)) / s.min())
     nz = int(min(16384, max(256, 64 + 1.4 * slope * T)))
     cz = make_contour("vertical", offset=line, half_height=T, nodes=nz)
-    w, z = cw.nodes, cz.nodes
+    w, z = cw.upper_nodes, cz.upper_nodes
     w2, z2 = w ** 2, z ** 2
     log_poly_w, log_poly_z = _log_poly(w, nu), _log_poly(z, nu)
     coupled = couplings(w, z)
 
     def slots(shift, g, made=None, base=()):
-        lefts = [Side(w, cw.weights, g[i] - 0.5 * s[i] * w2 + shift[i] * w, rho * (w - b),
+        lefts = [Side(w, cw.upper_weights, g[i] - 0.5 * s[i] * w2 + shift[i] * w, rho * (w - b),
                       -log_poly_w) for i in range(len(s))]
-        rights = [Side(z, cz.weights, 0.5 * s[j] * z2 - shift[j] * z - g[j], rho * (b - z),
+        rights = [Side(z, cz.upper_weights, 0.5 * s[j] * z2 - shift[j] * z - g[j], rho * (b - z),
                        log_poly_z) for j in range(len(s))]
         for left, right, u in zip(lefts, rights, base):
             _base_rows(made, (u, u), [left], [right])
 
         def fill(left, right, xs, ys, rx=Side.rows, ry=Side.rows):
-            return rho * contour_fill(rx(left, xs), ry(right, ys), coupled).real
+            return rho * contour_fill(rx(left, xs), ry(right, ys), coupled)
 
         return [[partial(fill, left, right) for right in rights] for left in lefts]
 

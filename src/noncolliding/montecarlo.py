@@ -122,7 +122,7 @@ def sample_blpp(b, mu, m, t, grid_step=None, stream=None, paths=1):
     gen = _default_stream(stream).generator()
     boundary = np.asarray(b(np.arange(J + 1) * step))
     out = np.empty(paths)
-    chunk = min(paths, max(1, int(4e7 / J)))
+    chunk = min(paths, max(1, int(1e7 / J)))
     L, B = np.empty((chunk, J + 1)), np.empty((chunk, J))
     done = 0
     while done < paths:

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from noncolliding.contours import (_circle, gauss_legendre, make_contour,
+from noncolliding.contours import (_circle, gauss_legendre, make_contour, mirrored,
                                    semi_infinite_rule)
 from noncolliding.exceptions import ParameterError
 
 
 def test_circle_four_node_parametrization():
-    # periodic trapezoid on z(theta) = e^{i theta}: weights (2 pi i / 4) * node
-    z, w = _circle(0.0, 1.0, 4)
-    assert np.allclose(z, [1, 1j, -1, -1j], atol=1e-14)
-    assert np.allclose(w, 2j * np.pi / 4 * z, atol=1e-14)
+    # periodic trapezoid on z(theta) = e^{i theta}: weights (2 pi i / 4) * node;
+    # its upper half is theta in [0, pi], the two nodes on the axis at half weight
+    c = mirrored("circle", 0.0, *_circle(1.0, 4), True, None, {})
+    assert np.allclose(c.nodes, [1, 1j, -1, -1j], atol=1e-14)
+    assert np.allclose(c.weights, 2j * np.pi / 4 * c.nodes, atol=1e-14)
+    assert np.allclose(c.upper_nodes, [1, 1j, -1], atol=1e-14)
+    assert np.allclose(c.upper_weights, 2j * np.pi / 4 * np.array([0.5, 1j, -0.5]), atol=1e-14)
 
 
 def test_closed_contours_weight_sum_vanishes():

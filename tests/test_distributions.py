@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncolliding import distributions, kernels
+from noncolliding import contours, distributions, kernels
 from noncolliding.contours import composite_legendre
 from noncolliding.distributions import (FAMILIES, CdfQuery, airy_fdd, cdf_arithmetic_limit,
                                         cdf_blpp, cdf_bridge_allmax,
@@ -187,7 +187,7 @@ def test_nw_oracle_is_the_normal_law_for_one_drift():
 
 
 # drifts: the least, then m - 1 gaps of 0.2 to 0.8, so they spread over at
-# most 2.4; wider spreads meet the defect pinned by the xfail below
+# most 2.4; the test after it takes a wider spread
 @settings(max_examples=50, deadline=None)
 @given(low=st.floats(-1.5, 1.0), gaps=st.lists(st.floats(0.2, 0.8), max_size=3),
        t=st.floats(0.5, 2.0), a=st.floats(-1.0, 4.0))
@@ -197,10 +197,9 @@ def test_blpp_narrow_wedge_matches_its_rank_m_oracle(low, gaps, t, a):
     assert abs(got - _nw_oracle(mu, t, a)) <= 1e-10, (mu, t, a)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the drift circle's 256 nodes under-resolve "
-                                       "a drift 0.13 inside a circle of radius 1.63")
 def test_blpp_narrow_wedge_wide_drift_spread_matches_its_oracle():
-    # drifts spread over 3 at x up to 30: 1.6e-9 off, and 1.8e-12 with the circle's nodes doubled
+    # drifts spread over 3 at x up to 30: a drift sits 0.13 inside the circle of
+    # radius 1.63, which takes about 415 nodes to resolve it (1.6e-9 off at 256)
     mu, t, a = [-0.5, 0.5, 1.5, 2.5], 2.0, 4.0
     got = cdf_blpp(BoundaryFunction.narrow_wedge(), mu, [t], [a])
     assert abs(got - _nw_oracle(mu, t, a)) <= 1e-10
@@ -426,6 +425,100 @@ def test_curve_matches_one_point_values(family, params, grid):
 
 
 # ---------------------------------------------------------------------------
+# fills from the upper halves of symmetric contours
+# ---------------------------------------------------------------------------
+
+KERNEL_FAMILIES = sorted(set(FAMILIES) - {"detratio"})  # detratio draws no contour
+
+
+def _queries(family):
+    """A one-point query and the CURVES grid of a family, as the tests below run them."""
+    params, grid = CURVES[family]
+    evaluate_cdf(CdfQuery(family, {**params, FAMILIES[family].threshold: grid[0]}))
+    evaluate_curve(CdfQuery(family, params), grid)
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_contours_are_conjugate_symmetric(family, monkeypatch):
+    # every contour that a query of the family builds is its own mirror image
+    # in the real axis, with weights w(z-bar) = -conj w(z) and each node on
+    # the axis once; its upper half is the nodes with Im z >= 0, those on
+    # the axis at half weight
+    built, mirrored = [], contours.mirrored
+
+    def spy(*args):
+        built.append(mirrored(*args))
+        return built[-1]
+
+    monkeypatch.setattr(contours, "mirrored", spy)
+    monkeypatch.setattr(kernels, "mirrored", spy)
+    _queries(family)
+    assert built
+    for c in built:
+        z, w = c.nodes, c.weights
+        assert len(np.unique(z)) == len(z)
+        weight = dict(zip(z.tolist(), w.tolist()))
+        for zk, wk in weight.items():
+            assert weight[zk.conjugate()] == -wk.conjugate(), (c.kind, zk)
+        upper = z.imag >= 0
+        order = np.argsort(c.upper_nodes)
+        assert np.array_equal(c.upper_nodes[order], np.sort(z[upper]))
+        halved = np.where(z[upper].imag == 0, 0.5, 1.0) * w[upper]
+        assert np.array_equal(c.upper_weights[order], halved[np.argsort(z[upper])])
+
+
+def _whole_contour(kind, origin, u, w, closed, truncation, geometry):
+    # oracle: both halves of the path as its "upper half", nothing halved
+    off_axis = u.imag > 0
+    return contours.Contour(kind, origin + np.concatenate([u, np.conj(u[off_axis])]),
+                            np.concatenate([w, -np.conj(w[off_axis])]), closed, truncation,
+                            geometry)
+
+
+def _whole_fill(out, left_rows, right_rows, coupled=None):
+    # oracle: the fill over whole contours, both halves evaluated and the real
+    # part taken.  out gets the complex K and S, the sum of the absolute values
+    # of its terms, which bounds its rounding error
+    (A, top_x), (B, top_y) = left_rows, right_rows
+    if coupled is None:
+        acc, S, norm = A @ B.T, abs(A) @ abs(B).T, 2j * np.pi
+    else:
+        P, Q, _ = coupled
+        L, abs_L = (A, abs(A)) if P is None else (A @ P, abs(A) @ abs(P))
+        acc, S, norm = L @ (Q @ B.T), abs_L @ (abs(Q) @ abs(B).T), (2j * np.pi) ** 2
+    scale = np.exp(top_x[:, None] + top_y[None, :]) / norm
+    out.append((acc * scale, S * abs(scale)))
+    return out[-1][0].real
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_half_fills_match_full_fills(family, monkeypatch):
+    # every fill of a one-point query and a curve, against the same fill over
+    # the whole contours: both agree, and the whole fill's imaginary part
+    # vanishes, to 1e-12 max|K|.  Where an entry's terms cancel, both carry
+    # rounding of up to about 1e-15 of the sum S of their absolute values
+    # (3.5e-9 max|K| at large x on the two-time Airy grid), so each entry
+    # may also differ by 1e-13 S
+    half, whole, contour_fill = [], [], kernels.contour_fill
+
+    def recorded(*args):
+        half.append(contour_fill(*args))
+        return half[-1]
+
+    monkeypatch.setattr(kernels, "contour_fill", recorded)
+    _queries(family)
+    monkeypatch.setattr(contours, "mirrored", _whole_contour)
+    monkeypatch.setattr(kernels, "mirrored", _whole_contour)
+    monkeypatch.setattr(kernels, "contour_fill", partial(_whole_fill, whole))
+    _queries(family)
+    assert len(half) == len(whole) > 0
+    for K, (full, S) in zip(half, whole):
+        bound = 1e-12 * np.max(np.abs(full)) + 1e-13 * S
+        assert np.all(np.abs(K - full.real) <= bound)
+        assert np.all(np.abs(full.imag) <= bound)
+
+
+# ---------------------------------------------------------------------------
 # contour couplings
 # ---------------------------------------------------------------------------
 
@@ -451,8 +544,11 @@ def test_low_rank_couplings_match_their_dense_sums(family, monkeypatch):
 
 def _dense_drift_coupling(mu, cw, cz, flat):
     # what the rank-m factors stand for: 1/(z - w), plus 1/(z + w) if flat, dense
-    return kernels.couplings(cw.nodes, cz.nodes) + (
-        kernels.couplings(-cw.nodes, cz.nodes) if flat else [])
+    _, C, C_bar = kernels.couplings(cw.upper_nodes, cz.upper_nodes)
+    if flat:
+        _, D, D_bar = kernels.couplings(-cw.upper_nodes, cz.upper_nodes)
+        C, C_bar = C + D, C_bar + D_bar
+    return None, C, C_bar
 
 
 # the fills differ by the rounding of their contour sums, which cancel more as

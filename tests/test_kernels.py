@@ -259,8 +259,9 @@ def test_k_flat_burke_permutation():
 # ---------------------------------------------------------------------------
 
 def test_k_delta_real_and_contour_stability():
-    val = k_delta(2.0, 0.0, 1.0, _complex=True)
-    assert abs(val.imag) < 1e-9
+    # the imaginary part that a fill over whole contours leaves is checked
+    # in test_symmetry.py, against the fill from the upper halves
+    assert isinstance(k_delta(2.0, 0.0, 1.0), float)
     zero = np.array([0.0])
     a = _k_delta_engine(2.0, zero, zero, complex_gamma)(zero, zero)[0, 0]
     b = _k_delta_engine(2.0, zero, zero, complex_gamma, rec_extension=2.0)(zero, zero)[0, 0]
