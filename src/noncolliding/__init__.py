@@ -31,9 +31,9 @@ from .distributions import (CdfQuery, EdgeScaling, airy_fdd, cdf_arithmetic_limi
                             evaluate_cdf, f_class_bounds, f_class_contains)
 from .fredholm import (BlockKernel, DetResult, apply_conjugation, det_nystrom,
                        det_ratio, det_series, single_slot_kernel)
-from .kernels import (BoundaryFunction, DriftVector, airy_kernel_ext, brownian_block_kernel,
-                      heat_op_full, heat_op_half, j_airy, k_bridge, k_delta, k_flat, k_loe,
-                      k_nw, k_piflat, s_bar, s_bar_hermite, s_hypo_flat, s_hypo_mc, s_minus)
+from .kernels import (BoundaryFunction, airy_kernel_ext, brownian_block_kernel, heat_op_full,
+                      heat_op_half, j_airy, k_bridge, k_delta, k_flat, k_loe, k_nw, k_piflat,
+                      s_bar, s_bar_hermite, s_hypo_flat, s_hypo_mc, s_minus)
 from .montecarlo import (MCEstimate, dkw_band, empirical_cdf, sample_arith_max,
                          sample_blpp, sample_bridge_topmax, sample_dyson_max,
                          sample_gue, sample_loe_max, sample_piflat)

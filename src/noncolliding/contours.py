@@ -168,10 +168,10 @@ def _rectangle(left, right, half_height, nodes):
     return u, w
 
 
-def _wedge(angle, length, nodes, first_panel=0.75):
+def _wedge(angle, length, nodes):
     if not 0.0 < angle < np.pi:
         raise ParameterError("wedge angle must lie in (0, pi), got %r" % (angle,))
-    edges = graded_edges(length, first_panel)
+    edges = graded_edges(length, 0.75)
     per_panel = max(8, int(round(nodes / (len(edges) - 1))))
     t, wt = composite_legendre(edges, per_panel)
     up = np.exp(1j * angle)
@@ -186,7 +186,7 @@ def make_contour(kind, *, nodes=None, **geometry):
     - ``circle``: center, radius
     - ``vertical``: offset (real part), half_height (truncation)
     - ``rectangle``: left, right, half_height
-    - ``wedge``: apex, angle, length, [first_panel]
+    - ``wedge``: apex, angle, length
     """
     if nodes is None:
         nodes = {
@@ -215,8 +215,7 @@ def make_contour(kind, *, nodes=None, **geometry):
         u, w = _rectangle(geometry["left"], geometry["right"], geometry["half_height"], nodes)
     elif kind == "wedge":
         origin, closed, trunc = geometry["apex"], False, geometry["length"]
-        u, w = _wedge(geometry["angle"], geometry["length"], nodes,
-                      geometry.get("first_panel", 0.75))
+        u, w = _wedge(geometry["angle"], geometry["length"], nodes)
     else:
         raise ParameterError("unknown contour kind %r" % (kind,))
 
@@ -225,24 +224,24 @@ def make_contour(kind, *, nodes=None, **geometry):
     return mirrored(kind, origin, u, w, closed, trunc, geometry)
 
 
-def adaptive_ray(psi, max_length, drop=None, base_step=0.2, nodes_per_radian=1.5,
-                 min_nodes_per_panel=6, max_nodes=20000):
+def adaptive_ray(psi, max_length):
     """Quadrature along a half-line parametrized by arclength tau >= 0.
 
     ``psi(tau)`` is the complex exponent of a factor ``exp(-psi)`` expected
-    to decay; panels are truncated once ``Re psi`` has climbed ``drop``
-    above its running minimum, and node density follows the local phase
-    slope ``d Im(psi) / d tau``.  Returns real (tau, weight) arrays.
+    to decay; panels are truncated once ``Re psi`` has climbed
+    ``DEFAULTS["decay_drop"]`` above its running minimum.  A panel takes 6
+    nodes plus 1.5 per radian of the phase ``Im psi`` it spans, at most 400,
+    and the ray stops after the panel that passes 20,000 nodes.  Returns
+    real (tau, weight) arrays.
     """
-    drop = DEFAULTS["decay_drop"] if drop is None else drop
     probes = [0.0]
     while probes[-1] < max_length:
-        probes.append(min(max_length, probes[-1] + base_step * (1.0 + 0.25 * probes[-1])))
+        probes.append(min(max_length, probes[-1] + 0.2 * (1.0 + 0.25 * probes[-1])))
     probes = np.asarray(probes)
     values = psi(probes)
     re, im = values.real, values.imag
     running_min = np.minimum.accumulate(re)
-    alive = re <= running_min + drop
+    alive = re <= running_min + DEFAULTS["decay_drop"]
     last = len(probes) - 1 if alive.all() else max(1, int(np.argmin(alive)))
 
     taus, weights = [], []
@@ -250,12 +249,12 @@ def adaptive_ray(psi, max_length, drop=None, base_step=0.2, nodes_per_radian=1.5
     for k in range(last):
         a, b = probes[k], probes[k + 1]
         slope = abs(im[k + 1] - im[k]) / max(b - a, 1e-300)
-        n = int(min(400, max(min_nodes_per_panel, np.ceil((b - a) * slope * nodes_per_radian) + min_nodes_per_panel)))
+        n = int(min(400, max(6, np.ceil((b - a) * slope * 1.5) + 6)))
         t, w = gauss_legendre(a, b, n)
         taus.append(t)
         weights.append(w)
         total += n
-        if total > max_nodes:
+        if total > 20000:
             break
     return np.concatenate(taus), np.concatenate(weights)
 
@@ -279,18 +278,14 @@ def ray_wedge(apex, angle, psi, max_length):
 class SemiInfiniteRule:
     """Quadrature for integrals over [threshold, infinity)."""
 
-    threshold: float
-    length: float
-    scheme: str
     nodes: np.ndarray
     weights: np.ndarray
 
 
-def semi_infinite_rule(threshold, n=None, length=None, scheme="legendre"):
-    """Rule for a semi-infinite interval truncated per the decay policy.
+def semi_infinite_rule(threshold, n=None, length=None):
+    """Rule for [threshold, infinity): n Gauss-Legendre nodes on [threshold, threshold + length].
 
-    ``legendre`` truncates at threshold+length with a Gauss-Legendre rule;
-    ``exponential`` maps the half line through x = a - log(1-u)/lam.
+    The truncation ``length`` is ``DEFAULTS["semiinf_length"]`` unless given.
     """
     n = DEFAULTS["nystrom_nodes_per_slot"] if n is None else int(n)
     length = DEFAULTS["semiinf_length"] if length is None else float(length)
@@ -298,13 +293,4 @@ def semi_infinite_rule(threshold, n=None, length=None, scheme="legendre"):
         raise ParameterError("semi-infinite rule needs n >= 8")
     if length <= 0:
         raise ParameterError("truncation length must be positive")
-    if scheme == "legendre":
-        x, w = gauss_legendre(threshold, threshold + length, n)
-    elif scheme == "exponential":
-        lam = 6.0 / length
-        u, wu = gauss_legendre(0.0, 1.0, n)
-        x = threshold - np.log1p(-u) / lam
-        w = wu / (lam * (1.0 - u))
-    else:
-        raise ParameterError("unknown scheme %r" % (scheme,))
-    return SemiInfiniteRule(float(threshold), length, scheme, x, w)
+    return SemiInfiniteRule(*gauss_legendre(threshold, threshold + length, n))

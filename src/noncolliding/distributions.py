@@ -10,8 +10,8 @@ from .exceptions import DomainError, ParameterError
 from .fredholm import (BlockKernel, apply_conjugation, det_nystrom, det_ratio,
                        single_slot_kernel, slot_nodes)
 from .kernels import (_brownian_block, _brownian_engine, _drifts, _dyson_edge_engine,
-                      _jairy_engine, _k_delta_engine, _piflat_engine, BoundaryFunction,
-                      heat_op_full, k_flat, kixjy_conjugation, shifted_rows)
+                      _jairy_engine, _k_delta_engine, _loe_rates, _piflat_engine,
+                      BoundaryFunction, heat_op_full, k_flat, kixjy_conjugation, shifted_rows)
 
 __all__ = [
     "EdgeScaling", "edge_scaling", "f_class_bounds", "f_class_contains",
@@ -186,13 +186,6 @@ def _piflat_curve(beta, grid, nodes=None, length=None):
     return [value if a > 0 else (lambda: 0.0) for a, value in zip(grid, curve)]
 
 
-def _loe_rates(n):
-    """The rates of the order-n LOE law: n ones."""
-    if n < 1:
-        raise ParameterError("need n >= 1, got %r" % (n,))
-    return np.ones(int(n))
-
-
 def loe_block(n, a, length=None):
     return piflat_block(_loe_rates(n), a, length)
 
@@ -265,10 +258,10 @@ def cdf_bridge_runningmax(n, s, a, nodes=None, length=None):
     return _det(runningmax_block(n, s, a, length), nodes)
 
 
-def arith_block(delta, a, length=None, gamma_func=None, fill=None):
+def arith_block(delta, a, length=None, fill=None):
     """Gamma-ratio block on [a, infinity); ``fill`` is a grid's fill at a."""
     length = 40.0 + max(0.0, -float(a)) if length is None else length
-    fill = fill or (lambda xs, ys: _k_delta_engine(delta, xs, ys, gamma_func)(xs, ys))
+    fill = fill or (lambda xs, ys: _k_delta_engine(delta, xs, ys)(xs, ys))
     return single_slot_kernel(fill, float(a), length, "arith")
 
 
@@ -278,7 +271,7 @@ def _arith_curve(delta, grid, nodes=None, length=None):
         # below 0 the default length 40 - a makes the nodes no translate of the base nodes
         return lambda a: fill if length is None and a < 0 else _at([[fill]], made, [a])[0][0]
 
-    return _curve(lambda a, fill: arith_block(delta, a, length, fill=fill), grid, nodes, engine)
+    return _curve(lambda a, fill: arith_block(delta, a, length, fill), grid, nodes, engine)
 
 
 def cdf_arithmetic_limit(delta, a, nodes=None, length=None):
@@ -290,24 +283,14 @@ def cdf_arithmetic_limit(delta, a, nodes=None, length=None):
     P(gamma_1 <= n - 1 + (a + log(n-1))/2) for the log-eigenvalue of
     Brownian motion on positive-definite matrices.
     """
-    return _det(arith_block(delta, a, length), nodes)
+    return _arith_curve(delta, [a], nodes, length)[0]()
 
 
 # ---------------------------------------------------------------------------
 # extended (multi-slot) kernels
 # ---------------------------------------------------------------------------
 
-def _drift_conjugation(mu, k):
-    base = 1.0 + float(np.max(np.abs(mu)))
-
-    def c(i, x):
-        kappa = base + (k - i)  # decreasing in slot index
-        return np.exp(-kappa * np.abs(x))
-
-    return c
-
-
-def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True, fills=None):
+def blpp_block(b, mu, times, thresholds, lengths=None, fills=None):
     """Block kernel of boundary-driven BLPP at several times (closed forms).
 
     ``fills[i][j]`` is a grid's fill of block (i, j) at these thresholds;
@@ -333,12 +316,12 @@ def blpp_block(b, mu, times, thresholds, lengths=None, conjugate=True, fills=Non
                                fills[i][j] if fills else None)
 
     K = BlockKernel(times, thresholds, eval_block, lengths, label="blpp-" + b.kind)
-    if conjugate:
-        K = apply_conjugation(K, _drift_conjugation(mu, len(times)))
-    return K
+    # conjugated by e^{kappa_j |y| - kappa_i |x|}, kappa_i decreasing in the slot index i
+    base = 1.0 + float(np.max(np.abs(mu)))
+    return apply_conjugation(K, lambda i, x: np.exp(-(base + (len(times) - i)) * np.abs(x)))
 
 
-def _blpp_curve(b, mu, times, grid, nodes=None, lengths=None, conjugate=True):
+def _blpp_curve(b, mu, times, grid, nodes=None, lengths=None):
     mu = _drifts(mu)
     times = np.atleast_1d(np.asarray(times, dtype=float))
 
@@ -348,13 +331,13 @@ def _blpp_curve(b, mu, times, grid, nodes=None, lengths=None, conjugate=True):
                   for j, tj in enumerate(times)] for i, ti in enumerate(times)]
         return lambda a: _at(fills, made, a)
 
-    return _curve(lambda a, fills: blpp_block(b, mu, times, a, lengths, conjugate, fills),
+    return _curve(lambda a, fills: blpp_block(b, mu, times, a, lengths, fills),
                   grid, nodes, engine)
 
 
-def cdf_blpp(b, mu, times, thresholds, nodes=None, lengths=None, conjugate=True):
+def cdf_blpp(b, mu, times, thresholds, nodes=None, lengths=None):
     """Joint law P(BLPP(b; (t_i, m)) <= a_i for all i) as a block determinant."""
-    return _det(blpp_block(b, mu, times, thresholds, lengths, conjugate), nodes)
+    return _blpp_curve(b, mu, times, [thresholds], nodes, lengths)[0]()
 
 
 def airy_block(times, xi, lengths=14.0, fills=None):
@@ -385,7 +368,8 @@ def airy_block(times, xi, lengths=14.0, fills=None):
     return BlockKernel(times, np.zeros_like(times), eval_block, lengths, label="airy")
 
 
-def _airy_curve(times, grid, nodes=None, lengths=14.0):
+def _airy_curve(times, grid, nodes=None, lengths=None):
+    lengths = 14.0 if lengths is None else lengths
     times = np.atleast_1d(np.asarray(times, dtype=float))
     grid = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in grid]
 
@@ -400,9 +384,9 @@ def _airy_curve(times, grid, nodes=None, lengths=14.0):
     return _curve(lambda xi, fills: airy_block(times, xi, lengths, fills), grid, nodes, engine)
 
 
-def airy_fdd(times, xi, nodes=None, lengths=14.0):
+def airy_fdd(times, xi, nodes=None, lengths=None):
     """Finite-dimensional law of the Airy process at the given times."""
-    return _det(airy_block(times, xi, lengths), nodes)
+    return _airy_curve(times, [xi], nodes, lengths)[0]()
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +437,22 @@ def _dyson_edge_setup(nu, taus, grid, lengths):
         nu, b, rho, 1.0 / times, shift, float(np.max(np.abs(taus))), float(np.max(lengths)))
 
 
-def _dyson_edge_curve(nu, taus, grid, nodes=None, lengths=13.0):
-    """Makers of the kernels of :func:`dyson_edge_block` over grid, one build.
+def _dyson_edge_curve(nu, taus, grid, nodes=None, lengths=None):
+    """Evaluators of the determinants of :func:`dyson_edge_block` over grid, one build.
 
-    They fill only at the Nystrom nodes of resolution ``nodes``.  The sides are made
+    Their kernels fill only at the Nystrom nodes of resolution ``nodes``.  The sides are made
     once, at each slot's middle shift ref and g_ref; a threshold's shift_i v is then the
     column scaling of the argument (shift_i - ref_i)/rho along m = rho (v - b), and
     g_i - g_ref_i + (shift_i - ref_i) b is added to top: both 0 on a one-point grid.
     """
+    lengths = 13.0 if lengths is None else lengths
     times, b, rho, shift, g, slots = _dyson_edge_setup(nu, taus, grid, lengths)
     ref, g_ref, made = 0.5 * (shift.min(0) + shift.max(0)), 0.5 * (g.min(0) + g.max(0)), {}
     fill = slots(ref, g_ref, made, slot_nodes(BlockKernel(times, 0 * times, None, lengths), nodes))
     a, top = (shift - ref) / rho, g - g_ref + (shift - ref) * b
-    return [partial(_dyson_edge_kernel, times, b, rho, shift[k], g[k],
-                    _at(fill, made, a[k], top[k]), lengths) for k in range(len(shift))]
+    kernels = [partial(_dyson_edge_kernel, times, b, rho, shift[k], g[k],
+                       _at(fill, made, a[k], top[k]), lengths) for k in range(len(shift))]
+    return _dets(kernels, nodes)
 
 
 def _dyson_edge_kernel(times, b, rho, shift, g, fills, lengths):
@@ -485,9 +471,9 @@ def _dyson_edge_kernel(times, b, rho, shift, g, fills, lengths):
     return BlockKernel(times, np.zeros_like(times), eval_block, lengths, label="dyson-edge")
 
 
-def cdf_dyson_edge(nu, taus, xis, nodes=None, lengths=13.0):
+def cdf_dyson_edge(nu, taus, xis, nodes=None, lengths=None):
     """Finite-n edge law P(rescaled lambda_max(tau_i) <= xi_i for all i)."""
-    return _dets(_dyson_edge_curve(nu, taus, [xis], nodes, lengths), nodes)[0]()
+    return _dyson_edge_curve(nu, taus, [xis], nodes, lengths)[0]()
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +488,12 @@ class Family:
     parameter that receives it (``thresholds`` takes one value per time),
     and ``curve(params, grid, nodes, length)`` returns one evaluator per
     threshold of grid: a call without arguments that returns the value
-    there.  The kernel families build contours, sides, couplings and rows
-    once for the whole grid.  bridge-allmax (rates 1 - nu/r) and bridge-runmax
-    (time a^2 s/(1-s)) change the kernel with the threshold, so each of
-    their evaluators builds its own; detratio is det_ratio at max(a, 0): its maximum is >= 0.
+    there.  ``nodes`` and ``length``, the Nystrom nodes and truncation length
+    of every slot, are the family's defaults when None.  The kernel families
+    build contours, sides, couplings and rows once for the whole grid.
+    bridge-allmax (rates 1 - nu/r) and bridge-runmax (time a^2 s/(1-s)) change
+    the kernel with the threshold, so each of their evaluators builds its own.
+    detratio, det_ratio at max(a, 0) as its maximum is >= 0, ignores ``nodes`` and ``length``.
     """
 
     options: tuple
@@ -524,15 +512,14 @@ FAMILIES = {
         partial(cdf_bridge_runningmax, p["n"], p["s"], a, nodes, length) for a in grid]),
     "arith": Family(("delta",), "a", lambda p, grid, nodes, length:
                     _arith_curve(p["delta"], grid, nodes, length)),
-    "blpp-nw": Family(("mu", "times"), "thresholds", lambda p, grid, nodes, length:
-                      _blpp_curve(BoundaryFunction.narrow_wedge(), p["mu"], p["times"], grid,
-                                  nodes)),
-    "blpp-flat": Family(("mu", "times"), "thresholds", lambda p, grid, nodes, length:
-                        _blpp_curve(BoundaryFunction.flat(), p["mu"], p["times"], grid, nodes)),
+    "blpp-nw": Family(("mu", "times"), "thresholds", lambda p, grid, nodes, length: _blpp_curve(
+        BoundaryFunction.narrow_wedge(), p["mu"], p["times"], grid, nodes, length)),
+    "blpp-flat": Family(("mu", "times"), "thresholds", lambda p, grid, nodes, length: _blpp_curve(
+        BoundaryFunction.flat(), p["mu"], p["times"], grid, nodes, length)),
     "airy": Family(("times",), "thresholds", lambda p, grid, nodes, length:
-                   _airy_curve(p["times"], grid, nodes)),
+                   _airy_curve(p["times"], grid, nodes, length)),
     "dyson-edge": Family(("nu", "times"), "thresholds", lambda p, grid, nodes, length:
-                         _dets(_dyson_edge_curve(p["nu"], p["times"], grid, nodes), nodes)),
+                         _dyson_edge_curve(p["nu"], p["times"], grid, nodes, length)),
     "detratio": Family(("beta",), "a", lambda p, grid, nodes, length: [
         partial(det_ratio, p["beta"], max(a, 0.0)) for a in grid]),
 }
@@ -548,10 +535,15 @@ class CdfQuery:
     length: float = None
 
 
-def _family(name):
-    if name not in FAMILIES:
-        raise ParameterError("unknown family %r" % (name,))
-    return FAMILIES[name]
+def _family(query):
+    """The registry entry of query.family, once query.params holds each of its options."""
+    if query.family not in FAMILIES:
+        raise ParameterError("unknown family %r" % (query.family,))
+    family = FAMILIES[query.family]
+    missing = [name for name in family.options if name not in query.params]
+    if missing:
+        raise ParameterError("family %s needs %s" % (query.family, ", ".join(missing)))
+    return family
 
 
 def evaluate_curve(query, grid):
@@ -565,7 +557,7 @@ def evaluate_curve(query, grid):
     error of contours sized for the whole grid, by the rounding of the rows'
     scaling and by that of the low-rank couplings.
     """
-    family, grid = _family(query.family), list(grid)
+    family, grid = _family(query), list(grid)
     if not grid:
         return []
     return [value() for value in family.curve(query.params, grid, query.nodes, query.length)]
@@ -573,5 +565,7 @@ def evaluate_curve(query, grid):
 
 def evaluate_cdf(query):
     """Evaluate one threshold of a named CDF family: a one-point curve."""
-    family = _family(query.family)
+    family = _family(query)
+    if family.threshold not in query.params:
+        raise ParameterError("family %s needs %s" % (query.family, family.threshold))
     return evaluate_curve(query, [query.params[family.threshold]])[0]

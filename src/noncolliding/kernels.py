@@ -59,7 +59,7 @@ def heat_op_full(t, x, y):
 
 
 # ---------------------------------------------------------------------------
-# boundary functions and drift vectors
+# boundary functions and drifts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -110,40 +110,18 @@ class BoundaryFunction:
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class DriftVector:
-    """Drifts mu_i (or decay rates beta_i = -mu_i) of the driving motions."""
-
-    values: tuple
-    kind: str = "drift"  # or "rate"
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.size == 0 or not np.all(np.isfinite(vals)):
-            raise ParameterError("drift vector must be nonempty and finite")
-        if self.kind == "rate" and not np.all(vals > 0):
-            raise ParameterError("rates must be positive")
-        if self.kind not in ("drift", "rate"):
-            raise ParameterError("kind must be 'drift' or 'rate'")
-
-    def as_drifts(self):
-        mu = np.asarray(self.values, dtype=float)
-        return -mu if self.kind == "rate" else mu
-
-    def as_rates(self):
-        beta = -self.as_drifts()
-        if not np.all(beta > 0):
-            raise ParameterError("drifts must all be negative to read them as rates")
-        return beta
-
-
 def _drifts(mu):
-    if isinstance(mu, DriftVector):
-        return mu.as_drifts()
     arr = np.atleast_1d(np.asarray(mu, dtype=float))
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ParameterError("drift vector must be nonempty and finite")
     return arr
+
+
+def _loe_rates(n):
+    """The rates of the order-n LOE law: n ones."""
+    if n < 1:
+        raise ParameterError("need n >= 1, got %r" % (n,))
+    return np.ones(int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +300,14 @@ def _args(*us):
     return [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
 
 
-def _pole_circle(points, reach, min_clear=0.12, max_clear=1.0):
+def _pointwise(engine, x, y):
+    """The kernel that ``engine(xs, ys)`` builds, at x, y: a float when both are scalars."""
+    xs, ys = _args(x, y)
+    out = engine(xs, ys)(xs, ys)
+    return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+
+
+def _pole_circle(points, reach, max_clear=1.0):
     """Circle hulling ``points`` with clearance shrinking as arguments grow.
 
     ``reach`` is the largest |argument| multiplying w in the exponent; the
@@ -332,7 +317,7 @@ def _pole_circle(points, reach, min_clear=0.12, max_clear=1.0):
     points = np.asarray(points, dtype=float)
     center = 0.5 * (points.min() + points.max())
     spread = 0.5 * (points.max() - points.min())
-    clear = max(min_clear, min(max_clear, 4.0 / (1.0 + reach)))
+    clear = max(0.12, min(max_clear, 4.0 / (1.0 + reach)))
     return center, spread + clear
 
 
@@ -347,9 +332,9 @@ def _circle_nodes(reach, center, radius, poles):
     return int(min(8192, max(256, 64 + 3.0 * reach * radius, np.ceil(n_pole))))
 
 
-def _vertical_auto(offset, quad_coeff, m, slope_bound, drop=_DROP):
+def _vertical_auto(offset, quad_coeff, m, slope_bound):
     """Vertical contour sized for exponent (q/2) z^2 with phase slope bound."""
-    T = np.sqrt(2.0 * (drop + 8.0 + 2.0 * m) / quad_coeff)
+    T = np.sqrt(2.0 * (_DROP + 8.0 + 2.0 * m) / quad_coeff)
     n = int(min(16384, max(192, 64 + 1.4 * slope_bound * T)))
     panels = max(1, int(np.ceil(n / 32)))
     t, wt = upper_legendre(T, panels, 32)
@@ -420,9 +405,7 @@ def k_piflat(beta, x, y):
 
 def k_loe(n, x, y):
     """Order-n pole kernel of the largest squared-singular-value law (all rates 1)."""
-    if n < 1:
-        raise ParameterError("need n >= 1")
-    return k_piflat(np.ones(int(n)), x, y)
+    return k_piflat(_loe_rates(n), x, y)
 
 
 def k_bridge(nu, r, x, y):
@@ -526,13 +509,13 @@ def s_hypo_flat(mu, t, x, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def s_hypo_mc(b, mu, t, x, y, paths=4000, stream=None, steps=None):
+def s_hypo_mc(b, mu, t, x, y, paths=4000, stream=None):
     """Monte Carlo hypograph kernel for a general boundary.
 
-    Runs an Euler walk from x, stops at the first grid time with
-    W <= b(s), and averages s_bar(t - tau, W_tau, y); returns an
-    :class:`~noncolliding.montecarlo.MCEstimate`.  Hitting is detected by
-    sign crossing on the grid (no bridge correction), biased ~sqrt(step).
+    Runs an Euler walk of ``DEFAULTS["euler_steps"]`` steps from x, stops at
+    the first grid time with W <= b(s), and averages s_bar(t - tau, W_tau, y);
+    returns an :class:`~noncolliding.montecarlo.MCEstimate`.  Hitting is
+    detected by sign crossing on the grid (no bridge correction), biased ~sqrt(step).
     """
     from .montecarlo import MCEstimate
     from .rng import RngStream
@@ -542,7 +525,7 @@ def s_hypo_mc(b, mu, t, x, y, paths=4000, stream=None, steps=None):
     if paths < 1000:
         raise ParameterError("need at least 1000 paths")
     stream = stream or RngStream(DEFAULTS["seed"])
-    steps = steps or DEFAULTS["euler_steps"]
+    steps = DEFAULTS["euler_steps"]
     if float(x) <= float(b(0.0)):
         val = s_bar(mu, t, x, y)
         return MCEstimate(value=val, std_error=0.0, n_samples=paths, seed=stream.seed)
@@ -662,17 +645,18 @@ def _flat_far_time_engine(mu, t, xs, ys, made=None, base=None):
     return fill
 
 
-def _flat_engine(mu, t1, t2, xs, ys, made=None, base=None):
-    """Flat kernel fill: the far-time decomposition where its integrands do not cancel.
+def _brownian_engine(kind, mu, t1, t2, xs, ys, made=None, base=None):
+    """Narrow-wedge or flat kernel fill at times (t1, t2), sized for the spans xs, ys.
 
-    That is at equal times, with all drifts below -0.3 and the line far right
-    of the drifts; elsewhere the direct double contour.
+    The flat kernel takes the far-time decomposition where its integrands do not cancel,
+    as :func:`k_flat` says; elsewhere both take the direct double contour.
     """
-    mu = _drifts(mu)
-    d_min = _line_floor(*_pole_circle(mu, float(np.max(np.abs(xs)))), flat=True)
-    if t1 == t2 and mu.max() < -0.3 and 0.5 * t1 * d_min ** 2 > 8.0:
-        return _flat_far_time_engine(mu, t1, xs, ys, made, base)
-    return _nw_flat_engine(mu, t1, t2, xs, ys, True, made, base)
+    mu, flat = _drifts(mu), kind == "flat"
+    if flat and t1 == t2 and mu.max() < -0.3:
+        d_min = _line_floor(*_pole_circle(mu, float(np.max(np.abs(xs)))), flat)
+        if 0.5 * t1 * d_min ** 2 > 8.0:
+            return _flat_far_time_engine(mu, t1, xs, ys, made, base)
+    return _nw_flat_engine(mu, t1, t2, xs, ys, flat, made, base)
 
 
 def k_nw(mu, t1, x, t2, y):
@@ -685,9 +669,7 @@ def k_nw(mu, t1, x, t2, y):
     """
     if not (t1 > 0 and t2 > 0):
         raise DomainError("need positive times")
-    xs, ys = _args(x, y)
-    out = _nw_flat_engine(mu, t1, t2, xs, ys, flat=False)(xs, ys)
-    return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+    return _pointwise(partial(_brownian_engine, "narrow_wedge", mu, t1, t2), x, y)
 
 
 def k_flat(mu, t1, x, t2, y):
@@ -698,9 +680,7 @@ def k_flat(mu, t1, x, t2, y):
     """
     if not (t1 > 0 and t2 > 0):
         raise DomainError("need positive times")
-    xs, ys = _args(x, y)
-    out = _flat_engine(mu, t1, t2, xs, ys)(xs, ys)
-    return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+    return _pointwise(partial(_brownian_engine, "flat", mu, t1, t2), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +725,7 @@ def k_delta(delta, x, y, gamma_func=None):
     ``gamma_func`` may replace the Gamma evaluator (e.g. by a truncated
     product) for validation.
     """
-    xs, ys = _args(x, y)
-    out = _k_delta_engine(delta, xs, ys, gamma_func)(xs, ys)
-    return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+    return _pointwise(partial(_k_delta_engine, delta, gamma_func=gamma_func), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -844,9 +822,8 @@ def j_airy(t1, x, t2, y, mode="wedge", delta1=None, delta2=None):
     like e^{-tau^3/3} along them.  ``mode='vertical'`` keeps vertical lines
     at +-delta.
     """
-    xs, ys = _args(x, y)
-    out = _jairy_engine(t1, t2, xs, ys, mode, delta1, delta2)(xs, ys)
-    return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+    return _pointwise(partial(_jairy_engine, t1, t2, mode=mode, delta1=delta1, delta2=delta2),
+                      x, y)
 
 
 def _dyson_edge_engine(nu, b, rho, s, shifts, tmax, length):
@@ -911,13 +888,6 @@ def kixjy_conjugation(t, u):
 # ---------------------------------------------------------------------------
 # extended Brownian and Hermitian kernels
 # ---------------------------------------------------------------------------
-
-def _brownian_engine(kind, mu, t1, t2, xs, ys, made=None, base=None):
-    """Narrow-wedge or flat kernel fill at times (t1, t2), sized for the spans xs, ys."""
-    if kind == "narrow_wedge":
-        return _nw_flat_engine(mu, t1, t2, xs, ys, False, made, base)
-    return _flat_engine(mu, t1, t2, xs, ys, made, base)
-
 
 def _brownian_block(kind, mu, t_i, t_j, xs, ys, fill=None):
     """Narrow-wedge or flat block of the extended Brownian kernel on a grid.

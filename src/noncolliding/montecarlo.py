@@ -24,22 +24,17 @@ __all__ = [
 
 @dataclass
 class MCEstimate:
-    """A Monte Carlo estimate with its uncertainty band."""
+    """A Monte Carlo estimate with its standard error."""
 
     value: float = None
     n_samples: int = 0
     seed: int = 0
     std_error: float = None
-    samples: np.ndarray = None
-    dkw95: float = None
-
-    def band(self):
-        return self.dkw95 if self.dkw95 is not None else dkw_band(self.n_samples)
 
 
-def dkw_band(n, level=0.05):
-    """95% (by default) uniform confidence half-width for an empirical CDF."""
-    return float(np.sqrt(np.log(2.0 / level) / (2.0 * n)))
+def dkw_band(n):
+    """95% uniform confidence half-width for an empirical CDF of n samples."""
+    return float(np.sqrt(np.log(2.0 / 0.05) / (2.0 * n)))
 
 
 def empirical_cdf(samples, grid):

@@ -321,7 +321,8 @@ def test_query_dispatch():
 
 
 NW, FLAT = BoundaryFunction.narrow_wedge(), BoundaryFunction.flat()
-# one query per family, with the call evaluate_cdf must make for it
+# one query per family, with the call evaluate_cdf must make for it; every
+# kernel family is given a truncation length of its own, which the call must get
 DIRECT_CALLS = {
     "piflat": (CdfQuery("piflat", {"beta": [0.8, 1.4], "a": 0.7}, nodes=40, length=20.0),
                lambda: cdf_piflat([0.8, 1.4], 0.7, 40, 20.0)),
@@ -334,16 +335,17 @@ DIRECT_CALLS = {
     "arith": (CdfQuery("arith", {"delta": 2.0, "a": 0.5}, nodes=40),
               lambda: cdf_arithmetic_limit(2.0, 0.5, 40)),
     "blpp-nw": (CdfQuery("blpp-nw", {"mu": [0.3, -0.4], "times": [1.0], "thresholds": [0.5]},
-                         nodes=40),
-                lambda: cdf_blpp(NW, [0.3, -0.4], [1.0], [0.5], 40)),
+                         nodes=40, length=4.0),
+                lambda: cdf_blpp(NW, [0.3, -0.4], [1.0], [0.5], 40, 4.0)),
     "blpp-flat": (CdfQuery("blpp-flat", {"mu": [-0.5, -1.0], "times": [1.0],
-                                         "thresholds": [1.5]}),
-                  lambda: cdf_blpp(FLAT, [-0.5, -1.0], [1.0], [1.5])),
-    "airy": (CdfQuery("airy", {"times": [0.0], "thresholds": [-1.0]}, nodes=40),
-             lambda: airy_fdd([0.0], [-1.0], 40)),
+                                         "thresholds": [1.5]}, length=4.0),
+                  lambda: cdf_blpp(FLAT, [-0.5, -1.0], [1.0], [1.5], lengths=4.0)),
+    "airy": (CdfQuery("airy", {"times": [0.0], "thresholds": [-1.0]}, nodes=40, length=4.0),
+             lambda: airy_fdd([0.0], [-1.0], 40, 4.0)),
     "dyson-edge": (CdfQuery("dyson-edge", {"nu": np.linspace(-1.0, 0.0, 12), "times": [0.0],
-                                           "thresholds": [0.3]}),
-                   lambda: cdf_dyson_edge(np.linspace(-1.0, 0.0, 12), [0.0], [0.3])),
+                                           "thresholds": [0.3]}, length=4.0),
+                   lambda: cdf_dyson_edge(np.linspace(-1.0, 0.0, 12), [0.0], [0.3],
+                                          lengths=4.0)),
     "detratio": (CdfQuery("detratio", {"beta": [1.0, 2.0], "a": 0.5}),
                  lambda: det_ratio([1.0, 2.0], 0.5)),
 }
@@ -361,6 +363,19 @@ def test_query_dispatch_per_family(family):
     assert 0.0 < value < 1.0
     option_names = set(FAMILIES[family].options) | {FAMILIES[family].threshold}
     assert option_names == set(query.params)
+
+
+@pytest.mark.parametrize("family,name", [
+    (family, name) for family in sorted(FAMILIES)
+    for name in FAMILIES[family].options + (FAMILIES[family].threshold,)])
+def test_query_without_an_option_names_it(family, name):
+    query, _ = DIRECT_CALLS[family]
+    params = {key: value for key, value in query.params.items() if key != name}
+    with pytest.raises(ParameterError, match="needs %s$" % name):
+        evaluate_cdf(CdfQuery(family, params))
+    if name != FAMILIES[family].threshold:
+        with pytest.raises(ParameterError, match="needs %s$" % name):
+            evaluate_curve(CdfQuery(family, params), [query.params[FAMILIES[family].threshold]])
 
 
 # ---------------------------------------------------------------------------

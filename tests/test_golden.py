@@ -7,8 +7,10 @@ holds pointwise and grid values of the contour kernels the CDF table never
 calls directly (``s_minus``, ``s_bar``, ``s_hypo_flat``, the rate kernels,
 ``k_nw``, ``k_flat`` on both of its branches, ``k_delta``, ``j_airy`` in
 both contour modes, and Dyson-edge blocks), made before the kernel fills
-were merged into one evaluator; each is checked to 1e-14 relative to
-max(1, |value|).
+were merged into one evaluator.  ``data/curve_golden.json`` holds what
+``evaluate_curve`` returns over the 5-point grid of each family in
+``test_distributions.CURVES``, where one build serves every threshold.
+Kernel and curve values are checked to 1e-14 relative to max(1, |value|).
 
 The arith kernel loses about six digits to cancellation in its Gamma-ratio
 contour sum, so its last digits follow the BLAS summation order, which
@@ -32,12 +34,21 @@ GOLDEN = ROOT / "tests" / "data" / "cdf_golden.json"
 CASES = json.loads(GOLDEN.read_text())
 KERNEL_GOLDEN = ROOT / "tests" / "data" / "kernel_golden.json"
 KERNEL_CASES = json.loads(KERNEL_GOLDEN.read_text())
+CURVE_GOLDEN = ROOT / "tests" / "data" / "curve_golden.json"
+CURVE_CASES = json.loads(CURVE_GOLDEN.read_text())
 
 EVALUATE = """
 import json, sys
 from noncolliding.distributions import CdfQuery, evaluate_cdf
 cases = json.load(open(sys.argv[1]))
 print(json.dumps([evaluate_cdf(CdfQuery(c["family"], c["params"])) for c in cases]))
+"""
+
+EVALUATE_CURVES = """
+import json, sys
+from noncolliding.distributions import CdfQuery, evaluate_curve
+cases = json.load(open(sys.argv[1]))
+print(json.dumps([evaluate_curve(CdfQuery(c["family"], c["params"]), c["grid"]) for c in cases]))
 """
 
 # a case calls ``module.function(*args, **kwargs)``; with ``block`` = [i, j,
@@ -75,6 +86,11 @@ def kernel_values():
     return _one_blas_thread(EVALUATE_KERNELS, KERNEL_GOLDEN)
 
 
+@pytest.fixture(scope="module")
+def curve_values():
+    return _one_blas_thread(EVALUATE_CURVES, CURVE_GOLDEN)
+
+
 def test_golden_covers_every_family():
     assert sorted({c["family"] for c in CASES}) == sorted(FAMILIES)
 
@@ -93,3 +109,16 @@ def test_kernel_golden_value(kernel_values, k):
     assert len(kernel_values[k]) == len(case["value"])
     for got, ref in zip(kernel_values[k], case["value"]):
         assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (case["function"], got, ref)
+
+
+def test_curve_golden_covers_every_family():
+    assert sorted(c["family"] for c in CURVE_CASES) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("k", range(len(CURVE_CASES)),
+                         ids=[c["family"] for c in CURVE_CASES])
+def test_curve_golden_values(curve_values, k):
+    case = CURVE_CASES[k]
+    assert len(curve_values[k]) == len(case["values"]) == len(case["grid"])
+    for a, got, ref in zip(case["grid"], curve_values[k], case["values"]):
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (case["family"], a, got, ref)

@@ -6,10 +6,10 @@ import pytest
 from noncolliding.contours import gauss_legendre, make_contour
 from noncolliding.exceptions import DomainError, ParameterError
 from noncolliding.distributions import airy_block
-from noncolliding.kernels import (BoundaryFunction, DriftVector, airy_kernel_ext,
-                                  brownian_block_kernel, heat_op_full, heat_op_half, j_airy,
-                                  k_bridge, k_delta, k_flat, k_loe, k_nw, k_piflat, s_bar,
-                                  s_bar_hermite, s_hypo_flat, s_hypo_mc, s_minus)
+from noncolliding.kernels import (BoundaryFunction, airy_kernel_ext, brownian_block_kernel,
+                                  heat_op_full, heat_op_half, j_airy, k_bridge, k_delta, k_flat,
+                                  k_loe, k_nw, k_piflat, s_bar, s_bar_hermite, s_hypo_flat,
+                                  s_hypo_mc, s_minus)
 from noncolliding.kernels import Side, _base_rows, _k_delta_engine, low_rank, shifted_rows
 from noncolliding.rng import RngStream
 from noncolliding.special import complex_gamma, heat_kernel
@@ -151,9 +151,6 @@ def test_boundary_function_validation():
         BoundaryFunction.sampled([0.0, 1.0, 0.5], [0.0, 0.1, 0.2])
     b = BoundaryFunction.sampled([0.0, 1.0, 2.0], [0.0, -1.0, 0.5])
     assert b(0.5) == -0.5
-    assert DriftVector((1.0, 2.0), "rate").as_drifts()[0] == -1.0
-    with pytest.raises(ParameterError):
-        DriftVector((-1.0,), "rate")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,53 @@
+"""Dead-code lint: what a module imports it uses, and every private name is used somewhere.
+
+Each module of ``src/noncolliding`` but ``__init__.py`` is parsed with
+``ast``.  A name bound by an import must be read in that module, and a
+private module-level name (``_x``) must be read, imported or reached as an
+attribute somewhere in ``src/noncolliding`` besides its definition.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "noncolliding"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TREES = {p: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _read_names(tree):
+    """Every name the tree reads: loaded names, attributes and the names it imports from."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    tree = TREES[path]
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    imported = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert [name for name in imported if name not in loaded] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_name_is_used(path):
+    defined = []
+    for node in TREES[path].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = set().union(*(_read_names(tree) for tree in TREES.values()))
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    assert [name for name in private if name not in read] == []
