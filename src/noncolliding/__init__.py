@@ -22,7 +22,7 @@ evaluates CDFs, runs samplers, and replays the comparison suite.
 
 from .contours import Contour, SemiInfiniteRule, make_contour, semi_infinite_rule
 from .defaults import DEFAULTS, DEFAULTS_VERSION
-from .discrete import (GeomParams, drift_params, q_geom, s_epi_mc, s_geom,
+from .discrete import (GeomParams, drift_params, q_geom, s_geom,
                        sample_geom_lpp, sbar_geom, scaling_bridge, transition_prob,
                        to_tilde, from_tilde, w_coeff, w_tilde)
 from .distributions import (CdfQuery, EdgeScaling, airy_fdd, cdf_arithmetic_limit,
@@ -31,10 +31,10 @@ from .distributions import (CdfQuery, EdgeScaling, airy_fdd, cdf_arithmetic_limi
                             evaluate_cdf, f_class_bounds, f_class_contains)
 from .fredholm import (BlockKernel, DetResult, apply_conjugation, det_nystrom,
                        det_ratio, det_series, single_slot_kernel)
-from .kernels import (BoundaryFunction, airy_kernel_ext, brownian_block_kernel, heat_op_full,
-                      heat_op_half, j_airy, k_bridge, k_delta, k_flat, k_loe, k_nw, k_piflat,
-                      s_bar, s_bar_hermite, s_hypo_flat, s_hypo_mc, s_minus)
-from .montecarlo import (MCEstimate, dkw_band, empirical_cdf, sample_arith_max,
+from .kernels import (BoundaryFunction, airy_kernel_ext, heat_op_full, heat_op_half, j_airy,
+                      k_bridge, k_delta, k_flat, k_loe, k_nw, k_piflat, s_bar, s_bar_hermite,
+                      s_hypo_flat, s_minus)
+from .montecarlo import (dkw_band, empirical_cdf, sample_arith_max,
                          sample_blpp, sample_bridge_topmax, sample_dyson_max,
                          sample_gue, sample_loe_max, sample_piflat)
 from .rng import RngStream, rng_gaussian

@@ -50,7 +50,7 @@ def composite_legendre(edges, nodes_per_panel):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def graded_edges(length, first, growth=1.7):
+def graded_edges(length, first, growth):
     """Panel edges on [0, length] whose widths grow geometrically."""
     edges = [0.0]
     w = float(first)
@@ -100,9 +100,8 @@ class Contour:
         """Rebuild with more nodes (and optionally a longer truncation)."""
         geo = dict(self.geometry)
         geo["nodes"] = max(8, int(round(geo["nodes"] * node_factor)))
-        for key in ("half_height", "length"):
-            if key in geo and self.truncation is not None:
-                geo[key] = geo[key] * truncation_factor
+        if "half_height" in geo and self.truncation is not None:
+            geo["half_height"] = geo["half_height"] * truncation_factor
         return make_contour(self.kind, **geo)
 
 
@@ -168,37 +167,22 @@ def _rectangle(left, right, half_height, nodes):
     return u, w
 
 
-def _wedge(angle, length, nodes):
-    if not 0.0 < angle < np.pi:
-        raise ParameterError("wedge angle must lie in (0, pi), got %r" % (angle,))
-    edges = graded_edges(length, 0.75)
-    per_panel = max(8, int(round(nodes / (len(edges) - 1))))
-    t, wt = composite_legendre(edges, per_panel)
-    up = np.exp(1j * angle)
-    return up * t, up * wt  # the upper ray, out from the apex
-
-
-def make_contour(kind, *, nodes=None, **geometry):
-    """Build a contour of the given kind.
+def make_contour(kind, *, nodes, **geometry):
+    """Build a contour of the given kind with ``nodes`` nodes in all.
 
     Kinds and their geometry:
 
     - ``circle``: center, radius
     - ``vertical``: offset (real part), half_height (truncation)
     - ``rectangle``: left, right, half_height
-    - ``wedge``: apex, angle, length
+
+    Wedges are placed adaptively by :func:`ray_wedge`.
     """
-    if nodes is None:
-        nodes = {
-            "circle": DEFAULTS["circle_nodes"],
-            "vertical": DEFAULTS["vertical_nodes"],
-            "wedge": 2 * DEFAULTS["wedge_nodes_per_ray"],
-        }.get(kind, 256)
     nodes = int(nodes)
     if nodes < 8:
         raise ParameterError("contour needs at least 8 nodes, got %d" % nodes)
 
-    for key in ("radius", "half_height", "length"):
+    for key in ("radius", "half_height"):
         if key in geometry and not geometry[key] > 0:
             raise ParameterError("%s must be positive, got %r" % (key, geometry[key]))
 
@@ -213,9 +197,6 @@ def make_contour(kind, *, nodes=None, **geometry):
             raise ParameterError("rectangle needs right > left")
         origin, closed, trunc = 0.0, True, None
         u, w = _rectangle(geometry["left"], geometry["right"], geometry["half_height"], nodes)
-    elif kind == "wedge":
-        origin, closed, trunc = geometry["apex"], False, geometry["length"]
-        u, w = _wedge(geometry["angle"], geometry["length"], nodes)
     else:
         raise ParameterError("unknown contour kind %r" % (kind,))
 
@@ -265,8 +246,8 @@ def ray_wedge(apex, angle, psi, max_length):
     ``psi(w)`` is the complex exponent of a factor ``exp(-psi(w))`` that
     decays along the upper ray ``apex + e^{i angle} tau``; :func:`adaptive_ray`
     sets its nodes, and the lower ray takes their mirror image (exponents
-    with real coefficients decay alike on both).  The path runs upward like
-    ``make_contour("wedge", ...)``.
+    with real coefficients decay alike on both).  The path runs upward,
+    into the apex along the lower ray and out along the upper one.
     """
     u = np.exp(1j * angle)
     tau, wt = adaptive_ray(lambda t: psi(apex + u * t), max_length)

@@ -9,9 +9,6 @@ DEFAULTS_VERSION = "3"
 
 DEFAULTS = {
     # quadrature resolutions
-    "circle_nodes": 256,
-    "vertical_nodes": 512,
-    "wedge_nodes_per_ray": 320,
     "rectangle_nodes_per_unit": 24,
     "coefficient_nodes": 2048,
     # decay / truncation policy
@@ -24,7 +21,6 @@ DEFAULTS = {
     "seed": 20260809,
     "blpp_grid": 4096,
     "bridge_grid": 2048,
-    "euler_steps": 2000,
     "ecdf_points": 1000,
 }
 

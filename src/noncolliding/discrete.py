@@ -27,11 +27,10 @@ _TWO_PI_I = 2j * np.pi
 
 @dataclass(frozen=True)
 class GeomParams:
-    """Column parameters a_i in (0,1), walk parameter theta, row count N."""
+    """Column parameters a_i in (0,1) and walk parameter theta."""
 
     a: tuple
     theta: float = 0.5
-    N: int = 0
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -52,7 +51,7 @@ def drift_params(mu, N, theta=0.5):
     """Column parameters a_i = 1/2 + mu_i/(2 sqrt(2 N)) of the scaling bridge."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     c3 = 1.0 / (2.0 * np.sqrt(2.0))
-    return GeomParams(tuple(0.5 + c3 * mu / np.sqrt(N)), theta, int(N))
+    return GeomParams(tuple(0.5 + c3 * mu / np.sqrt(N)), theta)
 
 
 def scaling_bridge(N, t, x):
@@ -69,13 +68,11 @@ def _log_phi(z, a):
     return (np.sum(np.log1p(-a)) - np.sum(np.log(1.0 - a[None, :] / z[..., None]), axis=-1))
 
 
-def _w_many(k, xs, params, radius=1.25, nodes=None):
-    """W_k at many integer arguments by circle coefficient extraction."""
+def _w_many(k, xs, params, nodes=None):
+    """W_k at many integer arguments by circle coefficient extraction on |z| = 1.25."""
     nodes = DEFAULTS["coefficient_nodes"] if nodes is None else int(nodes)
-    if radius <= 1.0:
-        raise ParameterError("the coefficient circle must have radius > 1")
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    z = radius * np.exp(1j * theta)
+    z = 1.25 * np.exp(1j * theta)
     base = k * np.log(z - 1.0) + _log_phi(z, params.arr()) if params.arr().size else k * np.log(z - 1.0)
     xs = np.atleast_1d(np.asarray(xs))
     expo = (xs[:, None] - 1.0) * np.log(z)[None, :] + base[None, :]
@@ -84,15 +81,15 @@ def _w_many(k, xs, params, radius=1.25, nodes=None):
     return np.real(vals * np.exp(m) / _TWO_PI_I)
 
 
-def w_coeff(k, x, params, radius=1.25, nodes=None):
+def w_coeff(k, x, params, nodes=None):
     """Transition coefficient W_k(x): the z^{-x} Laurent coefficient of
-    (z-1)^k prod_i (1-a_i)/(1-a_i/z) on a circle of radius > 1."""
-    return float(_w_many(int(k), [int(x)], params, radius, nodes)[0])
+    (z-1)^k prod_i (1-a_i)/(1-a_i/z) on the circle of radius 1.25."""
+    return float(_w_many(int(k), [int(x)], params, nodes)[0])
 
 
-def w_tilde(k, x, params, radius=1.25, nodes=None):
+def w_tilde(k, x, params):
     """Reflected coefficient W~_k(x) = W_{-k}(k - x)."""
-    return w_coeff(-int(k), int(k) - int(x), params, radius, nodes)
+    return w_coeff(-int(k), int(k) - int(x), params)
 
 
 def _check_weyl(x):
@@ -113,7 +110,7 @@ def from_tilde(xt):
     return -xt - np.arange(1, len(xt) + 1)
 
 
-def transition_prob(x, y, m, params, nodes=None):
+def transition_prob(x, y, m, params):
     """P(G(m) = y | G(0) = x) = det[W_{j-i}(y_j - x_i)] over N x N indices."""
     x = _check_weyl(x)
     y = _check_weyl(y)
@@ -126,7 +123,7 @@ def transition_prob(x, y, m, params, nodes=None):
         for j in range(N):
             key = (j - i, int(y[j] - x[i]))
             if key not in cache:
-                cache[key] = w_coeff(key[0], key[1], params, nodes=nodes)
+                cache[key] = w_coeff(key[0], key[1], params)
             M[i, j] = cache[key]
     det = float(np.linalg.det(M))
     if -1e-12 < det < 0.0:
@@ -163,7 +160,7 @@ def _saddle_circle_nodes(count):
     return int(min(16384, max(512, 16 * np.sqrt(count) + 256)))
 
 
-def q_geom(n, z1, z2, params, nodes=None):
+def q_geom(n, z1, z2, params):
     """n-step transition probability of the strictly-left geometric walk.
 
     Contour form: (1/2 pi i) oint theta^{z1-z2} (alpha/(1-w))^n
@@ -178,8 +175,7 @@ def q_geom(n, z1, z2, params, nodes=None):
         return 0.0
     # saddle of |w^{-(j-n)-1} (1-w)^{-n}| on the radial axis
     r = min(0.95, max(0.05, (j - n) / j if j > 0 else 0.5))
-    count = DEFAULTS["coefficient_nodes"] if nodes is None else int(nodes)
-    count = max(count, _saddle_circle_nodes(j + n))
+    count = max(DEFAULTS["coefficient_nodes"], _saddle_circle_nodes(j + n))
     th = 2.0 * np.pi * np.arange(count) / count
     w = r * np.exp(1j * th)
     expo = (j * np.log(theta) + n * np.log(alpha) - n * np.log(1.0 - w)
@@ -189,7 +185,7 @@ def q_geom(n, z1, z2, params, nodes=None):
     return float(val.real)
 
 
-def s_geom(m, n, z1, z2, params, nodes=None):
+def s_geom(m, n, z1, z2, params):
     """Discrete pole-side kernel S_{m,-n}(z1, z2) on a saddle-centered circle."""
     theta, alpha = params.theta, params.alpha
     a = params.arr()[:m]
@@ -202,7 +198,7 @@ def s_geom(m, n, z1, z2, params, nodes=None):
     radius = max(1.3 * np.max(np.abs(a - center)) + 1e-9, 1.0 / (2.0 * np.sqrt(P + n + 1)))
     if center + radius >= 1.0:
         radius = 0.5 * (1.0 - center)
-    count = _saddle_circle_nodes(P + n) if nodes is None else int(nodes)
+    count = _saddle_circle_nodes(P + n)
     th = 2.0 * np.pi * np.arange(count) / count
     w = center + radius * np.exp(1j * th)
     expo = ((z1 - z2) * np.log(theta) + P * np.log(w)
@@ -212,7 +208,7 @@ def s_geom(m, n, z1, z2, params, nodes=None):
     return float((val * np.exp(mx) / _TWO_PI_I).real)
 
 
-def _sbar_geom_batch(m, ns, z1s, z2, params, nodes=None):
+def _sbar_geom_batch(m, ns, z1s, z2, params):
     """sbar for vectors of horizons/positions sharing one circle |w| = w*."""
     theta, alpha = params.theta, params.alpha
     a = params.arr()[:m]
@@ -223,7 +219,7 @@ def _sbar_geom_batch(m, ns, z1s, z2, params, nodes=None):
     Qbar = float(np.mean(Q))
     wstar = nbar / (nbar - Qbar) if nbar - Qbar > 0 else 0.5
     wstar = min(0.9, max(0.1, wstar))
-    count = _saddle_circle_nodes(abs(Qbar) + nbar) if nodes is None else int(nodes)
+    count = _saddle_circle_nodes(abs(Qbar) + nbar)
     th = 2.0 * np.pi * np.arange(count) / count
     w = wstar * np.exp(1j * th)
     base = -_log_phi(1.0 - w, a) if len(a) else np.zeros_like(w)
@@ -236,45 +232,6 @@ def _sbar_geom_batch(m, ns, z1s, z2, params, nodes=None):
     return np.real(vals * np.exp(mx) / _TWO_PI_I)
 
 
-def sbar_geom(m, n, z1, z2, params, nodes=None):
+def sbar_geom(m, n, z1, z2, params):
     """Discrete line-side kernel S-bar_{m,n}(z1, z2) on the circle |w| = w*."""
-    return float(_sbar_geom_batch(m, [n], [z1], z2, params, nodes)[0])
-
-
-def s_epi_mc(m, n, z1, z2, x_tilde, params, paths=2000, stream=None):
-    """Monte Carlo epigraph kernel of the strictly-left geometric walk.
-
-    Walks start at z1; tau is the first k with B_k > x_tilde[k]; surviving
-    paths contribute sbar(m, n - tau, B_tau, z2).  ``x_tilde`` is indexed
-    so that entry k bounds the walk at step k (k = 0 checks the start).
-    Returns an :class:`~noncolliding.montecarlo.MCEstimate`.
-    """
-    from .montecarlo import MCEstimate
-
-    if paths < 1:
-        raise ParameterError("need paths >= 1")
-    stream = stream or RngStream(DEFAULTS["seed"])
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    if len(x_tilde) < n + 1:
-        raise ParameterError("x_tilde must cover steps 0..n")
-    if z1 > x_tilde[0]:
-        val = sbar_geom(m, n, z1, z2, params)
-        return MCEstimate(value=val, std_error=0.0, n_samples=paths, seed=stream.seed)
-    gen = stream.generator()
-    B = np.full(paths, float(z1))
-    tau = np.full(paths, -1, dtype=int)
-    pos = np.zeros(paths)
-    for k in range(1, n):
-        B -= gen.geometric(1.0 - params.theta, size=paths)
-        newly = (tau < 0) & (B > x_tilde[k])
-        tau[newly] = k
-        pos[newly] = B[newly]
-        if np.all(tau >= 0):
-            break
-    hit = tau >= 0
-    contrib = np.zeros(paths)
-    if np.any(hit):
-        contrib[hit] = _sbar_geom_batch(m, n - tau[hit], pos[hit], z2, params)
-    est = float(contrib.mean())
-    err = float(contrib.std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
-    return MCEstimate(value=est, std_error=err, n_samples=paths, seed=stream.seed)
+    return float(_sbar_geom_batch(m, [n], [z1], z2, params)[0])

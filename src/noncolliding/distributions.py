@@ -252,7 +252,7 @@ def cdf_bridge_runningmax(n, s, a, nodes=None, length=None):
     if not a > 0:
         raise DomainError("need a > 0")
     if s == 1.0:
-        return cdf_loe_max(n, a * a, nodes)
+        return cdf_loe_max(n, a * a, nodes, length)
     if s == 0.0:
         return 1.0
     return _det(runningmax_block(n, s, a, length), nodes)
@@ -301,10 +301,6 @@ def blpp_block(b, mu, times, thresholds, lengths=None, fills=None):
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ParameterError("times must be positive and strictly increasing")
-    if b.kind not in ("narrow_wedge", "flat"):
-        raise ParameterError("determinants support the narrow-wedge and flat "
-                             "boundaries; general boundaries only have the "
-                             "pointwise Monte Carlo kernel")
     tmax = times.max()
     if lengths is None:
         drift_push = max(0.0, mu.max()) * tmax

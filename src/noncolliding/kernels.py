@@ -64,12 +64,14 @@ def heat_op_full(t, x, y):
 
 @dataclass(frozen=True)
 class BoundaryFunction:
-    """Boundary data b(t) for last passage percolation."""
+    """Boundary data b(t) for last passage percolation: narrow wedge or flat."""
 
     kind: str
-    slope: float = 0.0
-    grid: tuple = ()
-    values: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("narrow_wedge", "flat"):
+            raise ParameterError("unknown boundary kind %r; the kinds are "
+                                 "'narrow_wedge' and 'flat'" % (self.kind,))
 
     @staticmethod
     def narrow_wedge():
@@ -79,34 +81,12 @@ class BoundaryFunction:
     def flat():
         return BoundaryFunction("flat")
 
-    @staticmethod
-    def linear(slope):
-        return BoundaryFunction("linear", slope=float(slope))
-
-    @staticmethod
-    def sampled(ts, values):
-        ts = tuple(float(t) for t in ts)
-        values = tuple(float(v) for v in values)
-        if len(ts) != len(values) or len(ts) < 2:
-            raise ParameterError("sampled boundary needs matching grids of length >= 2")
-        if any(b <= a for a, b in zip(ts[:-1], ts[1:])):
-            raise ParameterError("sampled boundary grid must be strictly increasing")
-        if abs(values[0]) > 1e-12 or abs(ts[0]) > 1e-12:
-            raise ParameterError("boundary must start at b(0) = 0")
-        return BoundaryFunction("sampled", grid=ts, values=values)
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "flat":
             out = np.zeros_like(t)
-        elif self.kind == "linear":
-            out = -self.slope * t
-        elif self.kind == "sampled":
-            out = np.interp(t, self.grid, self.values)
-        elif self.kind == "narrow_wedge":
-            out = np.where(t == 0.0, 0.0, -np.inf)
         else:
-            raise ParameterError("unknown boundary kind %r" % (self.kind,))
+            out = np.where(t == 0.0, 0.0, -np.inf)
         return out if out.ndim else float(out)
 
 
@@ -509,52 +489,6 @@ def s_hypo_flat(mu, t, x, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def s_hypo_mc(b, mu, t, x, y, paths=4000, stream=None):
-    """Monte Carlo hypograph kernel for a general boundary.
-
-    Runs an Euler walk of ``DEFAULTS["euler_steps"]`` steps from x, stops at
-    the first grid time with W <= b(s), and averages s_bar(t - tau, W_tau, y);
-    returns an :class:`~noncolliding.montecarlo.MCEstimate`.  Hitting is
-    detected by sign crossing on the grid (no bridge correction), biased ~sqrt(step).
-    """
-    from .montecarlo import MCEstimate
-    from .rng import RngStream
-
-    if b.kind == "narrow_wedge":
-        raise ParameterError("narrow wedge boundary has a closed form; use s_hypo_flat/k_nw")
-    if paths < 1000:
-        raise ParameterError("need at least 1000 paths")
-    stream = stream or RngStream(DEFAULTS["seed"])
-    steps = DEFAULTS["euler_steps"]
-    if float(x) <= float(b(0.0)):
-        val = s_bar(mu, t, x, y)
-        return MCEstimate(value=val, std_error=0.0, n_samples=paths, seed=stream.seed)
-
-    gen = stream.generator()
-    half = paths // 2
-    h = t / steps
-    increments = gen.standard_normal((half, steps)) * np.sqrt(h)
-    values = np.zeros(2 * half)
-    for sgn, block in ((1.0, slice(0, half)), (-1.0, slice(half, 2 * half))):
-        W = np.full(half, float(x))
-        alive = np.ones(half, dtype=bool)
-        hit_val = np.zeros(half)
-        for k in range(steps):
-            W = W + sgn * increments[:, k]
-            s_now = (k + 1) * h
-            crossed = alive & (W <= float(b(s_now)))
-            if np.any(crossed):
-                rem = t - s_now
-                if rem <= 0:
-                    rem = h * 1e-6
-                hit_val[crossed] = s_bar_hermite(mu, rem, W[crossed], float(y))
-                alive[crossed] = False
-        values[block] = hit_val
-    est = float(values.mean())
-    err = float(values.std(ddof=1) / np.sqrt(len(values)))
-    return MCEstimate(value=est, std_error=err, n_samples=2 * half, seed=stream.seed)
-
-
 # ---------------------------------------------------------------------------
 # narrow-wedge and flat double-contour kernels
 # ---------------------------------------------------------------------------
@@ -900,32 +834,3 @@ def _brownian_block(kind, mu, t_i, t_j, xs, ys, fill=None):
     if t_i < t_j:
         block = block - heat_op_half(t_j - t_i, xs[:, None], ys[None, :])
     return block
-
-
-def brownian_block_kernel(b, mu, times, thresholds, i, x, j, y, mc_paths=20000, stream=None):
-    """Extended kernel of boundary-driven Brownian last passage percolation.
-
-    -e^{(t_j-t_i) d^2/2}(x,y) 1{t_i < t_j} + (S_{m,-t_i} S^hypo(b)_{m,t_j})(x,y);
-    the composed term has closed forms for the narrow-wedge and flat
-    boundaries and falls back to Monte Carlo composition otherwise (the
-    thresholds enter the determinant domain, not the kernel).
-    """
-    times = np.asarray(times, dtype=float)
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ParameterError("times must be positive and strictly increasing")
-    t_i, t_j = times[i], times[j]
-    if b.kind in ("narrow_wedge", "flat"):
-        return float(_brownian_block(b.kind, mu, t_i, t_j, np.atleast_1d(float(x)),
-                                     np.atleast_1d(float(y)))[0, 0])
-    mu_arr = _drifts(mu)
-    lo = -6.0 * np.sqrt(t_j) + min(0.0, float(b(times[-1])))
-    hi = max(4.0 * np.sqrt(t_j), abs(x) + 1.0)
-    u, wu = gauss_legendre(lo, hi, 160)
-    sm = s_minus(mu_arr, t_i, x, u)
-    sh = np.array([s_hypo_mc(b, mu_arr, t_j, ui, y, paths=mc_paths,
-                             stream=None if stream is None else stream.substream(k)).value
-                   for k, ui in enumerate(u)])
-    val = float(np.sum(wu * sm * sh))
-    if t_i < t_j:
-        val = val - heat_op_half(t_j - t_i, x, y)
-    return val

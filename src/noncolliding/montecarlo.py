@@ -7,8 +7,6 @@ against determinant CDFs use Dvoretzky-Kiefer-Wolfowitz bands: at level
 95% the band half-width is sqrt(log(2/0.05) / (2 n)).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .defaults import DEFAULTS
@@ -16,20 +14,10 @@ from .exceptions import ParameterError
 from .rng import RngStream
 
 __all__ = [
-    "MCEstimate", "dkw_band", "empirical_cdf", "sample_gue", "sample_arith_max",
+    "dkw_band", "empirical_cdf", "sample_gue", "sample_arith_max",
     "sample_blpp", "sample_piflat", "sample_loe_max", "sample_dyson_max",
     "sample_bridge_topmax",
 ]
-
-
-@dataclass
-class MCEstimate:
-    """A Monte Carlo estimate with its standard error."""
-
-    value: float = None
-    n_samples: int = 0
-    seed: int = 0
-    std_error: float = None
 
 
 def dkw_band(n):
@@ -108,7 +96,7 @@ def sample_blpp(b, mu, m, t, grid_step=None, stream=None, paths=1):
     """
     if not t > 0:
         raise ParameterError("need t > 0, got %r" % (t,))
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))[:m] if np.ndim(mu) else np.full(m, float(mu))
+    mu = np.atleast_1d(np.asarray(mu, dtype=float)) if np.ndim(mu) else np.full(m, float(mu))
     if len(mu) != m:
         raise ParameterError("need one drift per row")
     step = (t / DEFAULTS["blpp_grid"]) if grid_step is None else float(grid_step)
@@ -137,19 +125,18 @@ def sample_blpp(b, mu, m, t, grid_step=None, stream=None, paths=1):
     return float(out[0]) if paths == 1 else out
 
 
-def sample_piflat(beta, stream=None, samples=1, n=None):
+def sample_piflat(beta, stream=None, samples=1):
     """Point-to-line passage value over the staircase triangle.
 
-    Cell (i, j) with i+j <= n+1 carries an Exponential(beta_i + beta_{n+1-j})
-    weight; the value is the best up/right path from (1,1) to the boundary.
+    With n = len(beta), cell (i, j) with i+j <= n+1 carries an
+    Exponential(beta_i + beta_{n+1-j}) weight; the value is the best
+    up/right path from (1,1) to the boundary.
     The dynamic program keeps only the previous row and the current one, in
     one array of n cells: cell j holds G(i-1, j) until row i overwrites it
     with G(i, j).
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    n = len(beta) if n is None else int(n)
-    if n != len(beta):
-        raise ParameterError("need one rate per row")
+    n = len(beta)
     if np.any(beta <= 0):
         raise ParameterError("rates must be positive")
     gen = _default_stream(stream).generator()

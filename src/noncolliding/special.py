@@ -34,15 +34,15 @@ def _lanczos_half_plane(z):
     return _SQRT_2PI * t ** (zm + 0.5) * np.exp(-t) * acc
 
 
-def complex_gamma(z, pole_tol=1e-8):
+def complex_gamma(z):
     """Gamma function on the complex plane (reflection for Re z < 1/2).
 
-    Raises :class:`PoleError` within ``pole_tol`` of a nonpositive integer;
-    the error carries the offending pole location.
+    Raises :class:`PoleError` within 1e-8 of a nonpositive integer; the
+    error carries the offending pole location.
     """
     arr = np.asarray(z, dtype=complex)
     nearest = np.round(arr.real)
-    on_pole = (nearest <= 0) & (np.abs(arr - nearest) < pole_tol)
+    on_pole = (nearest <= 0) & (np.abs(arr - nearest) < 1e-8)
     if np.any(on_pole):
         pole = nearest[on_pole].flat[0] if arr.ndim else float(nearest)
         raise PoleError("Gamma pole at z = %s" % pole, int(pole))
@@ -139,15 +139,15 @@ def airy_function(x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def hermitian_eigen_max(M, tol=1e-12):
+def hermitian_eigen_max(M):
     """Largest eigenvalue of a Hermitian matrix.
 
-    The input must be Hermitian to within ``tol`` elementwise, else a
+    The input must be Hermitian to within 1e-12 elementwise, else a
     :class:`ValidationError` is raised.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("expected a square matrix, got shape %r" % (M.shape,))
-    if np.max(np.abs(M - M.conj().T)) > tol:
-        raise ValidationError("matrix is not Hermitian within %g elementwise" % tol)
+    if np.max(np.abs(M - M.conj().T)) > 1e-12:
+        raise ValidationError("matrix is not Hermitian within 1e-12 elementwise")
     return float(np.linalg.eigvalsh(M)[-1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noncolliding.contours import (_circle, gauss_legendre, make_contour, mirrored,
+from noncolliding.contours import (_circle, gauss_legendre, make_contour, mirrored, ray_wedge,
                                    semi_infinite_rule)
 from noncolliding.exceptions import ParameterError
 
@@ -52,18 +52,18 @@ def test_vertical_orientation_upward():
 
 
 def test_wedge_matches_airy_value():
-    w = make_contour("wedge", apex=0.5, angle=np.pi / 3, length=14.0, nodes=600)
+    w = ray_wedge(0.5, np.pi / 3, lambda z: -z ** 3 / 3, 14.0)
     ai0 = w.integrate(lambda z: np.exp(z ** 3 / 3.0)) / (2j * np.pi)
     assert abs(ai0 - 0.3550280538878172) < 1e-12
     assert abs(ai0.imag) < 1e-14
 
 
 def test_contour_refinement_and_truncation_recorded():
-    w = make_contour("wedge", apex=0.0, angle=5 * np.pi / 6, length=8.0, nodes=200)
-    assert w.truncation == 8.0
-    w2 = w.refined(2, truncation_factor=1.5)
-    assert w2.truncation == 12.0
-    assert len(w2.nodes) > len(w.nodes)
+    v = make_contour("vertical", offset=0.0, half_height=8.0, nodes=200)
+    assert v.truncation == 8.0
+    v2 = v.refined(2, truncation_factor=1.5)
+    assert v2.truncation == 12.0
+    assert len(v2.nodes) > len(v.nodes)
 
 
 def test_parameter_validation():
@@ -73,8 +73,6 @@ def test_parameter_validation():
         make_contour("circle", center=0.0, radius=1.0, nodes=4)
     with pytest.raises(ParameterError):
         make_contour("rectangle", left=1.0, right=-1.0, half_height=0.5, nodes=64)
-    with pytest.raises(ParameterError):
-        make_contour("wedge", apex=0.0, angle=3.5, length=1.0, nodes=64)
     with pytest.raises(ParameterError):
         make_contour("pentagon", nodes=64)
 

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncolliding.discrete import (GeomParams, drift_params, from_tilde, q_geom,
-                                   s_epi_mc, s_geom, sample_geom_lpp, sbar_geom,
+                                   s_geom, sample_geom_lpp, sbar_geom,
                                    scaling_bridge, to_tilde, transition_prob,
                                    w_coeff, w_tilde)
 from noncolliding.exceptions import ParameterError
-from noncolliding.kernels import s_bar, s_hypo_flat, s_minus
+from noncolliding.kernels import s_bar, s_minus
 from noncolliding.rng import RngStream
 from noncolliding.special import heat_kernel
 
@@ -31,8 +31,6 @@ def test_w_coeff_doubling_nodes_is_exact():
     p = GeomParams((0.3, 0.5))
     for (k, x) in [(1, 3), (-2, -1), (0, 5)]:
         assert abs(w_coeff(k, x, p) - w_coeff(k, x, p, nodes=4096)) < 1e-12
-    with pytest.raises(ParameterError):
-        w_coeff(0, 0, p, radius=0.9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,29 +146,3 @@ def test_scaling_bridge_values():
     assert abs(a / (1 - a) - (1.0 + 4 * c3 / np.sqrt(1e6))) < 1e-5
     with pytest.raises(ParameterError):
         scaling_bridge(5, 1.0, 0.0)
-
-
-def test_s_epi_mc_immediate_and_never():
-    p = drift_params([0.2], 200)
-    xt = np.full(30, -5.0)
-    est = s_epi_mc(1, 20, 0.0, -45, xt, p, paths=500, stream=RngStream(4))
-    assert est.std_error == 0.0
-    assert est.value == pytest.approx(sbar_geom(1, 20, 0.0, -45, p), rel=1e-12)
-    est0 = s_epi_mc(1, 20, -10.0, -45, np.full(30, 1e18), p, paths=500, stream=RngStream(5))
-    assert est0.value == 0.0
-
-
-def test_s_epi_mc_flat_data_limit():
-    # Flat initial data x_n = n gives x~_j = -2j; the rescaled epigraph
-    # kernel approaches the flat-boundary hypograph kernel.
-    N = 2000
-    mu = [0.3]
-    p = drift_params(mu, N)
-    t, x, y = 0.5, 0.4, -0.3
-    n2 = int(N * t)
-    z1 = int(np.floor(-x * np.sqrt(2 * N)))
-    _, z2 = scaling_bridge(N, t, y)
-    xt = -2.0 * np.arange(1, n2 + 3)
-    est = s_epi_mc(1, n2, z1, z2, xt, p, paths=4000, stream=RngStream(6))
-    want = s_hypo_flat(mu, t, x, y) * (N / 2.0) ** (-0.5)
-    assert abs(est.value - want) < 3 * est.std_error + 0.15 * abs(want) + 1e-4

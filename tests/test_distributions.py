@@ -129,6 +129,7 @@ def test_runningmax_limits():
     assert abs(cdf_bridge_runningmax(2, 0.999, 1.2) - cdf_loe_max(2, 1.44)) < 2e-3
     assert cdf_bridge_runningmax(2, 1e-4, 1.0) >= 0.99
     assert cdf_bridge_runningmax(3, 1.0, 0.9) == pytest.approx(cdf_loe_max(3, 0.81), abs=1e-12)
+    assert cdf_bridge_runningmax(2, 1.0, 0.9, length=3.0) == cdf_loe_max(2, 0.81, length=3.0)
     assert cdf_bridge_runningmax(2, 0.0, 1.0) == 1.0
     for s in (0.5, 1.0, 0.0):
         with pytest.raises(DomainError):
@@ -215,7 +216,7 @@ def test_blpp_validation():
     with pytest.raises(ParameterError):
         cdf_blpp(BoundaryFunction.narrow_wedge(), [0.0], [1.0, 0.5], [0, 0])
     with pytest.raises(ParameterError):
-        cdf_blpp(BoundaryFunction.sampled([0, 1], [0, -1]), [0.0], [1.0], [0.0])
+        cdf_blpp(BoundaryFunction("linear"), [0.0], [1.0], [0.0])
 
 
 def test_airy_fdd_single_time_engine_cross_check():

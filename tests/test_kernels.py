@@ -6,12 +6,11 @@ import pytest
 from noncolliding.contours import gauss_legendre, make_contour
 from noncolliding.exceptions import DomainError, ParameterError
 from noncolliding.distributions import airy_block
-from noncolliding.kernels import (BoundaryFunction, airy_kernel_ext, brownian_block_kernel,
-                                  heat_op_full, heat_op_half, j_airy, k_bridge, k_delta, k_flat,
-                                  k_loe, k_nw, k_piflat, s_bar, s_bar_hermite, s_hypo_flat,
-                                  s_hypo_mc, s_minus)
-from noncolliding.kernels import Side, _base_rows, _k_delta_engine, low_rank, shifted_rows
-from noncolliding.rng import RngStream
+from noncolliding.kernels import (BoundaryFunction, airy_kernel_ext, heat_op_full, heat_op_half,
+                                  j_airy, k_bridge, k_delta, k_flat, k_loe, k_nw, k_piflat, s_bar,
+                                  s_bar_hermite, s_hypo_flat, s_minus)
+from noncolliding.kernels import (Side, _base_rows, _brownian_block, _k_delta_engine, low_rank,
+                                  shifted_rows)
 from noncolliding.special import complex_gamma, heat_kernel
 
 GAMMA_THIRD = 2.678938534707748
@@ -124,33 +123,13 @@ def test_s_hypo_flat_branches_and_continuity():
                - s_hypo_flat(mus, 1.0, -1e-12, -0.5)) < 1e-9
 
 
-def test_s_hypo_mc_immediate_hit_and_flat_agreement():
-    mus = [0.2, -0.4]
-    flat = BoundaryFunction.flat()
-    est = s_hypo_mc(flat, mus, 1.0, -0.3, 0.5, paths=2000, stream=RngStream(3))
-    assert est.std_error == 0.0
-    assert est.value == pytest.approx(s_bar(mus, 1.0, -0.3, 0.5), abs=1e-12)
-    est2 = s_hypo_mc(flat, mus, 1.0, 0.6, 0.2, paths=20000, stream=RngStream(4))
-    want = s_hypo_flat(mus, 1.0, 0.6, 0.2)
-    # sqrt(step) hitting bias plus 3 sigma noise
-    assert abs(est2.value - want) < 3.0 * est2.std_error + 0.03
-
-
-def test_s_hypo_mc_narrow_wedge_limit():
-    est = s_hypo_mc(BoundaryFunction.linear(1000.0), [0.0], 1.0, 0.5, 0.3,
-                    paths=2000, stream=RngStream(5))
-    assert abs(est.value) < 1e-6
-    with pytest.raises(ParameterError):
-        s_hypo_mc(BoundaryFunction.narrow_wedge(), [0.0], 1.0, 0.5, 0.3)
-
-
 def test_boundary_function_validation():
-    with pytest.raises(ParameterError):
-        BoundaryFunction.sampled([0.0, 1.0], [0.5, 0.0])   # b(0) != 0
-    with pytest.raises(ParameterError):
-        BoundaryFunction.sampled([0.0, 1.0, 0.5], [0.0, 0.1, 0.2])
-    b = BoundaryFunction.sampled([0.0, 1.0, 2.0], [0.0, -1.0, 0.5])
-    assert b(0.5) == -0.5
+    with pytest.raises(ParameterError, match="unknown boundary kind 'linear'"):
+        BoundaryFunction("linear")
+    flat, nw = BoundaryFunction.flat(), BoundaryFunction.narrow_wedge()
+    assert flat(0.5) == 0.0 and nw(0.0) == 0.0 and nw(0.5) == -np.inf
+    assert np.array_equal(flat(np.array([0.0, 1.0])), [0.0, 0.0])
+    assert np.array_equal(nw(np.array([0.0, 1.0])), [0.0, -np.inf])
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +319,14 @@ def test_heat_operator_conventions():
 # ---------------------------------------------------------------------------
 
 def test_brownian_block_closed_forms():
-    nw, flat = BoundaryFunction.narrow_wedge(), BoundaryFunction.flat()
-    times = [0.8, 1.1]
     mus = [0.4, -0.7]
-    v = brownian_block_kernel(nw, mus, times, [0, 0], 0, 0.2, 1, 0.5)
+    x, y = np.array([0.2]), np.array([0.5])
+    v = _brownian_block("narrow_wedge", mus, 0.8, 1.1, x, y)[0, 0]
     want = k_nw(mus, 0.8, 0.2, 1.1, 0.5) - heat_op_half(0.3, 0.2, 0.5)
     assert abs(v - want) < 1e-12
-    # i = j: heat term absent
-    v2 = brownian_block_kernel(flat, mus, times, [0, 0], 1, 0.2, 1, 0.5)
+    # equal times: heat term absent
+    v2 = _brownian_block("flat", mus, 1.1, 1.1, x, y)[0, 0]
     assert abs(v2 - k_flat(mus, 1.1, 0.2, 1.1, 0.5)) < 1e-12
-
-
-def test_brownian_block_mc_boundary_smoke():
-    # a steep linear boundary behaves like the narrow wedge
-    b = BoundaryFunction.linear(80.0)
-    mus = [0.0]
-    v = brownian_block_kernel(b, mus, [1.0], [0.0], 0, 0.3, 0, 0.4,
-                              mc_paths=2000, stream=RngStream(11))
-    want = k_nw(mus, 1.0, 0.3, 1.0, 0.4)
-    assert abs(v - want) < 0.05
 
 
 def test_kernel_contour_perturbation_invariance():

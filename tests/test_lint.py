@@ -3,7 +3,8 @@
 Each module of ``src/noncolliding`` but ``__init__.py`` is parsed with
 ``ast``.  A name bound by an import must be read in that module, and a
 private module-level name (``_x``) must be read, imported or reached as an
-attribute somewhere in ``src/noncolliding`` besides its definition.
+attribute somewhere in ``src/noncolliding`` besides its definition.  Every
+key of ``DEFAULTS`` must be read as ``DEFAULTS["key"]`` somewhere in it.
 """
 
 import ast
@@ -51,3 +52,13 @@ def test_every_private_name_is_used(path):
     read = set().union(*(_read_names(tree) for tree in TREES.values()))
     private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
     assert [name for name in private if name not in read] == []
+
+
+def test_every_default_is_read():
+    declared = next(node.value for node in TREES[SRC / "defaults.py"].body
+                    if isinstance(node, ast.Assign) and node.targets[0].id == "DEFAULTS")
+    keys = [key.value for key in declared.keys]
+    read = {node.slice.value for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "DEFAULTS" and isinstance(node.slice, ast.Constant)}
+    assert [key for key in keys if key not in read] == []

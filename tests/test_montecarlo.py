@@ -191,6 +191,8 @@ def test_sampler_validation():
         sample_bridge_topmax(2, 0.5, nu=[0.1])
     with pytest.raises(ParameterError):
         sample_dyson_max([0.0], [1.0, 0.5])
+    with pytest.raises(ParameterError, match="one drift per row"):
+        sample_blpp(FLAT, [-0.5, -1.0, 3.0], 2, 1.0)
 
 
 def test_samplers_reject_empty_systems_and_nonpositive_times():
