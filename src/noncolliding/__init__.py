@@ -32,7 +32,7 @@ from .distributions import (CdfQuery, EdgeScaling, airy_fdd, cdf_arithmetic_limi
 from .fredholm import (BlockKernel, DetResult, apply_conjugation, det_nystrom,
                        det_ratio, det_series, single_slot_kernel)
 from .kernels import (BoundaryFunction, airy_kernel_ext, heat_op_full, heat_op_half, j_airy,
-                      k_bridge, k_delta, k_flat, k_loe, k_nw, k_piflat, s_bar, s_bar_hermite,
+                      k_bridge, k_delta, k_flat, k_loe, k_nw, k_piflat, s_bar,
                       s_hypo_flat, s_minus)
 from .montecarlo import (dkw_band, empirical_cdf, sample_arith_max,
                          sample_blpp, sample_bridge_topmax, sample_dyson_max,

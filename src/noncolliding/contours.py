@@ -97,8 +97,11 @@ class Contour:
         return np.sum(self.weights * f(self.nodes))
 
     def refined(self, node_factor=2, truncation_factor=1.0):
-        """Rebuild with more nodes (and optionally a longer truncation)."""
+        """Rebuild with more nodes (optionally a longer truncation); a wedge keeps its panels."""
         geo = dict(self.geometry)
+        if self.kind == "wedge":
+            return _wedge(geo["apex"], geo["angle"], [(a, b, max(1, int(round(n * node_factor))))
+                                                      for a, b, n in geo["panels"]])
         geo["nodes"] = max(8, int(round(geo["nodes"] * node_factor)))
         if "half_height" in geo and self.truncation is not None:
             geo["half_height"] = geo["half_height"] * truncation_factor
@@ -213,7 +216,7 @@ def adaptive_ray(psi, max_length):
     ``DEFAULTS["decay_drop"]`` above its running minimum.  A panel takes 6
     nodes plus 1.5 per radian of the phase ``Im psi`` it spans, at most 400,
     and the ray stops after the panel that passes 20,000 nodes.  Returns
-    real (tau, weight) arrays.
+    real (tau, weight) arrays and the panels, as (start, end, nodes).
     """
     probes = [0.0]
     while probes[-1] < max_length:
@@ -225,19 +228,29 @@ def adaptive_ray(psi, max_length):
     alive = re <= running_min + DEFAULTS["decay_drop"]
     last = len(probes) - 1 if alive.all() else max(1, int(np.argmin(alive)))
 
-    taus, weights = [], []
-    total = 0
+    panels, total = [], 0
     for k in range(last):
         a, b = probes[k], probes[k + 1]
         slope = abs(im[k + 1] - im[k]) / max(b - a, 1e-300)
         n = int(min(400, max(6, np.ceil((b - a) * slope * 1.5) + 6)))
-        t, w = gauss_legendre(a, b, n)
-        taus.append(t)
-        weights.append(w)
+        panels.append((a, b, n))
         total += n
         if total > 20000:
             break
-    return np.concatenate(taus), np.concatenate(weights)
+    return (*_panel_rule(panels), panels)
+
+
+def _panel_rule(panels):
+    """(tau, weight) of Gauss-Legendre panels given as (start, end, nodes)."""
+    rules = [gauss_legendre(a, b, n) for a, b, n in panels]
+    return np.concatenate([t for t, _ in rules]), np.concatenate([w for _, w in rules])
+
+
+def _wedge(apex, angle, panels):
+    """The wedge through ``apex`` whose upper ray apex + e^{i angle} tau has these panels."""
+    u, (tau, wt) = np.exp(1j * angle), _panel_rule(panels)
+    return mirrored("wedge", apex, u * tau, u * wt, False, float(tau.max()),
+                    {"apex": apex, "angle": angle, "panels": panels, "nodes": 2 * len(tau)})
 
 
 def ray_wedge(apex, angle, psi, max_length):
@@ -250,9 +263,7 @@ def ray_wedge(apex, angle, psi, max_length):
     into the apex along the lower ray and out along the upper one.
     """
     u = np.exp(1j * angle)
-    tau, wt = adaptive_ray(lambda t: psi(apex + u * t), max_length)
-    return mirrored("wedge", apex, u * tau, u * wt, False, float(tau.max()),
-                    {"apex": apex, "angle": angle, "nodes": 2 * len(tau)})
+    return _wedge(apex, angle, adaptive_ray(lambda t: psi(apex + u * t), max_length)[2])
 
 
 @dataclass(eq=False)

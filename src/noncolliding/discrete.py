@@ -2,7 +2,7 @@
 
 Columns i carry Geometric(a_i) weights; the vector of passage times to a
 row is an inhomogeneous Markov chain whose transition probability is an
-N x N determinant of contour coefficients W_k.  The discrete kernels
+N x N determinant of Laurent coefficients W_k, summed exactly.  The discrete kernels
 Q^n, S_{m,-n}, S-bar_{m,n} converge, under the diffusive rescaling
 provided by :func:`scaling_bridge`, to the continuum heat kernel and the
 building-block kernels of the Brownian model; the demos exercise exactly
@@ -15,12 +15,14 @@ the integral by e^{O(n)} and float evaluation is impossible at large n.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .defaults import DEFAULTS
 from .exceptions import ParameterError
 from .rng import RngStream
+from .special import complete_homogeneous
 
 _TWO_PI_I = 2j * np.pi
 
@@ -68,23 +70,22 @@ def _log_phi(z, a):
     return (np.sum(np.log1p(-a)) - np.sum(np.log(1.0 - a[None, :] / z[..., None]), axis=-1))
 
 
-def _w_many(k, xs, params, nodes=None):
-    """W_k at many integer arguments by circle coefficient extraction on |z| = 1.25."""
-    nodes = DEFAULTS["coefficient_nodes"] if nodes is None else int(nodes)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    z = 1.25 * np.exp(1j * theta)
-    base = k * np.log(z - 1.0) + _log_phi(z, params.arr()) if params.arr().size else k * np.log(z - 1.0)
-    xs = np.atleast_1d(np.asarray(xs))
-    expo = (xs[:, None] - 1.0) * np.log(z)[None, :] + base[None, :]
-    m = expo.real.max(axis=1)
-    vals = np.exp(expo - m[:, None]) @ ((2j * np.pi / nodes) * z)
-    return np.real(vals * np.exp(m) / _TWO_PI_I)
-
-
-def w_coeff(k, x, params, nodes=None):
+def w_coeff(k, x, params):
     """Transition coefficient W_k(x): the z^{-x} Laurent coefficient of
-    (z-1)^k prod_i (1-a_i)/(1-a_i/z) on the circle of radius 1.25."""
-    return float(_w_many(int(k), [int(x)], params, nodes)[0])
+    (z-1)^k prod_i (1-a_i)/(1-a_i/z) about z = infinity (|z| > 1), as an exact sum.
+
+    (z - 1)^k = z^k sum_j b_j z^{-j}, b_j the coefficients of (1 - u)^k, and
+    prod_i 1/(1 - a_i/z) = sum_n h_n(a) z^{-n}, h_n the complete homogeneous
+    polynomials, so W_k(x) = prod_i (1 - a_i) sum_{j <= x+k} b_j h_{x+k-j}(a),
+    which is 0 when x + k < 0.
+    """
+    k, n = int(k), int(k) + int(x)
+    if n < 0:
+        return 0.0
+    a = params.arr()
+    b = np.array([(-1) ** j * comb(k, j) if k >= 0 else comb(j - k - 1, j)
+                  for j in range(n + 1)], dtype=float)
+    return float(np.prod(1.0 - a) * (b @ complete_homogeneous(a, n)[::-1]))
 
 
 def w_tilde(k, x, params):
@@ -117,14 +118,7 @@ def transition_prob(x, y, m, params):
     N = len(x)
     if len(y) != N:
         raise ParameterError("x and y must have the same length")
-    cache = {}
-    M = np.empty((N, N))
-    for i in range(N):
-        for j in range(N):
-            key = (j - i, int(y[j] - x[i]))
-            if key not in cache:
-                cache[key] = w_coeff(key[0], key[1], params)
-            M[i, j] = cache[key]
+    M = [[w_coeff(j - i, y[j] - x[i], params) for j in range(N)] for i in range(N)]
     det = float(np.linalg.det(M))
     if -1e-12 < det < 0.0:
         det = 0.0

@@ -307,9 +307,11 @@ def blpp_block(b, mu, times, thresholds, lengths=None, fills=None):
         lengths = max(12.0, 2.0 * np.sqrt(tmax * (DEFAULTS["decay_drop"] - 5.0))
                       + 2.0 * drift_push)
 
+    made = {}  # a query's blocks share each slot's circle side and closed-form z side
+
     def eval_block(i, j, xs, ys):
         return _brownian_block(b.kind, mu, times[i], times[j], xs, ys,
-                               fills[i][j] if fills else None)
+                               fills[i][j] if fills else None, made)
 
     K = BlockKernel(times, thresholds, eval_block, lengths, label="blpp-" + b.kind)
     # conjugated by e^{kappa_j |y| - kappa_i |x|}, kappa_i decreasing in the slot index i

@@ -9,7 +9,12 @@ multiple sums without factorial enumeration).  Both engines must agree on
 trace-class kernels; conjugating a kernel changes neither.
 """
 
+import ctypes
+import glob
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -130,6 +135,41 @@ def _assemble(K, nodes_per_slot):
     return A
 
 
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or no-ops without it.
+
+    Looked up on first use, so importing the package stays cheap.  numpy's wheels
+    ship it as ``numpy.libs/libscipy_openblas64_*.so``, which numpy has loaded.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+        return get, put
+    return (lambda: None), (lambda threads: None)
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the block, its count restored after.
+
+    The Nystrom products are small: waking a second BLAS thread from idle cost
+    three 30-point rate-kernel curves about 1 s against 0.1 s on one thread.
+    """
+    get, put = _openblas_threads()
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
+
+
 def _lu_det(A):
     sign, logdet = np.linalg.slogdet(np.eye(len(A)) - A)
     return float(sign * np.exp(logdet))
@@ -139,13 +179,15 @@ def det_nystrom(K, nodes_per_slot=None, refine=True):
     """Nystrom determinant det(I - W^1/2 K W^1/2) on the block domain.
 
     With ``refine`` the determinant is also computed at half resolution and
-    the difference reported as the error estimate.
+    the difference reported as the error estimate.  Assembly and LU run on
+    one BLAS thread (:func:`_one_blas_thread`).
     """
     n = _resolution(nodes_per_slot)
     history = []
-    if refine and n >= 16:
-        history.append((n // 2, _lu_det(_assemble(K, n // 2))))
-    value = _lu_det(_assemble(K, n))
+    with _one_blas_thread():
+        if refine and n >= 16:
+            history.append((n // 2, _lu_det(_assemble(K, n // 2))))
+        value = _lu_det(_assemble(K, n))
     history.append((n, value))
     err = abs(history[-1][1] - history[0][1]) if len(history) > 1 else np.nan
     return DetResult(value=value, resolution=n, truncation=float(K.lengths.max()),

@@ -4,11 +4,14 @@ Every kernel is a (single or double) contour integral; on contour nodes
 it is K(x, y) = L(x) C R(y)^T.  Each family declares its two
 :class:`Side` objects and :func:`contour_fill` forms every product.  C is
 1/(z - w) for the arith, Airy and Dyson-edge double contours, dense or as
-P Q by :func:`low_rank`; exact rank-m factors V Q for the narrow-wedge and
-flat ones, with m drifts (:func:`_drift_coupling`); or diagonal when both
-sides share one contour (the rate kernels, s_minus, s_bar).  Every row of
-L and R is stabilized by subtracting its largest exponent, so kernels with
-exponential growth or decay evaluate without overflow.
+P Q by :func:`low_rank`, or diagonal when both sides share one contour
+(the rate kernels, s_minus).  Every row of L and R is stabilized by
+subtracting its largest exponent, so kernels with exponential growth or
+decay evaluate without overflow.  The narrow-wedge and flat kernels keep
+only the w circle around their m drifts: their z integrands are Gaussians
+times polynomials, with a pole at each mirrored drift when flat, so each
+is sum_p M_p(x) N_p(y) with N_p in Hermite and Mills-ratio terms
+(:func:`_z_side`), as s_bar is in Hermite terms.
 
 Every kernel here has real parameters, so it is real, and every contour is
 symmetric about the real axis (see :mod:`.contours`).  A side holds only
@@ -39,11 +42,12 @@ factor of 2 in the variance; both are housed here explicitly):
 import numpy as np
 from dataclasses import dataclass
 from functools import partial
+from math import comb
 
-from .contours import gauss_legendre, make_contour, mirrored, ray_wedge, upper_legendre
+from .contours import gauss_legendre, make_contour, ray_wedge
 from .defaults import DEFAULTS
 from .exceptions import DomainError, ParameterError
-from .special import _airy_any_real, complex_gamma, heat_kernel
+from .special import _airy_any_real, complete_homogeneous, complex_gamma, erfcx, heat_kernel
 
 _DROP = DEFAULTS["decay_drop"]
 
@@ -131,10 +135,10 @@ class Side:
     m: np.ndarray
     log_factor: np.ndarray = 0.0
 
-    def rows(self, us, mask=slice(None)):
-        """One row per argument in us[mask], scaled by e^{-top}, top its largest real exponent."""
+    def rows(self, us):
+        """One row per argument in us, scaled by e^{-top}, top its largest real exponent."""
         # in place: a fresh temporary of this size costs more than the arithmetic on it
-        expo = np.multiply.outer(us[mask], self.m)
+        expo = np.multiply.outer(us, self.m)
         expo += self.phi
         expo += self.log_factor
         top = expo.real.max(axis=1)
@@ -146,13 +150,13 @@ def shifted_rows(made, a, extra=0.0):
     """Rows hook of a slot along a curve that fills at its base nodes u shifted by a.
 
     From ``made[side]``, the rows at u: column k scaled by e^{a m_k - c} and c + ``extra``
-    added to top, c = max_k Re(a m_k).  Only the mask of the arguments is read.
+    added to top, c = max_k Re(a m_k).  The arguments are not read.
     """
-    def rows(side, us, mask=slice(None)):
+    def rows(side, us):
         A, top = made[side]
         scale = a * side.m
         c = scale.real.max()
-        return A[mask] * np.exp(scale - c), top[mask] + (c + extra)
+        return A * np.exp(scale - c), top + (c + extra)
 
     return rows
 
@@ -217,34 +221,6 @@ def _coupling(made, cw, cz):
     return _made(made, (cw, cz), make)
 
 
-def _drift_coupling(mu, cw, cz, flat):
-    """The nw/flat coupling 1/(z - w), + 1/(z + w) if flat, as exact rank-m factors (V, Q, None).
-
-    The w integrand's only poles in the circle cw are the drifts, the roots
-    of q(w), so 1/(z - w) may become (q(z) - q(w))/((z - w) q(z)): the part
-    left out, q(w)/((z - w) q(z)), cancels them, and with z outside the
-    circle it integrates to 0.  So may -1/(-z - w) = 1/(z + w), -z being
-    outside too (:func:`_line_floor`).  With c the centre, v = w - c and
-    q(c + v) = sum_k a_k v^k, the part kept is sum_p v^p c_p(z - c)/q(z), with
-    c_p(zeta) = sum_{k>p} a_k zeta^{k-1-p}: V holds the columns v^p, Q the rows.
-    The a_k are real, so Q(z-bar) = conj Q(z), which the None in place of
-    Q-bar tells :func:`contour_fill`.
-    """
-    c, m = cw.geometry["center"], len(mu)
-    a = np.poly(mu - c)[::-1]
-
-    def coefficients(z):
-        # c_{m-1} = a_m = 1, c_{p-1} = a_p + zeta c_p and q(z) = a_0 + zeta c_0
-        zeta, cp = z - c, [np.ones_like(z)]
-        for p in range(m - 1, 0, -1):
-            cp.append(a[p] + zeta * cp[-1])
-        return np.array(cp[::-1]) / (a[0] + zeta * cp[-1])
-
-    z = cz.upper_nodes
-    Q = coefficients(z) - coefficients(-z) if flat else coefficients(z)
-    return np.power.outer(cw.upper_nodes - c, np.arange(m)), Q, None
-
-
 def contour_fill(left_rows, right_rows, coupled=None):
     """K(x, y) = L(x) C R(y)^T over whole contours, from the rows of the sides' upper halves.
 
@@ -258,11 +234,10 @@ def contour_fill(left_rows, right_rows, coupled=None):
 
     With ``coupled`` (double contour) C = 1/(2 pi i)^2 times the coupling,
     given as (P, Q, Q-bar): C(w, z) = P Q and C(w, z-bar) = P Q-bar, for w
-    and z on the upper halves.  P None stands for the identity, Q-bar None
-    for conj Q.  The pairs (w, z), (w-bar, z-bar) sum to 2 Re(L C R^T) and
-    the pairs (w, z-bar), (w-bar, z) to -2 Re(L C(w, z-bar) conj(R)^T).  So
-    K = -Re(A P G) / (2 pi^2) with G = Q B^T - Q-bar conj(B)^T, one product
-    for G when Q-bar is conj Q.
+    and z on the upper halves.  P None stands for the identity.  The pairs
+    (w, z), (w-bar, z-bar) sum to 2 Re(L C R^T) and the pairs (w, z-bar),
+    (w-bar, z) to -2 Re(L C(w, z-bar) conj(R)^T).  So K = -Re(A P G) / (2 pi^2)
+    with G = Q B^T - Q-bar conj(B)^T.
     """
     (A, top_x), (B, top_y) = left_rows, right_rows
     if coupled is None:
@@ -270,7 +245,7 @@ def contour_fill(left_rows, right_rows, coupled=None):
     else:
         P, Q, Q_bar = coupled
         G = Q @ B.T
-        G -= G.conj() if Q_bar is None else Q_bar @ B.T.conj()
+        G -= Q_bar @ B.T.conj()
         part = ((A if P is None else A @ P) @ G).real / (-2.0 * np.pi ** 2)
     return part * np.exp(top_x[:, None] + top_y[None, :])
 
@@ -287,7 +262,7 @@ def _pointwise(engine, x, y):
     return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
-def _pole_circle(points, reach, max_clear=1.0):
+def _pole_circle(points, reach):
     """Circle hulling ``points`` with clearance shrinking as arguments grow.
 
     ``reach`` is the largest |argument| multiplying w in the exponent; the
@@ -297,7 +272,7 @@ def _pole_circle(points, reach, max_clear=1.0):
     points = np.asarray(points, dtype=float)
     center = 0.5 * (points.min() + points.max())
     spread = 0.5 * (points.max() - points.min())
-    clear = max(0.12, min(max_clear, 4.0 / (1.0 + reach)))
+    clear = max(0.12, min(1.0, 4.0 / (1.0 + reach)))
     return center, spread + clear
 
 
@@ -310,36 +285,6 @@ def _circle_nodes(reach, center, radius, poles):
     inner = float(np.max(np.abs(np.asarray(poles) - center))) / radius
     n_pole = np.log(1e-15) / np.log(inner) if inner > 0 else 0.0
     return int(min(8192, max(256, 64 + 3.0 * reach * radius, np.ceil(n_pole))))
-
-
-def _vertical_auto(offset, quad_coeff, m, slope_bound):
-    """Vertical contour sized for exponent (q/2) z^2 with phase slope bound."""
-    T = np.sqrt(2.0 * (_DROP + 8.0 + 2.0 * m) / quad_coeff)
-    n = int(min(16384, max(192, 64 + 1.4 * slope_bound * T)))
-    panels = max(1, int(np.ceil(n / 32)))
-    t, wt = upper_legendre(T, panels, 32)
-    return mirrored("vertical", offset, 1j * t, 1j * wt, False, T,
-                    {"offset": offset, "half_height": T, "nodes": 32 * panels})
-
-
-def _bands(vals, width):
-    """Bands of the given width over the range of vals, those that hold some of them.
-
-    Each band is (center, mask of vals, select): ``select(us)`` masks the us
-    in the band, for us within the range of vals.
-    """
-    vals = np.atleast_1d(np.asarray(vals, dtype=float))
-    lo, hi = vals.min(), vals.max()
-    edges = np.arange(lo, hi + width, width)
-    if len(edges) < 2:
-        edges = np.array([lo, hi + 1e-9])
-    out = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        top = np.inf if b == edges[-1] else b  # the last band holds every value from a up
-        mask = (vals >= a) & (vals < top)
-        if np.any(mask):
-            out.append((0.5 * (a + b), mask, lambda us, a=a, top=top: (us >= a) & (us < top)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,50 +374,34 @@ def s_minus(mu, t, x, y):
     return float(vals) if vals.ndim == 0 else vals
 
 
+def _gaussian_moments(t, c, y, n):
+    """H_j(y) = (1/2 pi i) int e^{(t/2) z^2 - yz} (z - c)^j dz up a vertical line, j < n.
+
+    It is (-d/dy - c)^j p_t(y) = t^{-j/2} He_j(u) p_t(y), u = (y - tc)/sqrt t, p_t the heat
+    kernel and He_j the probabilists' Hermite polynomials, by He_{j+1} = u He_j - j He_{j-1}.
+    """
+    r = 1.0 / np.sqrt(t)
+    u = (y - t * c) * r
+    H = [heat_kernel(t, y, 0.0) * np.ones_like(u)]
+    for j in range(n - 1):
+        H.append(r * (u * H[-1] - (j * r * H[-2] if j else 0.0)))
+    return np.array(H)
+
+
 def s_bar(mu, t, x, y):
     """Vertical-line kernel with the drift product in the numerator.
 
     (1/2 pi i) int e^{(t/2) z^2 + (x-y) z} prod (z - mu_i) dz over an upward
-    vertical line; equivalently prod_i(-d/dy - mu_i) applied to the heat
-    kernel (see :func:`s_bar_hermite`).  The line is placed through the
-    Gaussian saddle -(x-y)/t, where the integrand does not oscillate.
+    vertical line, in closed form: prod_i(-d/dy - mu_i) applied to
+    heat_kernel(t, x, y), by :func:`_gaussian_moments`.
     """
     mu = _drifts(mu)
     if not t > 0:
         raise DomainError("need t > 0")
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    s = (x - y).ravel()
-    vals = np.empty_like(s)
-    # one line per saddle band: the saddle of (t/2)z^2 + s z sits at -s/t
-    for sbar, mask, _ in _bands(s, width=4.0 * np.sqrt(t)):
-        c = _vertical_auto(-sbar / t, t, len(mu),
-                           slope_bound=0.5 * (s[mask].max() - s[mask].min()) + len(mu))
-        z = c.upper_nodes
-        left = Side(z, c.upper_weights, 0.5 * t * z ** 2, z, _log_poly(z, mu))
-        right = Side(z, 1.0, 0.0, -z)
-        # a one-column grid at y = 0 carries every x - y
-        vals[mask] = contour_fill(left.rows(s[mask]), right.rows(np.zeros(1)))[:, 0]
+    vals = (np.poly(mu)[::-1] @ _gaussian_moments(t, 0.0, (y - x).ravel(), len(mu) + 1))
     vals = vals.reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
-
-
-def s_bar_hermite(mu, t, x, y):
-    """Closed form of :func:`s_bar`: prod_i(-d/dy - mu_i) heat_kernel(t,x,y)."""
-    mu = _drifts(mu)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = (x - y) / np.sqrt(t)
-    # probabilists' Hermite polynomials He_j(u)
-    m = len(mu)
-    He = [np.ones_like(u), u]
-    for j in range(1, m + 1):
-        He.append(u * He[j] - j * He[j - 1])
-    coeffs = np.poly(mu)  # monic, roots mu: prod(D - mu_i) with D = -d/dy
-    acc = 0.0
-    for k, c in enumerate(coeffs):  # c multiplies D^(m-k); D^j heat = (-1)^j t^(-j/2) He_j
-        j = m - k
-        acc = acc + c * (-1.0) ** j * t ** (-0.5 * j) * He[j]
-    return acc * heat_kernel(t, x, y)
 
 
 def s_hypo_flat(mu, t, x, y):
@@ -493,104 +422,140 @@ def s_hypo_flat(mu, t, x, y):
 # narrow-wedge and flat double-contour kernels
 # ---------------------------------------------------------------------------
 
-def _gaussian_side(c, t, mu, sign):
-    """Side e^{sign ((t/2) v^2 + log prod(v - mu_i)) - sign u v} of the nw/flat kernels.
+def _tail_differences(t, w):
+    """differences(y): {(i, j): H[w_i..w_j]} for H(w) = e^{wy} Phi-bar((y + tw)/sqrt t), w sorted.
 
-    sign = -1 gives the w side (the denominator), +1 the z side.
+    At w = mid + d, H = e^{y mid} G(d) phi(u) R(u + d sqrt t), u = (y + t mid)/sqrt t,
+    G(d) = e^{-t mid d - t d^2/2} and R = Phi-bar/phi the Mills ratio (by :func:`erfcx`), and
+    phi(u) R(u + x) = sum_k (-1)^k S_k x^k with S_k(u) = int_0^inf r^k/k! phi(u + r) dr:
+    k S_k = S_{k-2} - u S_{k-1}, S_{-1} = phi(u), S_0 = Phi-bar(u): phi(u) R(|u|), or 1 less
+    it if u < 0.
+    Sorted nodes w spanning up to 1/(sqrt t + t |mid|) sum H's Taylor series at their
+    midpoint, exact as they merge; wider spans, where the series of G and S would cancel,
+    divide the difference of their sub-spans.  The part free of y is made once, here.
     """
-    z = c.upper_nodes
-    return Side(z, c.upper_weights, sign * 0.5 * t * z ** 2, -sign * z, sign * _log_poly(z, mu))
+    rt, series = np.sqrt(t), {}
+    for k in range(len(w)):
+        for i in range(len(w) - k):
+            mid, span = 0.5 * (w[i] + w[i + k]), w[i + k] - w[i]
+            ratio = 0.5 * span * (rt + t * abs(mid))
+            if ratio <= 0.125:
+                # ratio^(n-k) < 1e-16 bounds the terms left out
+                n = k + (int(min(30, np.ceil(-37.0 / np.log(ratio)))) if span > 0 else 0)
+                g = [1.0, -t * mid]
+                for a in range(1, n):
+                    g.append(-t * (mid * g[a] + g[a - 1]) / (a + 1))
+                h = np.concatenate([np.zeros(k), complete_homogeneous(w[i:i + k + 1] - mid, n - k)])
+                # the coefficient of S_b: (-sqrt t)^b sum_j h_{j-k} g_{j-b}
+                coefficients = np.correlate(h, g[:n + 1], "full")[n:] * (-rt) ** np.arange(n + 1)
+                series[i, i + k] = mid, coefficients
+    mids = np.unique([mid for mid, _ in series.values()])[:, None]
+    order = max(len(c) for _, c in series.values())
+
+    def differences(y):
+        u = y / rt + rt * mids
+        phi = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+        tail = phi * np.sqrt(0.5 * np.pi) * erfcx(np.abs(u) / np.sqrt(2.0))
+        S = [phi, np.where(u < 0, 1.0 - tail, tail)]
+        for b in range(1, order):
+            S.append((S[-2] - u * S[-1]) / b)
+        S, D = np.array(S[1:]) * np.exp(y * mids), {}
+        for k in range(len(w)):
+            for i in range(len(w) - k):
+                if (i, i + k) in series:
+                    mid, c = series[i, i + k]
+                    D[i, i + k] = c @ S[:len(c), np.searchsorted(mids[:, 0], mid)]
+                else:
+                    D[i, i + k] = (D[i + 1, i + k] - D[i, i + k - 1]) / (w[i + k] - w[i])
+        return D
+
+    return differences
 
 
-def _line_floor(center, radius, flat):
-    """Leftmost z line: right of the drift circle and, for the flat kernel, of its mirror."""
-    return (max(center + radius, radius - center) if flat else center + radius) + 0.5
+def _z_side(mu, c, t, flat):
+    """side(ys): the narrow-wedge or flat kernel's z side at time t in closed form, (N, N_tail).
 
-
-def _nw_flat_engine(mu, t1, t2, xs, ys, flat, made=None, base=None):
-    """Narrow-wedge or flat kernel fill(xs, ys), its contours sized for the spans xs, ys.
-
-    One vertical z line per y-band keeps the line near the Gaussian saddle.
-    The bands are laid over the span ys; a fill puts each of its y in the
-    band that holds it.  Builds that share the dict ``made`` share each
-    contour and side they have in common; along a curve each band's rows are
-    made over all of the slot's base nodes, and its mask selects.
+    The w integrand's only poles in the drift circle are the drifts, so the z integral
+    Psi(w, y) = (1/2 pi i) int e^{(t/2) z^2 - yz} q(z) C(z, w) dz, C = 1/(z - w), + 1/(z + w) if
+    flat, enters only by its remainder modulo q(w), in powers v^p, v = w - c.  With
+    q(c + v) = sum_k a_k v^k, (q(z) - q(w))/(z - w) = sum_p v^p sum_{k>p} a_k (z - c)^{k-1-p}
+    gives N_p in Hermite terms (:func:`_gaussian_moments`).  Flat adds q(z)/(z + w) =
+    (q(z) - q(-w))/(z + w) + q(-w)/(z + w): sum_p (-v - 2c)^p N_p, and the pole at z = -w,
+    q(-w) e^{t w^2/2} H(w) (:func:`_tail_differences`).  N_tail is the Newton interpolant of
+    q(-w) H(w) at the drifts; the caller's w side takes e^{t w^2/2}, which split across the
+    sides would cost e^{t (mu_i^2 - mu_j^2)/2}.  N_tail is None for the narrow wedge, and
+    both are 0 at y <= 0 when flat.
     """
-    mu = _drifts(mu)
-    xs, ys = _args(xs, ys)
     m = len(mu)
-    reach = float(np.max(np.abs(xs)))
-    center, radius = _pole_circle(mu, reach)
-    # the circle often has the same nodes at every time, so key it by its
-    # geometry, and the sides by contour and time
-    n_w = _circle_nodes(reach + t1 * radius, center, radius, mu)
-    cw = _made(made, ("circle", center, radius, n_w),
-               lambda: make_contour("circle", center=center, radius=radius, nodes=n_w))
-    left = _made(made, (cw, t1), lambda: _gaussian_side(cw, t1, mu, -1.0))
-    d_min = _line_floor(center, radius, flat)
-    bands = []
-    for ybar, mask, select in _bands(ys, width=8.0 * np.sqrt(t2)):
-        d = max(d_min, ybar / t2)
-        slope = max(abs(t2 * d - ys[mask].min()), abs(t2 * d - ys[mask].max())) + m + 1.0
-        cz = _made(made, ("line", d, t2, slope), lambda: _vertical_auto(d, t2, m, slope))
-        right = _made(made, (cz, t2), lambda: _gaussian_side(cz, t2, mu, 1.0))
-        bands.append((select, right, _drift_coupling(mu, cw, cz, flat)))
-    _base_rows(made, base, [left], [right for _, right, _ in bands])
+    a = np.poly(mu - c)[::-1]
+    if flat:
+        # (-v - 2c)^p = sum_j C(p, j) (-1)^j (-2c)^(p-j) v^j, added to the identity
+        mirror = np.eye(m) + np.array([[comb(p, j) * (-1.0) ** j * (-2.0 * c) ** (p - j)
+                                        if p >= j else 0.0 for p in range(m)] for j in range(m)])
+        nodes = np.sort(mu)
+        tail = _tail_differences(t, nodes)
+        # Newton coefficients of q(-w) = sum_k b_k v^k at the drifts, d_i = mu_i - c: the
+        # divided differences of v^k are complete homogeneous polynomials
+        d, b = nodes - c, np.poly(-nodes - c)[::-1] * (-1.0) ** m
+        q_newton = [b[j:] @ complete_homogeneous(d[:j + 1], m - j) for j in range(m)]
 
-    def fill(xs, ys, rx=Side.rows, ry=Side.rows):
-        A = rx(left, xs)
-        out = np.zeros((len(xs), len(ys)))
-        for select, right, coupled in bands:
-            mask = select(ys)
-            if np.any(mask):
-                out[:, mask] = contour_fill(A, ry(right, ys, mask), coupled)
-        return out * (ys > 0)[None, :] if flat else out
+    def side(ys):
+        H = _gaussian_moments(t, c, ys, m)
+        N = np.array([a[p + 1:] @ H[:m - p] for p in range(m)])
+        if not flat:
+            return N, None
+        D = tail(ys)
+        g = [sum(q_newton[j] * D[j, k] for j in range(k + 1)) for k in range(m)]
+        # the Newton form g_0 + (w - mu_0)(g_1 + ...) in powers of v, innermost first
+        P = [g[-1]]
+        for k in range(m - 2, -1, -1):
+            P = [g[k] - d[k] * P[0]] + [P[i] - d[k] * P[i + 1] for i in range(len(P) - 1)] + [P[-1]]
+        return (mirror @ N) * (ys > 0), np.array(P) * (ys > 0)
 
-    return fill
-
-
-def _flat_far_time_engine(mu, t, xs, ys, made=None, base=None):
-    """Flat kernel fill at equal large times via the extracted z = -w residue.
-
-    For all-negative drifts the vertical line shifts to Re z = 0, picking
-    the residue at z = -w, which is exactly the rate kernel k_piflat; the
-    two remaining double integrals decay like e^{-t s^2/2} and evaluate
-    without cancellation on the imaginary axis.
-    """
-    mu = _drifts(mu)
-    xs, ys = _args(xs, ys)
-    reach = float(np.max(np.abs(xs)))
-    center, radius = _pole_circle(mu, reach, max_clear=min(1.0, 0.4 * float(-mu.max())))
-    if center + radius >= -1e-9:
-        raise ParameterError("far-time decomposition needs all drifts negative")
-    cw = make_contour("circle", center=center, radius=radius,
-                      nodes=_circle_nodes(reach + t * radius, center, radius, mu))
-    m = len(mu)
-    cz = _vertical_auto(0.0, t, m, float(np.max(np.abs(ys))) + m + 1.0)
-    left, right = _gaussian_side(cw, t, mu, -1.0), _gaussian_side(cz, t, mu, 1.0)
-    coupled = _drift_coupling(mu, cw, cz, True)
-    residue = _piflat_engine(-mu, xs, ys, made, base)
-    _base_rows(made, base, [left], [right])
-
-    def fill(xs, ys, rx=Side.rows, ry=Side.rows):
-        rem = contour_fill(rx(left, xs), ry(right, ys), coupled)
-        return (rem + residue(xs, ys, rx, ry)) * (ys > 0)[None, :]
-
-    return fill
+    return side
 
 
 def _brownian_engine(kind, mu, t1, t2, xs, ys, made=None, base=None):
-    """Narrow-wedge or flat kernel fill at times (t1, t2), sized for the spans xs, ys.
+    """Narrow-wedge or flat kernel fill(xs, ys) at times (t1, t2), its circle sized for the span xs.
 
-    The flat kernel takes the far-time decomposition where its integrands do not cancel,
-    as :func:`k_flat` says; elsewhere both take the direct double contour.
+    It is sum_p M_p(x) N_p(y), + M~_p(x) N~_p(y) if flat, (N, N~) from :func:`_z_side` and
+    M_p(x) = (1/2 pi i) oint e^{xw - (t1/2) w^2} v^p/q(w) dw, v = w - c, over the circle around
+    the drifts, centre c, sized for the slope x - t1 c; M~_p also has e^{(t2/2) w^2}.  Builds
+    sharing the dict ``made`` share the circle, its side, and the rows and z side of each
+    argument span (along a curve, rows made once at the base nodes).  ``ry`` is not read.
     """
-    mu, flat = _drifts(mu), kind == "flat"
-    if flat and t1 == t2 and mu.max() < -0.3:
-        d_min = _line_floor(*_pole_circle(mu, float(np.max(np.abs(xs)))), flat)
-        if 0.5 * t1 * d_min ** 2 > 8.0:
-            return _flat_far_time_engine(mu, t1, xs, ys, made, base)
-    return _nw_flat_engine(mu, t1, t2, xs, ys, flat, made, base)
+    mu, flat, made = _drifts(mu), kind == "flat", {} if made is None else made
+    xs, ys = _args(xs, ys)
+
+    def w_side():  # one per slot: keyed by time and span
+        reach = float(np.max(np.abs(xs - t1 * 0.5 * (mu.min() + mu.max()))))
+        center, radius = _pole_circle(mu, reach)
+        n_w = _circle_nodes(reach + t1 * radius, center, radius, mu)
+        # the circle is often the same at every time
+        cw = _made(made, ("circle", center, radius, n_w),
+                   lambda: make_contour("circle", center=center, radius=radius, nodes=n_w))
+        w = cw.upper_nodes
+        V = np.power.outer(w - center, np.arange(len(mu)))
+        return center, w, V, Side(w, cw.upper_weights, -0.5 * t1 * w ** 2, w, -_log_poly(w, mu))
+
+    center, w, V, left = _made(made, ("side", t1, xs.tobytes()), w_side)
+    _base_rows(made, base, [left], [])
+
+    def fill(xs, ys, rx=Side.rows, ry=None):
+        # the slot's latest rows: a threshold fills all its blocks before the next one
+        if made.get(("rows", left), (None,))[0] != xs.tobytes():
+            made[("rows", left)] = xs.tobytes(), rx(left, xs)
+        rows = made[("rows", left)][1]
+        z_side = _made(made, ("z", t2), lambda: _z_side(mu, center, t2, flat))
+        N, N_tail = _made(made, ("z", t2, ys.tobytes()), lambda: z_side(ys))
+        K = contour_fill(rows, (V.T, np.zeros(len(mu)))) @ N
+        if flat:  # e^{(t2/2) w^2}, scaled by its largest modulus e^{top}
+            top = 0.5 * t2 * (w ** 2).real.max()
+            tail = (V * np.exp(0.5 * t2 * w ** 2 - top)[:, None]).T
+            K += contour_fill(rows, (tail, np.full(len(mu), top))) @ N_tail
+        return K
+
+    return fill
 
 
 def k_nw(mu, t1, x, t2, y):
@@ -609,8 +574,7 @@ def k_nw(mu, t1, x, t2, y):
 def k_flat(mu, t1, x, t2, y):
     """Flat-boundary kernel: 1/(z-w) and 1/(z+w) couplings, both times 1{y>0}.
 
-    At equal times, with all drifts below -0.3 and the line far right of the
-    drifts, it takes the far-time decomposition, whose integrands do not cancel.
+    As :func:`k_nw`, with Gamma right of the mirrored drifts -mu_i too.
     """
     if not (t1 > 0 and t2 > 0):
         raise DomainError("need positive times")
@@ -823,13 +787,14 @@ def kixjy_conjugation(t, u):
 # extended Brownian and Hermitian kernels
 # ---------------------------------------------------------------------------
 
-def _brownian_block(kind, mu, t_i, t_j, xs, ys, fill=None):
+def _brownian_block(kind, mu, t_i, t_j, xs, ys, fill=None, made=None):
     """Narrow-wedge or flat block of the extended Brownian kernel on a grid.
 
     k_nw or k_flat at (t_i, x; t_j, y), minus e^{(t_j-t_i) d^2/2}(x, y)
-    when t_i < t_j.  Without a prepared ``fill`` the block builds its own.
+    when t_i < t_j.  Without a prepared ``fill`` the block builds its own,
+    sharing what it can with the builds of the dict ``made``.
     """
-    fill = fill or _brownian_engine(kind, mu, t_i, t_j, xs, ys)
+    fill = fill or _brownian_engine(kind, mu, t_i, t_j, xs, ys, made)
     block = fill(xs, ys)
     if t_i < t_j:
         block = block - heat_op_half(t_j - t_i, xs[:, None], ys[None, :])

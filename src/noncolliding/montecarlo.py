@@ -62,7 +62,7 @@ def sample_gue(n, stream=None, samples=1):
     return H[0] if samples == 1 else H
 
 
-def sample_arith_max(n, delta, lam1, stream=None, samples=1, chunk=64):
+def sample_arith_max(n, delta, lam1, stream=None, samples=1):
     """Largest eigenvalue of the arithmetic-spectrum matrix plus GUE noise.
 
     Returns (lam_max, rescaled) where rescaled = delta*(lam_max - lam1) -
@@ -76,7 +76,7 @@ def sample_arith_max(n, delta, lam1, stream=None, samples=1, chunk=64):
     gen = stream.generator()
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(64, samples - done)
         H = _hermitian_noise(gen, b, n)
         H.reshape(b, n * n)[:, ::n + 1] += diag
         out[done:done + b] = np.linalg.eigvalsh(H)[:, -1]
@@ -151,7 +151,7 @@ def sample_piflat(beta, stream=None, samples=1):
     return float(out[0]) if samples == 1 else out
 
 
-def sample_loe_max(n, stream=None, samples=1, chunk=512):
+def sample_loe_max(n, stream=None, samples=1):
     """Largest eigenvalue of X^t X for X an (n+1) x n standard normal matrix."""
     if n < 1:
         raise ParameterError("need n >= 1")
@@ -159,7 +159,7 @@ def sample_loe_max(n, stream=None, samples=1, chunk=512):
     out = np.empty(samples)
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(512, samples - done)
         X = gen.standard_normal((b, n + 1, n))
         M = np.swapaxes(X, -1, -2) @ X
         out[done:done + b] = np.linalg.eigvalsh(M)[:, -1]
@@ -167,7 +167,7 @@ def sample_loe_max(n, stream=None, samples=1, chunk=512):
     return float(out[0]) if samples == 1 else out
 
 
-def sample_dyson_max(nu, times, stream=None, samples=1, chunk=64):
+def sample_dyson_max(nu, times, stream=None, samples=1):
     """lambda_max(H(t_i) + diag(nu)) along Hermitian Brownian motion.
 
     H is sampled at the sorted times through independent Gaussian
@@ -185,7 +185,7 @@ def sample_dyson_max(nu, times, stream=None, samples=1, chunk=64):
     gen = _default_stream(stream).generator()
     out = np.empty((samples, len(times)))
     tridiagonal = len(times) == 1 and np.all(nu == nu[0])
-    chunk = max(1, int(5e5 / n)) if tridiagonal else chunk
+    chunk = max(1, int(5e5 / n)) if tridiagonal else 64
     done = 0
     while done < samples:
         b = min(chunk, samples - done)

@@ -7,12 +7,15 @@ cancellation for large ``|x|``); negative arguments go through the
 rotation identity ``Ai(-s) = -2 Re[e^{-2 pi i/3} Ai(s e^{i pi/3})]``.
 """
 
+import math
+
 import numpy as np
 
 from .contours import composite_legendre, graded_edges
 from .exceptions import DomainError, PoleError, RangeError, ValidationError
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 # Lanczos g=7, n=9 coefficients
 _LANCZOS_G = 7.0
@@ -54,6 +57,37 @@ def complex_gamma(z):
         zl = arr[~right]
         out[~right] = np.pi / (np.sin(np.pi * zl) * _lanczos_half_plane(1.0 - zl))
     return out if np.asarray(z).ndim else complex(out)
+
+
+def erfcx(x):
+    """Scaled complementary error function e^{x^2} erfc(x), elementwise for real x.
+
+    Below 25, e^{x^2} :func:`math.erfc`, with e^{x^2} = e^{h^2} e^{l(2h + l)}, x = h + l and h^2
+    exact, as rounding x^2 would cost x^2 ulps.  From 25, where erfc nears underflow, 9 terms
+    of (1/(x sqrt pi)) sum_n (-1)^n (2n - 1)!! / (2x^2)^n; the next is below 1e-19.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    near = x < 25.0
+    u = x[near]
+    head = np.round(u * 4096.0) / 4096.0
+    out[near] = (np.exp(head * head) * np.exp((u - head) * (u + head))
+                 * _ERFC(u).astype(float))
+    u = x[~near]
+    term, total = np.ones_like(u), np.zeros_like(u)
+    for n in range(9):
+        total += term
+        term *= -(2 * n + 1) / (2.0 * u * u)
+    out[~near] = total / (u * np.sqrt(np.pi))
+    return out if out.ndim else float(out)
+
+
+def complete_homogeneous(xs, n):
+    """h_0, ..., h_n of the variables xs: the coefficients of prod_i 1/(1 - x_i u) in u."""
+    h = np.eye(1, n + 1)[0]
+    for x in xs:  # times 1/(1 - x u) = sum_k x^k u^k
+        h = np.convolve(h, float(x) ** np.arange(n + 1))[:n + 1]
+    return h
 
 
 def heat_kernel(t, x, y):

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,10 +30,29 @@ def test_w_coeff_empty_product_is_indicator():
         assert abs(w_coeff(0, x, p)) < 1e-13
 
 
-def test_w_coeff_doubling_nodes_is_exact():
-    p = GeomParams((0.3, 0.5))
-    for (k, x) in [(1, 3), (-2, -1), (0, 5)]:
-        assert abs(w_coeff(k, x, p) - w_coeff(k, x, p, nodes=4096)) < 1e-12
+def _w_exact(k, x, a):
+    """W_k(x) in exact rational arithmetic: the u^(x+k) coefficient of
+    (1 - u)^k prod_i (1 - a_i)/(1 - a_i u), each factor a truncated series."""
+    n = x + k
+    if n < 0:
+        return Fraction(0)
+    series = [Fraction(1)] + [Fraction(0)] * n
+    for _ in range(abs(k)):  # times (1 - u), or for k < 0 times 1/(1 - u) = 1 + u + u^2 + ...
+        series = ([series[0]] + [series[j] - series[j - 1] for j in range(1, n + 1)] if k > 0
+                  else list(accumulate(series)))
+    for ai in map(Fraction, a):
+        series = [(1 - ai) * sum(series[j] * ai ** (i - j) for j in range(i + 1))
+                  for i in range(n + 1)]
+    return series[n]
+
+
+def test_w_coeff_matches_exact_fractions():
+    for a in [(0.3, 0.5), (0.2, 0.7, 0.45), (0.6,), ()]:
+        p = GeomParams(a)
+        for k in range(-3, 4):
+            for x in range(-4, 15):
+                want = float(_w_exact(k, x, a))
+                assert abs(w_coeff(k, x, p) - want) <= 1e-14 * max(1.0, abs(want)), (a, k, x)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncolliding import contours, distributions, kernels
-from noncolliding.contours import composite_legendre
+from noncolliding.contours import composite_legendre, gauss_legendre
 from noncolliding.distributions import (FAMILIES, CdfQuery, airy_fdd, cdf_arithmetic_limit,
                                         cdf_blpp, cdf_bridge_allmax,
                                         cdf_bridge_runningmax, cdf_dyson_edge,
@@ -16,7 +16,7 @@ from noncolliding.distributions import (FAMILIES, CdfQuery, airy_fdd, cdf_arithm
                                         f_class_contains)
 from noncolliding.exceptions import DomainError, ParameterError
 from noncolliding.fredholm import det_ratio
-from noncolliding.kernels import BoundaryFunction, s_bar_hermite
+from noncolliding.kernels import BoundaryFunction, s_bar
 from noncolliding.special import heat_kernel
 
 
@@ -175,7 +175,7 @@ def _nw_oracle(mu, t, a):
     G = np.empty((len(mu), len(mu)))
     for i in range(len(mu)):
         others = np.delete(mu, i)
-        N = s_bar_hermite(others, t, 0.0, x) if others.size else heat_kernel(t, 0.0, x)
+        N = s_bar(others, t, 0.0, x) if others.size else heat_kernel(t, 0.0, x)
         for j, m in enumerate(mu):
             M = np.exp(m * x - 0.5 * t * m * m) / np.prod(m - np.delete(mu, j))
             G[i, j] = np.sum(wx * N * M)
@@ -204,6 +204,24 @@ def test_blpp_narrow_wedge_wide_drift_spread_matches_its_oracle():
     mu, t, a = [-0.5, 0.5, 1.5, 2.5], 2.0, 4.0
     got = cdf_blpp(BoundaryFunction.narrow_wedge(), mu, [t], [a])
     assert abs(got - _nw_oracle(mu, t, a)) <= 1e-10
+
+
+def test_one_time_flat_blpp_is_the_reflected_law_for_one_drift():
+    # m = 1: L(1, t) is Brownian motion with drift mu reflected at 0, whose law at t is
+    # Phi((a - mu t)/sqrt t) - e^{2 mu a} Phi((-a - mu t)/sqrt t); the running maximum of
+    # the bridge over [0, s] is that law at a^2, with mu = -1 and t = a^2 s/(1 - s)
+    def reflected(mu, t, a):
+        rt = math.sqrt(t)
+        return _phi((a - mu * t) / rt) - math.exp(2 * mu * a) * _phi((-a - mu * t) / rt)
+
+    flat = BoundaryFunction.flat()
+    for mu, t, a in ((-0.5, 1.0, 0.3), (0.4, 2.0, 1.1), (-1.2, 5.0, 0.05), (0.0, 0.7, 2.0),
+                     (-1.0, 20.0, 3.0)):
+        assert abs(cdf_blpp(flat, [mu], [t], [a]) - reflected(mu, t, a)) < 1e-13, (mu, t, a)
+    for s in (0.3, 0.6, 0.9):
+        for a in (0.6, 1.0, 1.4):
+            want = reflected(-1.0, a * a * s / (1 - s), a * a)
+            assert abs(cdf_bridge_runningmax(1, s, a) - want) < 1e-13, (s, a)
 
 
 def test_blpp_flat_far_time_approaches_piflat():
@@ -403,12 +421,10 @@ CURVES = {
 }
 # a curve sizes its contours for the whole grid, so its values differ from
 # one-point values by the kernel-quadrature error of the two contour choices.
-# The arith Gamma-ratio sum cancels about six digits of it.  The narrow-wedge
-# lines resolve the kernel to about 2e-12: a one-point value moves by 1.8e-12
-# when the line nodes double.  Families whose kernel changes with the
-# threshold build per point and match exactly.
-CURVE_TOL = {"arith": 1e-9, "blpp-nw": 3e-12, "bridge-allmax": 0.0, "bridge-runmax": 0.0,
-             "detratio": 0.0}
+# The arith Gamma-ratio sum cancels about six digits of it; the narrow-wedge
+# and flat ones, with a closed-form z side, differ by 4e-16.  Families whose
+# kernel changes with the threshold build per point and match exactly.
+CURVE_TOL = {"arith": 1e-9, "bridge-allmax": 0.0, "bridge-runmax": 0.0, "detratio": 0.0}
 
 
 # wide grids: along each, the column scaling e^{a m} of the rows made at the
@@ -467,7 +483,6 @@ def test_contours_are_conjugate_symmetric(family, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(contours, "mirrored", spy)
-    monkeypatch.setattr(kernels, "mirrored", spy)
     _queries(family)
     assert built
     for c in built:
@@ -524,7 +539,6 @@ def test_half_fills_match_full_fills(family, monkeypatch):
     monkeypatch.setattr(kernels, "contour_fill", recorded)
     _queries(family)
     monkeypatch.setattr(contours, "mirrored", _whole_contour)
-    monkeypatch.setattr(kernels, "mirrored", _whole_contour)
     monkeypatch.setattr(kernels, "contour_fill", partial(_whole_fill, whole))
     _queries(family)
     assert len(half) == len(whole) > 0
@@ -558,42 +572,52 @@ def test_low_rank_couplings_match_their_dense_sums(family, monkeypatch):
         assert np.max(np.abs(P @ Q - C)) <= 1e-13 * np.max(np.abs(C))
 
 
-def _dense_drift_coupling(mu, cw, cz, flat):
-    # what the rank-m factors stand for: 1/(z - w), plus 1/(z + w) if flat, dense
-    _, C, C_bar = kernels.couplings(cw.upper_nodes, cz.upper_nodes)
-    if flat:
-        _, D, D_bar = kernels.couplings(-cw.upper_nodes, cz.upper_nodes)
-        C, C_bar = C + D, C_bar + D_bar
-    return None, C, C_bar
+def _dense_fill(mu, t1, t2, xs, ys, flat):
+    # the double contour itself: a 512-node circle around the drifts, the dense
+    # coupling 1/(z - w), + 1/(z + w) if flat, and for each y a 600-node
+    # Gauss-Legendre z line through its saddle y/t2, right of the circle and of
+    # its mirror image
+    mu = np.asarray(mu, dtype=float)
+    c, r = 0.5 * (mu.min() + mu.max()), 0.5 * (mu.max() - mu.min()) + 0.5
+    w = c + r * np.exp(2j * np.pi * np.arange(512) / 512)
+    left = (np.exp(np.outer(xs, w) - 0.5 * t1 * w ** 2) / np.prod(w[:, None] - mu, axis=1)
+            * (2j * np.pi / 512) * (w - c))
+    floor = (max(c + r, r - c) if flat else c + r) + 0.5
+    s, ws = gauss_legendre(-np.sqrt(120.0 / t2), np.sqrt(120.0 / t2), 600)
+    K = np.empty((len(xs), len(ys)))
+    for k, y in enumerate(ys):
+        z = max(floor, y / t2) + 1j * s
+        right = np.exp(0.5 * t2 * z ** 2 - y * z) * np.prod(z[:, None] - mu, axis=1) * 1j * ws
+        C = 1.0 / (z[None, :] - w[:, None])
+        if flat:
+            C += 1.0 / (z[None, :] + w[:, None])
+        K[:, k] = (left @ C @ right).real / (-4.0 * np.pi ** 2)
+    return K * (ys > 0) if flat else K
 
 
-# the fills differ by the rounding of their contour sums, which cancel more as
-# m and the arguments grow: up to 4.7e-12 max|K| for m <= 2 and 9.3e-11 for m <= 6
+# the dense sums cancel up to 1.1e-12 of max|K| (m = 6), the rank-m fills with
+# their closed-form z side less (test_closed_form_kernels_match_30_digit_values)
 @pytest.mark.parametrize("mu,tol", [
     ([0.3], 5e-12), ([0.3, -0.4], 5e-12), ([-0.5, -1.0], 5e-12), ([0.0, 0.0], 5e-12),
     ([-1.0, -1.0, -1.0], 1e-10), ([0.5, 0.5, -0.8, -0.8], 1e-10),
     ([0.5, -1.2, 0.3, 0.9], 1e-10), ([0.5, -1.2, 0.3, 0.9, -0.4, 0.0], 1e-10)],
     ids=["m1", "m2", "m2-negative", "m2-repeated", "m3-repeated", "m4-repeated-pairs", "m4",
          "m6"])
-def test_rank_m_couplings_match_dense_fills(mu, tol, monkeypatch):
-    # the narrow-wedge and flat fills at rank m equal fills on the same
-    # contours with the dense couplings, on both flat branches
+def test_rank_m_couplings_match_dense_fills(mu, tol):
+    # the narrow-wedge and flat fills at rank m, with their closed-form z side,
+    # equal the dense double contour at equal, rising and falling times
     xs, ys = np.linspace(-3.0, 12.0, 7), np.linspace(0.25, 12.0, 9)
-    engines = [partial(kernels._nw_flat_engine, mu, t1, t2, xs, ys, flat)
-               for t1, t2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)) for flat in (False, True)]
-    if max(mu) < 0:
-        engines += [partial(kernels._flat_far_time_engine, mu, t, xs, ys) for t in (1.0, 2.0)]
-    fills = [make()(xs, ys) for make in engines]
-    monkeypatch.setattr(kernels, "_drift_coupling", _dense_drift_coupling)
-    for make, K in zip(engines, fills):
-        dense = make()(xs, ys)
-        assert np.max(np.abs(K - dense)) <= tol * np.max(np.abs(dense)), make
+    for t1, t2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
+        for kind in ("narrow_wedge", "flat"):
+            K = kernels._brownian_engine(kind, mu, t1, t2, xs, ys)(xs, ys)
+            dense = _dense_fill(mu, t1, t2, xs, ys, kind == "flat")
+            assert np.max(np.abs(K - dense)) <= tol * np.max(np.abs(dense)), (kind, t1, t2)
 
 
 @pytest.mark.parametrize("family,params,threshold", [
     ("blpp-nw", CURVES["blpp-nw"][0], CURVES["blpp-nw"][1][0]),
     ("blpp-flat", CURVES["blpp-flat"][0], CURVES["blpp-flat"][1][0]),
-    ("blpp-flat", {"mu": [-1.0, -1.0], "times": [50.0]}, [1.0]),  # the far-time branch
+    ("blpp-flat", {"mu": [-1.0, -1.0], "times": [50.0]}, [1.0]),  # a large equal time
     ("bridge-runmax", CURVES["bridge-runmax"][0], CURVES["bridge-runmax"][1][0])])
 def test_blpp_queries_make_no_dense_or_sketched_coupling(family, params, threshold,
                                                          monkeypatch):

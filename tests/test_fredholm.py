@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from noncolliding import fredholm
 from noncolliding.distributions import loe_block, piflat_block
 from noncolliding.exceptions import EvaluationError, ParameterError
 from noncolliding.fredholm import (apply_conjugation, det_nystrom, det_ratio,
@@ -113,3 +114,17 @@ def test_block_kernel_pointwise_eval():
     assert K.eval(0, 0.3, 0, 0.7) == pytest.approx(k_piflat([1.0], 0.3, 0.7), rel=1e-12)
     with pytest.raises(ParameterError):
         K.eval(1, 0.3, 0, 0.7)  # slot index outside the declared time list
+
+
+def test_det_nystrom_holds_blas_at_one_thread():
+    # assembly and LU run on one thread of numpy's OpenBLAS, whose count is
+    # restored after; without that library both functions are no-ops
+    get, _ = fredholm._openblas_threads()
+    seen, before = [], get()
+
+    def fill(xs, ys):
+        seen.append(get())
+        return np.outer(np.exp(-xs), np.exp(-ys))
+
+    det_nystrom(single_slot_kernel(fill, 0.0, length=40.0))
+    assert set(seen) <= {1, None} and get() == before

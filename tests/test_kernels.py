@@ -6,9 +6,10 @@ import pytest
 from noncolliding.contours import gauss_legendre, make_contour
 from noncolliding.exceptions import DomainError, ParameterError
 from noncolliding.distributions import airy_block
+from noncolliding import kernels
 from noncolliding.kernels import (BoundaryFunction, airy_kernel_ext, heat_op_full, heat_op_half,
                                   j_airy, k_bridge, k_delta, k_flat, k_loe, k_nw, k_piflat, s_bar,
-                                  s_bar_hermite, s_hypo_flat, s_minus)
+                                  s_hypo_flat, s_minus)
 from noncolliding.kernels import (Side, _base_rows, _brownian_block, _k_delta_engine, low_rank,
                                   shifted_rows)
 from noncolliding.special import complex_gamma, heat_kernel
@@ -50,10 +51,6 @@ def test_shifted_rows_match_rows_at_shifted_arguments():
         want, want_top = side.rows(u + a)
         assert np.all(np.isfinite(got)) and np.all(np.isfinite(top)), a
         assert np.max(np.abs(got * np.exp(top - want_top)[:, None] - want)) < 1e-12, a
-    mask = u > 1.0
-    got, top = shifted_rows(made, 2.0)(side, u + 2.0, mask)
-    want, want_top = side.rows(u + 2.0, mask)
-    assert np.max(np.abs(got * np.exp(top - want_top)[:, None] - want)) < 1e-12
 
 
 def test_low_rank_keeps_a_full_rank_matrix_dense():
@@ -96,10 +93,16 @@ def test_s_minus_growth_bound():
         assert abs(s_minus(mus, 1.0, s, 0.0)) <= math.exp(C * (abs(s) + 1.0))
 
 
-def test_s_bar_equals_hermite_form():
+def test_s_bar_matches_its_line_integral():
+    # s_bar's closed form against its defining integral on the vertical line
+    # through the Gaussian saddle (y - x)/t, by 400 Gauss-Legendre nodes
     for mus in ([0.0], [0.5], [0.5, -1.2, 0.3]):
         for (t, x, y) in [(1.0, 0.4, -0.2), (0.7, 1.4, -0.2), (2.5, -3.0, 4.0)]:
-            assert abs(s_bar(mus, t, x, y) - s_bar_hermite(mus, t, x, y)) < 1e-9
+            half = math.sqrt(2.0 * 60.0 / t)
+            s, ws = gauss_legendre(-half, half, 400)
+            z = (y - x) / t + 1j * s
+            f = np.exp(0.5 * t * z ** 2 + (x - y) * z) * np.prod([z - m for m in mus], axis=0)
+            assert abs(s_bar(mus, t, x, y) - np.sum(ws * f).real / (2 * math.pi)) < 1e-13
 
 
 def test_s_bar_single_drift_is_heat_derivative():
@@ -196,7 +199,7 @@ def test_k_nw_composition_oracle():
     # K_nw = int_{-inf}^0 S_{m,-t1}(x, u) Sbar_{m,t2}(u, y) du
     mus = [0.4, -0.7]
     comp = compose_kernels(lambda X, U: s_minus(mus, 0.8, X, U),
-                           lambda U, Y: s_bar_hermite(mus, 1.1, U, Y), -40.0, 0.0, n=600)
+                           lambda U, Y: s_bar(mus, 1.1, U, Y), -40.0, 0.0, n=600)
     for (x, y) in [(0.2, 0.5), (-0.5, 1.0), (1.0, -0.3)]:
         assert abs(k_nw(mus, 0.8, x, 1.1, y) - comp(x, y)) < 1e-6
 
@@ -216,13 +219,86 @@ def test_k_flat_indicator_composition_and_limit():
                - 2 * beta * math.exp(-(x + y) * beta)) < 1e-4
 
 
-def test_k_flat_far_time_decomposition_consistent_with_direct():
-    from noncolliding.kernels import _flat_far_time_engine, _nw_flat_engine
-    xs, ys = np.array([0.5]), np.array([1.2])
-    for mus in (np.array([-0.9]), np.array([-0.5, -1.0])):
-        d1 = _nw_flat_engine(mus, 5.0, 5.0, xs, ys, flat=True)(xs, ys)[0, 0]
-        d2 = _flat_far_time_engine(mus, 5.0, xs, ys)(xs, ys)[0, 0]
-        assert abs(d1 - d2) < 1e-9
+def test_k_flat_far_time_matches_its_residue_form():
+    # distinct drifts: K = sum_i e^{mu_i x - t mu_i^2/2}/q'(mu_i) Psi_i(y), where the z
+    # integral of q(z)(1/(z - mu_i) + 1/(z + mu_i)) is 2 (y/t - mu_i - mu_j) p_t(y) +
+    # q(-mu_i) F_i(y) for m = 2, 2 p_t(y) - 2 mu F(y) for m = 1, with the mirror pole's
+    # F_i(y) = e^{t mu_i^2/2 + mu_i y} Phi-bar((y + mu_i t)/sqrt t)
+    def residue_form(mus, t, x, y):
+        p = heat_kernel(t, 0.0, y)
+        total = 0.0
+        for i, mu in enumerate(mus):
+            F = math.exp(0.5 * t * mu * mu + mu * y) * 0.5 * math.erfc((y + mu * t)
+                                                                        / math.sqrt(2 * t))
+            if len(mus) == 1:
+                psi, dq = 2 * p - 2 * mu * F, 1.0
+            else:
+                other = mus[1 - i]
+                psi = 2 * (y / t - mu - other) * p + 2 * mu * (mu + other) * F
+                dq = mu - other
+            total += math.exp(mu * x - 0.5 * t * mu * mu) / dq * psi
+        return total
+
+    for mus in ([-0.9], [-0.5, -1.0]):
+        for t in (5.0, 20.0):
+            for x, y in ((0.5, 1.2), (2.0, 3.0), (0.0, 0.4)):
+                want = residue_form(mus, t, x, y)
+                assert abs(k_flat(mus, t, x, t, y) - want) < 1e-13 * max(1.0, abs(want)), (mus, t)
+
+
+def test_refined_airy_wedges_keep_j_airy():
+    # a wedge rebuilt at twice the nodes of each panel gives the same kernel
+    unrefined = kernels._jairy_contours
+    for args in [(0.0, -1.0, 0.0, 0.5), (0.0, -3.5, 0.0, -3.5), (0.4, 1.0, -0.3, -1.0)]:
+        v = j_airy(*args)
+        kernels._jairy_contours = lambda *a: tuple(c.refined() for c in unrefined(*a))
+        try:
+            assert unrefined(0.0, -1.0, 0.5, "wedge")[0].kind == "wedge"
+            assert abs(j_airy(*args) - v) < 1e-12, args
+        finally:
+            kernels._jairy_contours = unrefined
+
+
+def _residue_kernel(mp, mu, t1, x, t2, y, flat):
+    """The narrow-wedge or flat kernel to 30 digits: the residues of its w integrand at
+    the drifts, each z integral and its w-derivatives taken on a vertical line by mpmath."""
+    t1, x, t2, y = mp.mpf(t1), mp.mpf(x), mp.mpf(t2), mp.mpf(y)
+    mus = [mp.mpf(m) for m in mu]
+    d = max(abs(m) for m in mus) + 1 + max(0, y / t2)
+
+    def psi(w, j):
+        def f(s):
+            z = d + 1j * s
+            c = 1 / (z - w) ** (j + 1) + ((-1) ** j / (z + w) ** (j + 1) if flat else 0)
+            return mp.exp(t2 * z * z / 2 - y * z) * mp.fprod([z - m for m in mus]) * c
+        return mp.factorial(j) * mp.re(mp.quad(f, [-mp.inf, 0, mp.inf])) / (2 * mp.pi)
+
+    total = mp.mpf(0)
+    for pole in sorted(set(mus)):
+        r = mus.count(pole)
+        others = [m for m in mus if m != pole]
+
+        def g(w):
+            return mp.exp(x * w - t1 * w * w / 2) / mp.fprod([w - m for m in others])
+
+        total += sum(mp.binomial(r - 1, j) * mp.diff(g, pole, r - 1 - j) * psi(pole, j)
+                     for j in range(r)) / mp.factorial(r - 1)
+    return float(total)
+
+
+# the drift vectors of test_rank_m_couplings_match_dense_fills, a far time, and
+# near-coincident drifts, which lose no more than distinct ones
+@pytest.mark.parametrize("mu,t1,t2", [
+    ([0.3], 5.0, 5.0), ([0.3, -0.4], 1.0, 2.0), ([-0.5, -1.0], 20.0, 20.0), ([0.0, 0.0], 2.0, 1.0),
+    ([-1.0, -1.0, -1.0], 1.0, 2.0), ([0.5, 0.5, -0.8, -0.8], 1.0, 1.0),
+    ([0.5, -1.2, 0.3, 0.9], 2.0, 1.0), ([0.5, -1.2, 0.3, 0.9, -0.4, 0.0], 1.0, 2.0),
+    ([-0.5, -1.0], 1.0, 1.0), ([-0.5, -0.5 - 1e-6], 1.0, 1.0), ([-0.5, -0.5 - 1e-6], 5.0, 5.0)])
+def test_closed_form_kernels_match_30_digit_values(mu, t1, t2):
+    mp = pytest.importorskip("mpmath")
+    for kernel, flat in ((k_nw, False), (k_flat, True)):
+        with mp.workdps(30):
+            want = _residue_kernel(mp, mu, t1, 0.5, t2, 0.7, flat)
+        assert abs(kernel(mu, t1, 0.5, t2, 0.7) - want) < 1e-14 * max(1.0, abs(want)), flat
 
 
 def test_k_flat_burke_permutation():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from noncolliding import montecarlo
 from noncolliding.exceptions import ParameterError
 from noncolliding.kernels import BoundaryFunction
 from noncolliding.montecarlo import (_matrix_running_supmax, _top_eig_tridiagonal, dkw_band,
@@ -174,12 +175,33 @@ def test_bridge_topmax_reflection_law():
     assert np.max(np.abs(empirical_cdf(m, grid) - want)) < dkw_band(40000) + 0.012
 
 
+def _bridge_topmax_every_other_point(seed, paths):
+    """The n = 2, s = 1 maxima of sample_bridge_topmax on the 1/2048 grid, read at every other
+    point: the same normals, drawn in the same order and chunks, on the 1/1024 grid."""
+    ts = montecarlo._bridge_grid(1.0, 1 / 2048)
+    dts = np.diff(np.concatenate([[0.0], ts]))
+    gen = RngStream(seed).generator()
+
+    def draw(x, k):
+        sc = 1.0 if k < 2 else 0.5
+        path = gen.standard_normal((len(x), len(ts)))
+        path *= np.sqrt(dts * sc)
+        np.cumsum(path, axis=1, out=path)
+        tail = gen.standard_normal((len(x), 1)) * np.sqrt(max(1.0 - ts[-1], 0.0) * sc)
+        path -= ts * (path[:, -1:] + tail)
+        x[:] = path[:, 1::2]
+
+    chunk = min(paths, int(1.2e7 / len(ts)))
+    return montecarlo._hermitian_path_max(draw, 2, paths, len(ts) // 2, chunk, 0.0)
+
+
 def test_bridge_topmax_grid_stability():
-    q1 = np.quantile(sample_bridge_topmax(2, 1.0, stream=RngStream(12), paths=20000,
-                                          grid_step=1 / 1024), 0.5)
-    q2 = np.quantile(sample_bridge_topmax(2, 1.0, stream=RngStream(12), paths=20000,
-                                          grid_step=1 / 2048), 0.5)
-    assert abs(q1 - q2) < 0.01
+    # both maxima from one path, the 1/1024 grid being every other point of the
+    # 1/2048 one: the statistic measures the grid effect, not sampling noise
+    fine = sample_bridge_topmax(2, 1.0, stream=RngStream(12), paths=20000, grid_step=1 / 2048)
+    coarse = _bridge_topmax_every_other_point(12, 20000)
+    assert np.all(coarse <= fine)  # the same paths, read on fewer points
+    assert abs(np.quantile(coarse, 0.5) - np.quantile(fine, 0.5)) < 0.01
 
 
 def test_sampler_validation():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncolliding.exceptions import PoleError, RangeError, ValidationError
-from noncolliding.special import (airy_function, complex_gamma, heat_kernel,
+from noncolliding.special import (airy_function, complex_gamma, erfcx, heat_kernel,
                                   hermitian_eigen_max, _airy_any_real)
 
 GAMMA_THIRD = 2.678938534707748        # Gamma(1/3)
@@ -46,6 +46,23 @@ def test_gamma_truncated_weierstrass_product():
     trunc = 1.0 / (z * np.exp(np.euler_gamma * z) * np.exp(log_prod))
     rel = abs(trunc - complex_gamma(z)) / abs(complex_gamma(z))
     assert rel < 10.0 * abs(z) ** 2 / n
+
+
+def test_erfcx_matches_scipy_and_40_digit_values():
+    special = pytest.importorskip("scipy.special")
+    mp = pytest.importorskip("mpmath")
+    x = np.concatenate([np.linspace(-5.0, 1.0, 60001), np.geomspace(1.0, 1e4, 20001)])
+    rel = np.abs(erfcx(x) / special.erfcx(x) - 1.0)
+    assert rel[x >= -4.0].max() <= 2e-15
+    # below -4 scipy exponentiates a rounded x^2 and is itself 1.9e-15 off
+    assert rel.max() <= 3e-15
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-5.0, 5.0, 300),
+                        np.exp(rng.uniform(np.log(5.0), np.log(1e4), 200))])
+    with mp.workdps(40):
+        want = np.array([float(mp.exp(mp.mpf(v) ** 2) * mp.erfc(mp.mpf(v))) for v in x])
+    assert np.max(np.abs(erfcx(x) / want - 1.0)) <= 5e-16
+    assert erfcx(0.0) == 1.0 and erfcx(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_heat_kernel_values_and_symmetry():
