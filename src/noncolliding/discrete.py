@@ -139,14 +139,20 @@ def sample_geom_lpp(params, x_init, m, stream=None, samples=1):
         raise ParameterError("need a column parameter for each of the m columns")
     gen = (stream or RngStream(DEFAULTS["seed"])).generator()
     N = len(x_init)
-    G = np.broadcast_to(x_init, (samples, N)).astype(np.int64).copy()
+    # in place: the output, one draw of weights and one row are all it holds
+    G = np.empty((samples, N), dtype=np.int64)
+    G[:] = x_init
+    row = np.empty(samples, dtype=np.int64)
     for i in range(m):
         # geometric on {0,1,...} with success 1-a_i
-        w = gen.geometric(1.0 - a[i], size=(samples, N)) - 1
-        row = np.zeros(samples, dtype=np.int64)
+        w = gen.geometric(1.0 - a[i], size=(samples, N))
+        w -= 1
+        row[:] = 0
         for ncol in range(N):
-            row = np.maximum(row, G[:, ncol]) + w[:, ncol]
+            np.maximum(row, G[:, ncol], out=row)
+            row += w[:, ncol]
             G[:, ncol] = row
+        del w  # before the next draw is made
     return G[0] if samples == 1 else G
 
 
@@ -202,30 +208,20 @@ def s_geom(m, n, z1, z2, params):
     return float((val * np.exp(mx) / _TWO_PI_I).real)
 
 
-def _sbar_geom_batch(m, ns, z1s, z2, params):
-    """sbar for vectors of horizons/positions sharing one circle |w| = w*."""
+def sbar_geom(m, n, z1, z2, params):
+    """Discrete line-side kernel S-bar_{m,n}(z1, z2) on the saddle circle |w| = w*."""
     theta, alpha = params.theta, params.alpha
     a = params.arr()[:m]
-    ns = np.atleast_1d(np.asarray(ns, dtype=float))
-    z1s = np.atleast_1d(np.asarray(z1s, dtype=float))
-    Q = (z2 - z1s) + ns - 1.0
-    nbar = float(np.mean(ns))
-    Qbar = float(np.mean(Q))
-    wstar = nbar / (nbar - Qbar) if nbar - Qbar > 0 else 0.5
+    n, z1 = float(n), float(z1)
+    Q = (z2 - z1) + n - 1.0
+    wstar = n / (n - Q) if n - Q > 0 else 0.5
     wstar = min(0.9, max(0.1, wstar))
-    count = _saddle_circle_nodes(abs(Qbar) + nbar)
+    count = _saddle_circle_nodes(abs(Q) + n)
     th = 2.0 * np.pi * np.arange(count) / count
     w = wstar * np.exp(1j * th)
     base = -_log_phi(1.0 - w, a) if len(a) else np.zeros_like(w)
-    expo = ((z1s - z2)[:, None] * np.log(theta)
-            + Q[:, None] * np.log(1.0 - w)[None, :]
-            - ns[:, None] * (np.log(w) - np.log(alpha))[None, :]
-            + base[None, :])
-    mx = expo.real.max(axis=1)
-    vals = np.exp(expo - mx[:, None]) @ ((2j * np.pi / count) * w)
-    return np.real(vals * np.exp(mx) / _TWO_PI_I)
-
-
-def sbar_geom(m, n, z1, z2, params):
-    """Discrete line-side kernel S-bar_{m,n}(z1, z2) on the circle |w| = w*."""
-    return float(_sbar_geom_batch(m, [n], [z1], z2, params)[0])
+    expo = ((z1 - z2) * np.log(theta) + Q * np.log(1.0 - w)
+            - n * (np.log(w) - np.log(alpha)) + base)
+    mx = expo.real.max()
+    val = np.exp(expo - mx) @ ((2j * np.pi / count) * w)
+    return float(np.real(val * np.exp(mx) / _TWO_PI_I))

@@ -9,9 +9,9 @@ from .defaults import DEFAULTS
 from .exceptions import DomainError, ParameterError
 from .fredholm import (BlockKernel, apply_conjugation, det_nystrom, det_ratio,
                        single_slot_kernel, slot_nodes)
-from .kernels import (_brownian_block, _brownian_engine, _drifts, _dyson_edge_engine,
-                      _jairy_engine, _k_delta_engine, _loe_rates, _piflat_engine,
-                      BoundaryFunction, heat_op_full, k_flat, kixjy_conjugation, shifted_rows)
+from .kernels import (_brownian_block, _drifts, _dyson_edge_engine, _jairy_engine,
+                      _k_delta_engine, _loe_rates, _rate_kernel, BoundaryFunction, heat_op_full,
+                      k_flat, kixjy_conjugation, shifted_rows)
 
 __all__ = [
     "EdgeScaling", "edge_scaling", "f_class_bounds", "f_class_contains",
@@ -117,7 +117,7 @@ def _dets(makers, nodes):
 
 
 # the fewest thresholds whose build compresses its Airy and arith couplings to
-# low rank (narrow-wedge and flat ones have rank m anyway).  A sketch costs
+# low rank (the other families make no coupling).  A sketch costs
 # about as much as the dense products of 8 thresholds, and its factors hold a
 # fraction of the dense coupling's memory for the rest of the curve
 _LOW_RANK_FROM = 4
@@ -126,14 +126,11 @@ _LOW_RANK_FROM = 4
 def _curve(block, grid, nodes, engine):
     """Evaluators of det(I - block(a, fill)) for each threshold a of grid, one build.
 
-    ``engine(spans, base, made)`` returns at(a), the fill of threshold a.
-    spans[k][i] holds the Nystrom nodes of slot i at grid[k], read from a
-    kernel block(a, None), and base[i] those at threshold 0, where the build
-    makes every side's rows into the dict ``made``.  From ``_LOW_RANK_FROM``
-    thresholds on, the build also compresses each Airy and arith coupling to
-    low rank.  A one-point grid has nothing to share: its blocks build from
-    their own nodes as they fill, which sizes them alike and holds one
-    block's couplings at a time.
+    ``engine(spans, base, made)`` returns at(a), the fill of threshold a.  spans[k][i] holds
+    the Nystrom nodes of slot i at grid[k], read from a kernel block(a, None), and base[i]
+    those at threshold 0, where the build makes every side's rows into the dict ``made``.
+    From ``_LOW_RANK_FROM`` thresholds on, it also compresses each coupling to low rank.  A
+    one-point grid has nothing to share: its blocks build from their own nodes as they fill.
     """
     if len(grid) == 1:
         return _dets([partial(block, grid[0], None)], nodes)
@@ -141,11 +138,6 @@ def _curve(block, grid, nodes, engine):
                 slot_nodes(block(0.0 * np.asarray(grid[0]), None), nodes),
                 {"low_rank": len(grid) >= _LOW_RANK_FROM})
     return _dets([partial(block, a, at(a)) for a in grid], nodes)
-
-
-def _span(spans, i):
-    """The Nystrom nodes of slot i over a whole grid, as one array."""
-    return np.concatenate([nodes[i] for nodes in spans])
 
 
 def _at(fills, made, shifts, extra=None):
@@ -161,28 +153,22 @@ def _at(fills, made, shifts, extra=None):
 
 
 # ---------------------------------------------------------------------------
-# single-contour product-kernel families
+# rate-kernel families
 # ---------------------------------------------------------------------------
 
-def piflat_block(beta, a, length=None, fill=None):
-    """Rate-kernel block on [max(a, 0), infinity); ``fill`` is a grid's fill at a."""
+def piflat_block(beta, a, length=None):
+    """Rate-kernel block on [max(a, 0), infinity)."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if length is None:
         length = max(12.0, 36.0 / (2.0 * beta.min()))
-    fill = fill or (lambda xs, ys: _piflat_engine(beta, xs, ys)(xs, ys))
-    return single_slot_kernel(fill, max(float(a), 0.0), length, "piflat")
+    return single_slot_kernel(partial(_rate_kernel, beta), max(float(a), 0.0), length, "piflat")
 
 
 def _piflat_curve(beta, grid, nodes=None, length=None):
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if not np.all(beta > 0):  # before a <= 0 gives 0 without building a kernel
         raise ParameterError("rates beta must all be positive")
-
-    def engine(spans, base, made):
-        fill = _piflat_engine(beta, _span(spans, 0), _span(spans, 0), made, base * 2)
-        return lambda a: _at([[fill]], made, [max(a, 0.0)])[0][0]
-
-    curve = _curve(lambda a, fill: piflat_block(beta, a, length, fill), grid, nodes, engine)
+    curve = _dets([partial(piflat_block, beta, a, length) for a in grid], nodes)
     return [value if a > 0 else (lambda: 0.0) for a, value in zip(grid, curve)]
 
 
@@ -191,16 +177,11 @@ def loe_block(n, a, length=None):
 
 
 def bridge_block(nu, r, length=None):
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    beta = 1.0 - nu / r
+    beta = 1.0 - np.atleast_1d(np.asarray(nu, dtype=float)) / r
     if length is None:
         length = max(12.0, 36.0 / (2.0 * beta.min()))
-
-    def fill(xs, ys):
-        u, v = xs + r * r, ys + r * r
-        return _piflat_engine(beta, u, v)(u, v)
-
-    return single_slot_kernel(fill, 0.0, length, "bridge")
+    return single_slot_kernel(lambda xs, ys: _rate_kernel(beta, xs + r * r, ys + r * r),
+                              0.0, length, "bridge")
 
 
 def cdf_piflat(beta, a, nodes=None, length=None):
@@ -267,7 +248,8 @@ def arith_block(delta, a, length=None, fill=None):
 
 def _arith_curve(delta, grid, nodes=None, length=None):
     def engine(spans, base, made):
-        fill = _k_delta_engine(delta, _span(spans, 0), _span(spans, 0), made=made, base=base * 2)
+        span = np.concatenate([nodes[0] for nodes in spans])  # the slot's nodes over the grid
+        fill = _k_delta_engine(delta, span, span, made=made, base=base * 2)
         # below 0 the default length 40 - a makes the nodes no translate of the base nodes
         return lambda a: fill if length is None and a < 0 else _at([[fill]], made, [a])[0][0]
 
@@ -290,12 +272,8 @@ def cdf_arithmetic_limit(delta, a, nodes=None, length=None):
 # extended (multi-slot) kernels
 # ---------------------------------------------------------------------------
 
-def blpp_block(b, mu, times, thresholds, lengths=None, fills=None):
-    """Block kernel of boundary-driven BLPP at several times (closed forms).
-
-    ``fills[i][j]`` is a grid's fill of block (i, j) at these thresholds;
-    without it each block builds its own.
-    """
+def blpp_block(b, mu, times, thresholds, lengths=None):
+    """Block kernel of boundary-driven BLPP at several times (closed forms)."""
     mu = _drifts(mu)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
@@ -307,11 +285,10 @@ def blpp_block(b, mu, times, thresholds, lengths=None, fills=None):
         lengths = max(12.0, 2.0 * np.sqrt(tmax * (DEFAULTS["decay_drop"] - 5.0))
                       + 2.0 * drift_push)
 
-    made = {}  # a query's blocks share each slot's circle side and closed-form z side
+    made = {}  # a query's blocks share each slot's M and closed-form z side
 
     def eval_block(i, j, xs, ys):
-        return _brownian_block(b.kind, mu, times[i], times[j], xs, ys,
-                               fills[i][j] if fills else None, made)
+        return _brownian_block(b.kind, mu, times[i], times[j], xs, ys, made)
 
     K = BlockKernel(times, thresholds, eval_block, lengths, label="blpp-" + b.kind)
     # conjugated by e^{kappa_j |y| - kappa_i |x|}, kappa_i decreasing in the slot index i
@@ -320,17 +297,7 @@ def blpp_block(b, mu, times, thresholds, lengths=None, fills=None):
 
 
 def _blpp_curve(b, mu, times, grid, nodes=None, lengths=None):
-    mu = _drifts(mu)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-
-    def engine(spans, base, made):
-        span = [_span(spans, i) for i in range(len(times))]
-        fills = [[_brownian_engine(b.kind, mu, ti, tj, span[i], span[j], made, (base[i], base[j]))
-                  for j, tj in enumerate(times)] for i, ti in enumerate(times)]
-        return lambda a: _at(fills, made, a)
-
-    return _curve(lambda a, fills: blpp_block(b, mu, times, a, lengths, fills),
-                  grid, nodes, engine)
+    return _dets([partial(blpp_block, b, mu, times, a, lengths) for a in grid], nodes)
 
 
 def cdf_blpp(b, mu, times, thresholds, nodes=None, lengths=None):
@@ -344,7 +311,8 @@ def airy_block(times, xi, lengths=14.0, fills=None):
     Block (i, j) is -e^{(t_j - t_i) d^2} 1{t_j > t_i} + J_Airy at
     (t_i, x + xi_i; t_j, y + xi_j), scaled by the :func:`kixjy_conjugation`
     ratio so that it equals K_Airy(t_i, x + xi_i + t_i^2; t_j, y + xi_j + t_j^2)
-    pointwise and decays in both arguments.  ``fills`` as for :func:`blpp_block`.
+    pointwise and decays in both arguments.  ``fills[i][j]`` is a grid's fill of
+    block (i, j) at these thresholds; without it each block builds its own.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -482,16 +450,14 @@ def cdf_dyson_edge(nu, taus, xis, nodes=None, lengths=None):
 class Family:
     """How a named CDF family is queried.
 
-    ``options`` are the parameters besides the threshold, ``threshold`` the
-    parameter that receives it (``thresholds`` takes one value per time),
-    and ``curve(params, grid, nodes, length)`` returns one evaluator per
-    threshold of grid: a call without arguments that returns the value
-    there.  ``nodes`` and ``length``, the Nystrom nodes and truncation length
-    of every slot, are the family's defaults when None.  The kernel families
-    build contours, sides, couplings and rows once for the whole grid.
-    bridge-allmax (rates 1 - nu/r) and bridge-runmax (time a^2 s/(1-s)) change
-    the kernel with the threshold, so each of their evaluators builds its own.
-    detratio, det_ratio at max(a, 0) as its maximum is >= 0, ignores ``nodes`` and ``length``.
+    ``options`` are the parameters besides the threshold, ``threshold`` the parameter that
+    receives it (``thresholds`` takes one value per time), and ``curve(params, grid, nodes,
+    length)`` returns one evaluator per threshold of grid: a call without arguments that
+    returns the value there.  ``nodes`` and ``length``, the Nystrom nodes and truncation
+    length of every slot, are the family's defaults when None.  The arith, Airy and
+    Dyson-edge families build contours, sides, couplings and rows once for the whole grid;
+    the pole families' closed-form kernels fill each threshold on their own.  detratio,
+    det_ratio at max(a, 0) as its maximum is >= 0, ignores ``nodes`` and ``length``.
     """
 
     options: tuple
@@ -547,13 +513,12 @@ def _family(query):
 def evaluate_curve(query, grid):
     """Values of a named CDF family at every threshold of grid, from one build.
 
-    ``query.params`` gives the family's options; a threshold among them is
-    not used.  ``grid`` lists the thresholds, one vector per point for the
-    families that take one threshold per time.  The determinants run one
-    after another in the calling thread.  A value can differ from the
-    one-point curve that :func:`evaluate_cdf` gives by the kernel-quadrature
-    error of contours sized for the whole grid, by the rounding of the rows'
-    scaling and by that of the low-rank couplings.
+    ``query.params`` gives the family's options; a threshold among them is not used.  ``grid``
+    lists the thresholds, one vector per point for the families that take one threshold per
+    time.  The determinants run one after another in the calling thread.  An arith, Airy or
+    Dyson-edge value can differ from the one-point curve of :func:`evaluate_cdf` by the
+    quadrature error of contours sized for the whole grid, by the rounding of the rows'
+    scaling and by that of the low-rank couplings; the other families' values equal it.
     """
     family, grid = _family(query), list(grid)
     if not grid:

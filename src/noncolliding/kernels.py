@@ -1,34 +1,31 @@
 """Pointwise evaluators for the continuum correlation kernels.
 
-Every kernel is a (single or double) contour integral; on contour nodes
-it is K(x, y) = L(x) C R(y)^T.  Each family declares its two
-:class:`Side` objects and :func:`contour_fill` forms every product.  C is
-1/(z - w) for the arith, Airy and Dyson-edge double contours, dense or as
-P Q by :func:`low_rank`, or diagonal when both sides share one contour
-(the rate kernels, s_minus).  Every row of L and R is stabilized by
-subtracting its largest exponent, so kernels with exponential growth or
-decay evaluate without overflow.  The narrow-wedge and flat kernels keep
-only the w circle around their m drifts: their z integrands are Gaussians
-times polynomials, with a pole at each mirrored drift when flat, so each
-is sum_p M_p(x) N_p(y) with N_p in Hermite and Mills-ratio terms
+Every kernel is a (single or double) contour integral.  Where a contour encloses nothing
+but poles at the rates or drifts mu_i (the rate kernels, s_minus and the w side of the
+narrow-wedge and flat kernels), it is a divided difference there, (1/2 pi i) oint
+f(w)/prod(w - mu_i) dw = f[mu_1, ..., mu_m] for entire f, taken exactly: f = e^{uw +
+alpha w^2} by :func:`_exp_differences`, its products with polynomials by Leibniz's rule.
+These kernels are thus L(x) C R(y)^T at rank m, with no contour.  The narrow-wedge and
+flat z integrands are Gaussians times polynomials, with a pole at each mirrored drift when
+flat, so N_p(y) of their sum_p M_p(x) N_p(y) is in Hermite and Mills-ratio terms
 (:func:`_z_side`), as s_bar is in Hermite terms.
 
-Every kernel here has real parameters, so it is real, and every contour is
-symmetric about the real axis (see :mod:`.contours`).  A side holds only
-its contour's upper half, and :func:`contour_fill` returns 2 Re of the sum
-over it: the lower half enters through f(z-bar) = conj f(z) and
-w(z-bar) = -conj w(z) alone, and is never evaluated.
+The arith, Airy and Dyson-edge kernels are double contour integrals, on whose nodes
+K(x, y) = L(x) C R(y)^T with C = 1/(z - w), dense or as P Q by :func:`low_rank`.  Each
+family declares its two :class:`Side` objects, every row stabilized by subtracting its
+largest exponent, and :func:`contour_fill` forms every product.  Their parameters are
+real, so every contour is symmetric about the real axis (see :mod:`.contours`): a side
+holds only its contour's upper half, and :func:`contour_fill` returns 2 Re of the sum
+over it, the lower half entering through f(z-bar) = conj f(z), w(z-bar) = -conj w(z).
 
-Each family's ``_*_engine`` is split in two.  The build (the engine call)
-sizes the contours for the argument spans it is given and makes the
-sides' argument-free factors and the couplings; the fill it returns takes
-the arguments of one block.  A pointwise kernel builds from its own
-arguments.  A threshold grid builds once from the union of its Nystrom
-nodes.  Slot i then fills at its base nodes u shifted by a_i, so the build
-makes each side's rows once, at u, and a threshold scales their columns by
-e^{a_i m} (:func:`shifted_rows`): one complex multiply per entry, no exp.
-A grid of enough thresholds also factors each Airy and arith coupling
-once, to low rank (:func:`_coupling`); a single query keeps them dense.
+Each of their ``_*_engine``s is split in two.  The build (the engine call) sizes the
+contours for the argument spans it is given and makes the sides' argument-free factors
+and the couplings; the fill it returns takes the arguments of one block.  A pointwise
+kernel builds from its own arguments, a threshold grid once from the union of its Nystrom
+nodes.  Slot i then fills at its base nodes u shifted by a_i: the build makes each side's
+rows once, at u, and a threshold scales their columns by e^{a_i m} (:func:`shifted_rows`),
+one complex multiply per entry.  A grid of enough thresholds also factors each Airy and
+arith coupling once, to low rank (:func:`_coupling`); a single query keeps them dense.
 
 Heat-operator conventions (two distinct semigroups appear and differ by a
 factor of 2 in the variance; both are housed here explicitly):
@@ -41,12 +38,13 @@ factor of 2 in the variance; both are housed here explicitly):
 
 import numpy as np
 from dataclasses import dataclass
-from functools import partial
-from math import comb
+from functools import lru_cache, partial
+from math import comb, factorial
 
 from .contours import gauss_legendre, make_contour, ray_wedge
 from .defaults import DEFAULTS
 from .exceptions import DomainError, ParameterError
+from .fredholm import _one_blas_thread
 from .special import _airy_any_real, complete_homogeneous, complex_gamma, erfcx, heat_kernel
 
 _DROP = DEFAULTS["decay_drop"]
@@ -195,13 +193,16 @@ def low_rank(C):
     C stays dense unless 8 columns are left over.  Couplings between
     separated contours are Cauchy matrices, whose singular values decay
     geometrically (Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38,
-    2017): their rank is about 40 between the Airy or arith contours.
+    2017): their rank is about 40 between the Airy or arith contours.  Like
+    the determinants it runs on one BLAS thread, which its factors thus do
+    not depend on.
     """
     k = min(64, *C.shape)
-    Y = C @ np.random.default_rng(0).standard_normal((C.shape[1], k))
-    U, s = np.linalg.svd(Y, full_matrices=False)[:2]
-    r = int(np.count_nonzero(s > np.finfo(float).eps * s[0]))
-    return (U[:, :r], U[:, :r].conj().T @ C) if r + 8 <= k else C
+    with _one_blas_thread():
+        Y = C @ np.random.default_rng(0).standard_normal((C.shape[1], k))
+        U, s = np.linalg.svd(Y, full_matrices=False)[:2]
+        r = int(np.count_nonzero(s > np.finfo(float).eps * s[0]))
+        return (U[:, :r], U[:, :r].conj().T @ C) if r + 8 <= k else C
 
 
 def _coupling(made, cw, cz):
@@ -221,32 +222,20 @@ def _coupling(made, cw, cz):
     return _made(made, (cw, cz), make)
 
 
-def contour_fill(left_rows, right_rows, coupled=None):
-    """K(x, y) = L(x) C R(y)^T over whole contours, from the rows of the sides' upper halves.
+def contour_fill(left_rows, right_rows, coupled):
+    """K(x, y) = L(x) C R(y)^T over whole double contours, from the rows of the sides' upper halves.
 
-    ``left_rows`` and ``right_rows`` are what :meth:`Side.rows` returns for
-    the arguments xs and ys.  A weighted row at a mirrored node z-bar is
-    -conj of the row at z, an unweighted one conj of it.
-
-    Without ``coupled``, both sides share one contour, only the left one
-    carries dz-weights, and C = I / (2 pi i): the node pairs (z, z-bar) sum
-    to 2 Re(A B^T / (2 pi i)) = Im(A B^T) / pi.
-
-    With ``coupled`` (double contour) C = 1/(2 pi i)^2 times the coupling,
-    given as (P, Q, Q-bar): C(w, z) = P Q and C(w, z-bar) = P Q-bar, for w
-    and z on the upper halves.  P None stands for the identity.  The pairs
-    (w, z), (w-bar, z-bar) sum to 2 Re(L C R^T) and the pairs (w, z-bar),
-    (w-bar, z) to -2 Re(L C(w, z-bar) conj(R)^T).  So K = -Re(A P G) / (2 pi^2)
-    with G = Q B^T - Q-bar conj(B)^T.
+    ``left_rows`` and ``right_rows`` are what :meth:`Side.rows` returns for xs and ys; a row
+    at a mirrored node z-bar is -conj of the row at z.  C is 1/(2 pi i)^2 times the coupling
+    (P, Q, Q-bar): C(w, z) = P Q and C(w, z-bar) = P Q-bar on the upper halves, P None the
+    identity.  The pairs (w, z), (w-bar, z-bar) sum to 2 Re(L C R^T) and the pairs (w, z-bar),
+    (w-bar, z) to -2 Re(L C(w, z-bar) conj(R)^T): K = -Re(A P G) / (2 pi^2), G = Q B^T - Q-bar B^H.
     """
     (A, top_x), (B, top_y) = left_rows, right_rows
-    if coupled is None:
-        part = (A @ B.T).imag / np.pi
-    else:
-        P, Q, Q_bar = coupled
-        G = Q @ B.T
-        G -= Q_bar @ B.T.conj()
-        part = ((A if P is None else A @ P) @ G).real / (-2.0 * np.pi ** 2)
+    P, Q, Q_bar = coupled
+    G = Q @ B.T
+    G -= Q_bar @ B.T.conj()
+    part = ((A if P is None else A @ P) @ G).real / (-2.0 * np.pi ** 2)
     return part * np.exp(top_x[:, None] + top_y[None, :])
 
 
@@ -262,69 +251,125 @@ def _pointwise(engine, x, y):
     return float(out[0, 0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
-def _pole_circle(points, reach):
-    """Circle hulling ``points`` with clearance shrinking as arguments grow.
+# ---------------------------------------------------------------------------
+# divided differences at the poles
+# ---------------------------------------------------------------------------
 
-    ``reach`` is the largest |argument| multiplying w in the exponent; the
-    clearance trades pole resolution against the e^{reach*clearance}
-    cancellation budget.
+def _newton_table(w, near):
+    """D[k][i] = f[w_i, ..., w_{i+k}] at sorted nodes w by Newton's recursion, level k by level.
+
+    ``near(k, wide)`` gives level k, len(w) - k rows, from its quotients wide[i] = (D[k-1][i+1]
+    - D[k-1][i]) / (w_{i+k} - w_i), not finite where the nodes merge (None at k = 0).
     """
-    points = np.asarray(points, dtype=float)
-    center = 0.5 * (points.min() + points.max())
-    spread = 0.5 * (points.max() - points.min())
-    clear = max(0.12, min(1.0, 4.0 / (1.0 + reach)))
-    return center, spread + clear
+    w, D = np.asarray(w), [near(0, None)]
+    with np.errstate(all="ignore"):
+        for k in range(1, len(w)):
+            D.append(near(k, (D[-1][1:] - D[-1][:-1]) / (w[k:] - w[:-k]).reshape(-1, 1)))
+    return D
 
 
-def _circle_nodes(reach, center, radius, poles):
-    """Trapezoid nodes for a circle around ``poles`` that multiply w by arguments up to ``reach``.
+# the widest span ratio r at which a Taylor series replaces Newton's quotient, and the
+# terms past the k-th that it sums: they leave out less than 1e-18 of it up to r = 1
+_NEAR, _TERMS = 1.0, 34
 
-    A pole at distance r_p from the centre costs (r_p/radius)^n, so n
-    keeps that below 1e-15 for the farthest pole.
+
+@lru_cache(maxsize=256)
+def _exp_series(w, alpha):
+    """Per level k, (mid, half, s, e): the Taylor series of :func:`_exp_differences` per span.
+
+    At w = mid + d, e^{beta d + alpha d^2} = sum_b beta^b d^b/b! sum_c alpha^c d^(2c)/c!, and d^a
+    has the divided differences h_{a-k}(d), complete homogeneous polynomials, at the span's
+    k + 1 nodes.  So f[w_i..w_{i+k}] = e^{u mid + alpha mid^2} sum_b e_b (s beta)^b, e_b =
+    s^-k sum_c (alpha s^2)^c h_{b+2c-k}(d/s)/(b! c!), s the half-width or 1 if it is 0.  It
+    cancels at most e^{2r}, r = half (|beta| + sqrt(2|alpha|)); e is 0 on spans too wide for r.
     """
-    inner = float(np.max(np.abs(np.asarray(poles) - center))) / radius
-    n_pole = np.log(1e-15) / np.log(inner) if inner > 0 else 0.0
-    return int(min(8192, max(256, 64 + 3.0 * reach * radius, np.ceil(n_pole))))
+    levels, w = [], np.asarray(w)
+    for k in range(len(w)):
+        mid, half = 0.5 * (w[:len(w) - k] + w[k:]), 0.5 * (w[k:] - w[:len(w) - k])
+        e, terms = np.zeros((len(mid), k + _TERMS + 1)), 1
+        for i in np.flatnonzero(half * np.sqrt(2.0 * abs(alpha)) <= _NEAR):
+            n, s = (k + _TERMS, half[i]) if half[i] > 0 else (k, 1.0)
+            h = complete_homogeneous((w[i:i + k + 1] - mid[i]) / s, n - k)
+            gauss = np.zeros(n + 1)
+            gauss[::2] = [(alpha * s * s) ** j / factorial(j) for j in range(n // 2 + 1)]
+            b = np.correlate(np.concatenate([np.zeros(k), h]), gauss, "full")[n:]
+            e[i, :n + 1] = b / [factorial(j) for j in range(n + 1)] / s ** k
+            terms = max(terms, n + 1)
+        levels.append((mid[:, None], half[:, None], np.where(half > 0, half, 1.0)[:, None],
+                       e[:, :terms]))
+    return levels
+
+
+def _exp_differences(w, alpha, u):
+    """D[k][i] = f[w_i, ..., w_{i+k}] for f(w) = e^{uw + alpha w^2}, w a sorted tuple, over u.
+
+    A span sums f's Taylor series at its midpoint (:func:`_exp_series`) where r <= ``_NEAR``,
+    exact as its nodes merge, and elsewhere divides the difference of its two sub-spans,
+    which enlarges their rounding by about k/(2r).
+    """
+    levels, slope = _exp_series(w, alpha), np.sqrt(2.0 * abs(alpha))
+
+    def near(k, wide):
+        mid, half, scale, e = levels[k]
+        lead = np.exp(u * mid + alpha * mid ** 2)
+        if k == 0:
+            return lead
+        beta = u + 2.0 * alpha * mid
+        powers = np.ones(beta.shape + (e.shape[1],))
+        powers[..., 1:] = (beta * scale)[..., None]
+        series = (np.cumprod(powers, axis=-1, out=powers) @ e[..., None])[..., 0] * lead
+        return np.where(half * (np.abs(beta) + slope) <= _NEAR, series, wide)
+
+    return _newton_table(w, near)
+
+
+@lru_cache(maxsize=256)
+def _power_differences(w, c, n):
+    """T[i, j, l] = (w - c)^l [w_i..w_j] = h_{l-(j-i)}(w_i - c, ..., w_j - c), l <= n; T @ a thus
+    holds those of the polynomial sum_l a_l (w - c)^l, and 0 for i > j."""
+    d, m = np.asarray(w) - c, len(w)
+    T = np.zeros((m, m, n + 1))
+    for i in range(m):
+        for j in range(i, m):
+            T[i, j, j - i:] = complete_homogeneous(d[i:j + 1], n - (j - i))
+    return T
+
+
+def _first_row(D):
+    """f[w_0..w_k] for each k, one column each, from a table of :func:`_newton_table`."""
+    return np.stack([level[0] for level in D], axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# product kernels on a single closed contour
+# product kernels at the rates
 # ---------------------------------------------------------------------------
 
-def _piflat_engine(beta, xs, ys, made=None, base=None):
-    """Rate kernel fill(xs, ys); the circle is sized for the largest |x + y| over the spans."""
+def _rate_kernel(beta, xs, ys):
+    """The rate kernel on xs x ys at rank n = len(beta): K = (-1)^(n+1) f[beta] for f =
+    e^{-xw} p(w) e^{-yw}, p = prod (w + beta_i), which Leibniz's rule makes L(x) C R(y)^T,
+    sum_{i<=j} e^{-xw}[beta_0..beta_i] p[beta_i..beta_j] e^{-yw}[beta_j..beta_{n-1}]."""
     beta = np.asarray(beta, dtype=float)
     if not np.all(beta > 0):
         raise ParameterError("rates beta must all be positive")
-    xs, ys = _args(xs, ys)
-    reach = float(max(abs(xs.max() + ys.max()), abs(xs.min() + ys.min())))
-    center, radius = _pole_circle(beta, reach)
-    # the reflected poles at -beta must stay outside
-    radius = min(radius, 0.5 * ((beta.max() - beta.min()) / 2.0 + center + beta.min()))
-    if radius <= (beta.max() - beta.min()) / 2.0:
-        raise ParameterError("cannot separate poles at +beta from -beta")
-    c = make_contour("circle", center=center, radius=radius,
-                     nodes=_circle_nodes(reach, center, radius, beta))
-    z = c.upper_nodes
-    # prod (beta_i + w)/(beta_i - w) = (-1)^n prod (w + beta_i)/(w - beta_i)
-    sign = -((-1.0) ** len(beta))
-    left = Side(z, sign * c.upper_weights, 0.0, -z, _log_poly(z, -beta) - _log_poly(z, beta))
-    right = Side(z, 1.0, 0.0, -z)
-    _base_rows(made, base, [left], [right])
-    return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys))
+    w, n, c = tuple(np.sort(beta)), len(beta), 0.5 * (beta.min() + beta.max())
+    C = _power_differences(w, c, n) @ np.poly(-beta - c)[::-1]  # p[beta_i..beta_j]
+    Ex = _exp_differences(w, 0.0, -xs)
+    Ey = Ex if ys is xs else _exp_differences(w, 0.0, -ys)
+    R = np.stack([Ey[n - 1 - j][j] for j in range(n)], axis=-1)
+    return (-(-1.0) ** n * _first_row(Ex)) @ C @ R.T
 
 
 def k_piflat(beta, x, y):
     """Symmetric exponential-product kernel for the point-to-line passage law.
 
     K(x, y) = -(1/2 pi i) * oint e^{-(x+y)w} prod_i (beta_i + w)/(beta_i - w) dw
-    over a counter clockwise circle enclosing the poles +beta_i and excluding
-    all -beta_i.  Depends on x + y only.
+    over a counter clockwise contour enclosing the poles +beta_i and excluding
+    all -beta_i, in closed form by :func:`_rate_kernel`.  Depends on x + y only.
     """
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     # a one-column grid at y = 0 carries every x + y
     s, zero = (x + y).ravel(), np.zeros(1)
-    vals = _piflat_engine(beta, s, zero)(s, zero)[:, 0].reshape(x.shape)
+    vals = _rate_kernel(beta, s, zero)[:, 0].reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -353,24 +398,14 @@ def k_bridge(nu, r, x, y):
 def s_minus(mu, t, x, y):
     """Closed-contour kernel with simple poles at the drifts.
 
-    (1/2 pi i) oint e^{-(t/2) z^2 + (x-y) z} prod (z - mu_i)^{-1} dz over a
-    counter clockwise circle of radius 1 + max|mu| around the drift midpoint.
+    (1/2 pi i) oint e^{-(t/2) z^2 + (x-y) z} prod (z - mu_i)^{-1} dz around
+    the drifts: the divided difference of e^{(x-y) z - (t/2) z^2} at them.
     """
     mu = _drifts(mu)
     if not t > 0:
         raise DomainError("need t > 0")
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    s = (x - y).ravel()
-    center = 0.5 * (mu.min() + mu.max())
-    radius = 1.0 + np.max(np.abs(mu))
-    reach = float(np.max(np.abs(s))) if s.size else 1.0
-    c = make_contour("circle", center=center, radius=radius,
-                     nodes=_circle_nodes(reach + t * radius, center, radius, mu))
-    z = c.upper_nodes
-    left = Side(z, c.upper_weights, -0.5 * t * z ** 2, z, -_log_poly(z, mu))
-    right = Side(z, 1.0, 0.0, -z)
-    # a one-column grid at y = 0 carries every x - y
-    vals = contour_fill(left.rows(s), right.rows(np.zeros(1)))[:, 0].reshape(x.shape)
+    vals = _exp_differences(tuple(np.sort(mu)), -0.5 * t, (x - y).ravel())[-1][0].reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -411,10 +446,7 @@ def s_hypo_flat(mu, t, x, y):
     1{y<=0} s_bar(x, y) + 1{y>0} s_bar(-x, y).
     """
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    direct = s_bar(mu, t, x, y)
-    reflected = s_bar(mu, t, -x, y)
-    pos = np.asarray(x) > 0
-    out = np.where(pos, np.where(np.asarray(y) > 0, reflected, direct), direct)
+    out = np.where((x > 0) & (y > 0), s_bar(mu, t, -x, y), s_bar(mu, t, x, y))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -423,16 +455,14 @@ def s_hypo_flat(mu, t, x, y):
 # ---------------------------------------------------------------------------
 
 def _tail_differences(t, w):
-    """differences(y): {(i, j): H[w_i..w_j]} for H(w) = e^{wy} Phi-bar((y + tw)/sqrt t), w sorted.
+    """differences(y), the Newton table at sorted w of H(w) = e^{wy} Phi-bar((y + tw)/sqrt t).
 
     At w = mid + d, H = e^{y mid} G(d) phi(u) R(u + d sqrt t), u = (y + t mid)/sqrt t,
     G(d) = e^{-t mid d - t d^2/2} and R = Phi-bar/phi the Mills ratio (by :func:`erfcx`), and
     phi(u) R(u + x) = sum_k (-1)^k S_k x^k with S_k(u) = int_0^inf r^k/k! phi(u + r) dr:
     k S_k = S_{k-2} - u S_{k-1}, S_{-1} = phi(u), S_0 = Phi-bar(u): phi(u) R(|u|), or 1 less
-    it if u < 0.
-    Sorted nodes w spanning up to 1/(sqrt t + t |mid|) sum H's Taylor series at their
-    midpoint, exact as they merge; wider spans, where the series of G and S would cancel,
-    divide the difference of their sub-spans.  The part free of y is made once, here.
+    it if u < 0.  Spans up to 1/(sqrt t + t |mid|) wide sum that series at their midpoint;
+    wider ones, where it would cancel, take Newton's quotient.  The part free of y is made here.
     """
     rt, series = np.sqrt(t), {}
     for k in range(len(w)):
@@ -459,34 +489,36 @@ def _tail_differences(t, w):
         S = [phi, np.where(u < 0, 1.0 - tail, tail)]
         for b in range(1, order):
             S.append((S[-2] - u * S[-1]) / b)
-        S, D = np.array(S[1:]) * np.exp(y * mids), {}
-        for k in range(len(w)):
+        S = np.array(S[1:]) * np.exp(y * mids)
+
+        def near(k, wide):
+            rows = [None] * len(w) if wide is None else list(wide)
             for i in range(len(w) - k):
                 if (i, i + k) in series:
                     mid, c = series[i, i + k]
-                    D[i, i + k] = c @ S[:len(c), np.searchsorted(mids[:, 0], mid)]
-                else:
-                    D[i, i + k] = (D[i + 1, i + k] - D[i, i + k - 1]) / (w[i + k] - w[i])
-        return D
+                    rows[i] = c @ S[:len(c), np.searchsorted(mids[:, 0], mid)]
+            return np.array(rows)
+
+        return _newton_table(w, near)
 
     return differences
 
 
+@lru_cache(maxsize=64)
 def _z_side(mu, c, t, flat):
     """side(ys): the narrow-wedge or flat kernel's z side at time t in closed form, (N, N_tail).
 
-    The w integrand's only poles in the drift circle are the drifts, so the z integral
-    Psi(w, y) = (1/2 pi i) int e^{(t/2) z^2 - yz} q(z) C(z, w) dz, C = 1/(z - w), + 1/(z + w) if
-    flat, enters only by its remainder modulo q(w), in powers v^p, v = w - c.  With
-    q(c + v) = sum_k a_k v^k, (q(z) - q(w))/(z - w) = sum_p v^p sum_{k>p} a_k (z - c)^{k-1-p}
-    gives N_p in Hermite terms (:func:`_gaussian_moments`).  Flat adds q(z)/(z + w) =
-    (q(z) - q(-w))/(z + w) + q(-w)/(z + w): sum_p (-v - 2c)^p N_p, and the pole at z = -w,
-    q(-w) e^{t w^2/2} H(w) (:func:`_tail_differences`).  N_tail is the Newton interpolant of
-    q(-w) H(w) at the drifts; the caller's w side takes e^{t w^2/2}, which split across the
-    sides would cost e^{t (mu_i^2 - mu_j^2)/2}.  N_tail is None for the narrow wedge, and
-    both are 0 at y <= 0 when flat.
+    The w integral takes the z integral Psi(w, y) = (1/2 pi i) int e^{(t/2) z^2 - yz} q(z)
+    C(z, w) dz, C = 1/(z - w), + 1/(z + w) if flat, only at the drifts, so only its remainder
+    modulo q(w) enters, in powers v^p, v = w - c.  With q(c + v) = sum_k a_k v^k, (q(z) -
+    q(w))/(z - w) = sum_p v^p sum_{k>p} a_k (z - c)^{k-1-p} gives N_p in Hermite terms
+    (:func:`_gaussian_moments`).  Flat adds q(z)/(z + w) = (q(z) - q(-w))/(z + w) + q(-w)/(z + w):
+    sum_p (-v - 2c)^p N_p, and the pole at z = -w, q(-w) e^{t w^2/2} H(w)
+    (:func:`_tail_differences`): N_tail[k] = (q(-w) H)[w_k..w_{m-1}] at the sorted drifts, the
+    caller's w side taking e^{t w^2/2}, which split across the sides would cost
+    e^{t (mu_i^2 - mu_j^2)/2}.  N_tail is None for the narrow wedge; both are 0 at y <= 0 if flat.
     """
-    m = len(mu)
+    mu, m = np.asarray(mu), len(mu)
     a = np.poly(mu - c)[::-1]
     if flat:
         # (-v - 2c)^p = sum_j C(p, j) (-1)^j (-2c)^(p-j) v^j, added to the identity
@@ -494,65 +526,42 @@ def _z_side(mu, c, t, flat):
                                         if p >= j else 0.0 for p in range(m)] for j in range(m)])
         nodes = np.sort(mu)
         tail = _tail_differences(t, nodes)
-        # Newton coefficients of q(-w) = sum_k b_k v^k at the drifts, d_i = mu_i - c: the
-        # divided differences of v^k are complete homogeneous polynomials
-        d, b = nodes - c, np.poly(-nodes - c)[::-1] * (-1.0) ** m
-        q_newton = [b[j:] @ complete_homogeneous(d[:j + 1], m - j) for j in range(m)]
+        # q(-w)[w_k..w_l], from its coefficients in powers of v
+        Q = _power_differences(tuple(nodes), c, m) @ (np.poly(-nodes - c)[::-1] * (-1.0) ** m)
 
     def side(ys):
         H = _gaussian_moments(t, c, ys, m)
         N = np.array([a[p + 1:] @ H[:m - p] for p in range(m)])
         if not flat:
             return N, None
-        D = tail(ys)
-        g = [sum(q_newton[j] * D[j, k] for j in range(k + 1)) for k in range(m)]
-        # the Newton form g_0 + (w - mu_0)(g_1 + ...) in powers of v, innermost first
-        P = [g[-1]]
-        for k in range(m - 2, -1, -1):
-            P = [g[k] - d[k] * P[0]] + [P[i] - d[k] * P[i + 1] for i in range(len(P) - 1)] + [P[-1]]
-        return (mirror @ N) * (ys > 0), np.array(P) * (ys > 0)
+        D = tail(ys)  # Leibniz: sum_l q(-w)[w_k..w_l] H[w_l..w_{m-1}]
+        return (mirror @ N) * (ys > 0), Q @ np.array([D[m - 1 - l][l] for l in range(m)]) * (ys > 0)
 
     return side
 
 
-def _brownian_engine(kind, mu, t1, t2, xs, ys, made=None, base=None):
-    """Narrow-wedge or flat kernel fill(xs, ys) at times (t1, t2), its circle sized for the span xs.
+def _brownian_engine(kind, mu, t1, t2, made=None):
+    """Narrow-wedge or flat kernel fill(xs, ys) at times (t1, t2).
 
-    It is sum_p M_p(x) N_p(y), + M~_p(x) N~_p(y) if flat, (N, N~) from :func:`_z_side` and
-    M_p(x) = (1/2 pi i) oint e^{xw - (t1/2) w^2} v^p/q(w) dw, v = w - c, over the circle around
-    the drifts, centre c, sized for the slope x - t1 c; M~_p also has e^{(t2/2) w^2}.  Builds
-    sharing the dict ``made`` share the circle, its side, and the rows and z side of each
-    argument span (along a curve, rows made once at the base nodes).  ``ry`` is not read.
+    It is sum_p M_p(x) N_p(y), (N, N~) from :func:`_z_side`, M_p(x) = (1/2 pi i) oint
+    e^{xw - (t1/2) w^2} v^p/q(w) dw around the drifts w_k, v = w - c, c their midpoint: by
+    Leibniz's rule sum_k e^{xw - (t1/2) w^2}[w_0..w_k] v^p[w_k..w_{m-1}].  Flat adds sum_k
+    e^{xw + (t2 - t1) w^2/2}[w_0..w_k] N~_k(y).  Fills sharing a dict ``made`` share M and N.
     """
+    if not (t1 > 0 and t2 > 0):
+        raise DomainError("need positive times")
     mu, flat, made = _drifts(mu), kind == "flat", {} if made is None else made
-    xs, ys = _args(xs, ys)
+    w, c = tuple(np.sort(mu)), 0.5 * (mu.min() + mu.max())
+    V = _power_differences(w, c, len(mu) - 1)[:, -1]  # (w - c)^p [w_k..w_{m-1}]
 
-    def w_side():  # one per slot: keyed by time and span
-        reach = float(np.max(np.abs(xs - t1 * 0.5 * (mu.min() + mu.max()))))
-        center, radius = _pole_circle(mu, reach)
-        n_w = _circle_nodes(reach + t1 * radius, center, radius, mu)
-        # the circle is often the same at every time
-        cw = _made(made, ("circle", center, radius, n_w),
-                   lambda: make_contour("circle", center=center, radius=radius, nodes=n_w))
-        w = cw.upper_nodes
-        V = np.power.outer(w - center, np.arange(len(mu)))
-        return center, w, V, Side(w, cw.upper_weights, -0.5 * t1 * w ** 2, w, -_log_poly(w, mu))
-
-    center, w, V, left = _made(made, ("side", t1, xs.tobytes()), w_side)
-    _base_rows(made, base, [left], [])
-
-    def fill(xs, ys, rx=Side.rows, ry=None):
-        # the slot's latest rows: a threshold fills all its blocks before the next one
-        if made.get(("rows", left), (None,))[0] != xs.tobytes():
-            made[("rows", left)] = xs.tobytes(), rx(left, xs)
-        rows = made[("rows", left)][1]
-        z_side = _made(made, ("z", t2), lambda: _z_side(mu, center, t2, flat))
+    def fill(xs, ys):
+        z_side = _z_side(tuple(mu), c, t2, flat)
         N, N_tail = _made(made, ("z", t2, ys.tobytes()), lambda: z_side(ys))
-        K = contour_fill(rows, (V.T, np.zeros(len(mu)))) @ N
-        if flat:  # e^{(t2/2) w^2}, scaled by its largest modulus e^{top}
-            top = 0.5 * t2 * (w ** 2).real.max()
-            tail = (V * np.exp(0.5 * t2 * w ** 2 - top)[:, None]).T
-            K += contour_fill(rows, (tail, np.full(len(mu), top))) @ N_tail
+        M = _made(made, ("w", t1, xs.tobytes()),
+                  lambda: _first_row(_exp_differences(w, -0.5 * t1, xs)) @ V)
+        K = M @ N
+        if flat:
+            K += _first_row(_exp_differences(w, 0.5 * (t2 - t1), xs)) @ N_tail
         return K
 
     return fill
@@ -566,9 +575,7 @@ def k_nw(mu, t1, x, t2, y):
     with gamma a counter clockwise circle around the drifts and Gamma a
     vertical line strictly to its right.
     """
-    if not (t1 > 0 and t2 > 0):
-        raise DomainError("need positive times")
-    return _pointwise(partial(_brownian_engine, "narrow_wedge", mu, t1, t2), x, y)
+    return _pointwise(lambda xs, ys: _brownian_engine("narrow_wedge", mu, t1, t2), x, y)
 
 
 def k_flat(mu, t1, x, t2, y):
@@ -576,9 +583,7 @@ def k_flat(mu, t1, x, t2, y):
 
     As :func:`k_nw`, with Gamma right of the mirrored drifts -mu_i too.
     """
-    if not (t1 > 0 and t2 > 0):
-        raise DomainError("need positive times")
-    return _pointwise(partial(_brownian_engine, "flat", mu, t1, t2), x, y)
+    return _pointwise(lambda xs, ys: _brownian_engine("flat", mu, t1, t2), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -787,15 +792,10 @@ def kixjy_conjugation(t, u):
 # extended Brownian and Hermitian kernels
 # ---------------------------------------------------------------------------
 
-def _brownian_block(kind, mu, t_i, t_j, xs, ys, fill=None, made=None):
-    """Narrow-wedge or flat block of the extended Brownian kernel on a grid.
-
-    k_nw or k_flat at (t_i, x; t_j, y), minus e^{(t_j-t_i) d^2/2}(x, y)
-    when t_i < t_j.  Without a prepared ``fill`` the block builds its own,
-    sharing what it can with the builds of the dict ``made``.
-    """
-    fill = fill or _brownian_engine(kind, mu, t_i, t_j, xs, ys, made)
-    block = fill(xs, ys)
+def _brownian_block(kind, mu, t_i, t_j, xs, ys, made=None):
+    """Narrow-wedge or flat block of the extended Brownian kernel on a grid: k_nw or k_flat at
+    (t_i, x; t_j, y), minus e^{(t_j-t_i) d^2/2}(x, y) when t_i < t_j, sharing ``made``."""
+    block = _brownian_engine(kind, mu, t_i, t_j, made)(xs, ys)
     if t_i < t_j:
         block = block - heat_op_half(t_j - t_i, xs[:, None], ys[None, :])
     return block

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -118,6 +119,17 @@ def test_sample_geom_lpp_properties():
     assert abs(G1.mean() - mean_want) < 3 * sigma
     with pytest.raises(ParameterError):
         sample_geom_lpp(p, [2, 1], 2)
+
+
+def test_sample_geom_lpp_holds_little_beside_its_output():
+    # the output, one draw of weights and one row: 2.5 times the output's bytes
+    tracemalloc.start()
+    try:
+        G = sample_geom_lpp(GeomParams((0.4, 0.6)), [0, 2], 2, RngStream(4), samples=200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * G.nbytes
 
 
 def test_degenerate_weights_propagate_initial_data():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
@@ -199,8 +202,8 @@ def test_blpp_narrow_wedge_matches_its_rank_m_oracle(low, gaps, t, a):
 
 
 def test_blpp_narrow_wedge_wide_drift_spread_matches_its_oracle():
-    # drifts spread over 3 at x up to 30: a drift sits 0.13 inside the circle of
-    # radius 1.63, which takes about 415 nodes to resolve it (1.6e-9 off at 256)
+    # drifts spread over 3 at x up to 30: the w side's divided differences take
+    # Newton's quotients over spans across which e^{xw} changes by up to e^{90}
     mu, t, a = [-0.5, 0.5, 1.5, 2.5], 2.0, 4.0
     got = cdf_blpp(BoundaryFunction.narrow_wedge(), mu, [t], [a])
     assert abs(got - _nw_oracle(mu, t, a)) <= 1e-10
@@ -404,6 +407,9 @@ def test_query_without_an_option_names_it(family, name):
 # options and a 5-point grid per family, its smallest threshold not first so
 # that a build must cover the whole grid; the thresholds families take one
 # value per time
+# kernels whose contours enclose only poles, at the rates or drifts: they are
+# divided differences there, in closed form, and draw no contour
+POLE_FAMILIES = {"piflat", "loe", "bridge-allmax", "bridge-runmax", "blpp-nw", "blpp-flat"}
 CURVES = {
     "piflat": ({"beta": [0.8, 1.4]}, [1.1, -0.3, 3.2, 0.4, 2.0]),
     "loe": ({"n": 3}, [1.5, 0.3, 3.0, 0.8, 2.2]),
@@ -421,10 +427,10 @@ CURVES = {
 }
 # a curve sizes its contours for the whole grid, so its values differ from
 # one-point values by the kernel-quadrature error of the two contour choices.
-# The arith Gamma-ratio sum cancels about six digits of it; the narrow-wedge
-# and flat ones, with a closed-form z side, differ by 4e-16.  Families whose
-# kernel changes with the threshold build per point and match exactly.
-CURVE_TOL = {"arith": 1e-9, "bridge-allmax": 0.0, "bridge-runmax": 0.0, "detratio": 0.0}
+# The arith Gamma-ratio sum cancels about six digits of it.  The pole
+# families' closed-form kernels fill each threshold on their own, and families
+# whose kernel changes with the threshold build per point: both match exactly
+CURVE_TOL = {"arith": 1e-9, "detratio": 0.0, **dict.fromkeys(POLE_FAMILIES, 0.0)}
 
 
 # wide grids: along each, the column scaling e^{a m} of the rows made at the
@@ -470,12 +476,25 @@ def _queries(family):
     evaluate_curve(CdfQuery(family, params), grid)
 
 
+def _queries_draw_no_contour(family, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a %s query drew a contour or filled from one" % family)
+
+    for module, name in ((contours, "make_contour"), (contours, "adaptive_ray"),
+                         (contours, "ray_wedge"), (kernels, "make_contour"),
+                         (kernels, "ray_wedge"), (kernels, "contour_fill")):
+        monkeypatch.setattr(module, name, refuse)
+    _queries(family)
+
+
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_contours_are_conjugate_symmetric(family, monkeypatch):
     # every contour that a query of the family builds is its own mirror image
     # in the real axis, with weights w(z-bar) = -conj w(z) and each node on
     # the axis once; its upper half is the nodes with Im z >= 0, those on
-    # the axis at half weight
+    # the axis at half weight.  A pole family builds none
+    if family in POLE_FAMILIES:
+        return _queries_draw_no_contour(family, monkeypatch)
     built, mirrored = [], contours.mirrored
 
     def spy(*args):
@@ -506,17 +525,14 @@ def _whole_contour(kind, origin, u, w, closed, truncation, geometry):
                             geometry)
 
 
-def _whole_fill(out, left_rows, right_rows, coupled=None):
+def _whole_fill(out, left_rows, right_rows, coupled):
     # oracle: the fill over whole contours, both halves evaluated and the real
     # part taken.  out gets the complex K and S, the sum of the absolute values
     # of its terms, which bounds its rounding error
     (A, top_x), (B, top_y) = left_rows, right_rows
-    if coupled is None:
-        acc, S, norm = A @ B.T, abs(A) @ abs(B).T, 2j * np.pi
-    else:
-        P, Q, _ = coupled
-        L, abs_L = (A, abs(A)) if P is None else (A @ P, abs(A) @ abs(P))
-        acc, S, norm = L @ (Q @ B.T), abs_L @ (abs(Q) @ abs(B).T), (2j * np.pi) ** 2
+    P, Q, _ = coupled
+    L, abs_L = (A, abs(A)) if P is None else (A @ P, abs(A) @ abs(P))
+    acc, S, norm = L @ (Q @ B.T), abs_L @ (abs(Q) @ abs(B).T), (2j * np.pi) ** 2
     scale = np.exp(top_x[:, None] + top_y[None, :]) / norm
     out.append((acc * scale, S * abs(scale)))
     return out[-1][0].real
@@ -529,7 +545,9 @@ def test_half_fills_match_full_fills(family, monkeypatch):
     # vanishes, to 1e-12 max|K|.  Where an entry's terms cancel, both carry
     # rounding of up to about 1e-15 of the sum S of their absolute values
     # (3.5e-9 max|K| at large x on the two-time Airy grid), so each entry
-    # may also differ by 1e-13 S
+    # may also differ by 1e-13 S.  A pole family fills from no contour
+    if family in POLE_FAMILIES:
+        return _queries_draw_no_contour(family, monkeypatch)
     half, whole, contour_fill = [], [], kernels.contour_fill
 
     def recorded(*args):
@@ -572,6 +590,20 @@ def test_low_rank_couplings_match_their_dense_sums(family, monkeypatch):
         assert np.max(np.abs(P @ Q - C)) <= 1e-13 * np.max(np.abs(C))
 
 
+def test_sketched_curve_does_not_depend_on_the_blas_thread_count():
+    # the sketch and SVD of low_rank run on one BLAS thread, as the determinants do
+    script = ("from noncolliding.distributions import CdfQuery, evaluate_curve\n"
+              "print(repr(evaluate_curve(CdfQuery('arith', {'delta': 2.0}), [-2, 0, 2, 3, 4])))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True).stdout)
+    assert out[0] == out[1]
+
+
 def _dense_fill(mu, t1, t2, xs, ys, flat):
     # the double contour itself: a 512-node circle around the drifts, the dense
     # coupling 1/(z - w), + 1/(z + w) if flat, and for each y a 600-node
@@ -609,7 +641,7 @@ def test_rank_m_couplings_match_dense_fills(mu, tol):
     xs, ys = np.linspace(-3.0, 12.0, 7), np.linspace(0.25, 12.0, 9)
     for t1, t2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
         for kind in ("narrow_wedge", "flat"):
-            K = kernels._brownian_engine(kind, mu, t1, t2, xs, ys)(xs, ys)
+            K = kernels._brownian_engine(kind, mu, t1, t2)(xs, ys)
             dense = _dense_fill(mu, t1, t2, xs, ys, kind == "flat")
             assert np.max(np.abs(K - dense)) <= tol * np.max(np.abs(dense)), (kind, t1, t2)
 

@@ -72,6 +72,64 @@ def test_low_rank_factors_a_separated_cauchy_matrix():
 
 
 # ---------------------------------------------------------------------------
+# divided differences at the poles
+# ---------------------------------------------------------------------------
+
+def _mp_differences(mp, w, taylor):
+    """f[w_i..w_j] by Newton's recursion in mpmath, f^(k)(w_i)/k! = taylor(w_i, k)[k] where
+    the k + 1 nodes merge."""
+    D = {}
+    for k in range(len(w)):
+        for i in range(len(w) - k):
+            j = i + k
+            D[i, j] = (taylor(w[i], k)[k] if w[j] == w[i]
+                       else (D[i + 1, j] - D[i, j - 1]) / (w[j] - w[i]))
+    return D
+
+
+def _mp_exp_differences(mp, w, alpha, u, p=0):
+    """The table of w^p e^{uw + alpha w^2} at nodes w, from its Taylor coefficients."""
+    def taylor(x, n):
+        b, g = u + 2 * alpha * x, [mp.mpf(1), u + 2 * alpha * x]
+        for k in range(1, n + p):
+            g.append((b * g[k] + 2 * alpha * g[k - 1]) / (k + 1))
+        power = [mp.binomial(p, q) * x ** (p - q) for q in range(p + 1)]  # (x + d)^p
+        return [mp.exp(u * x + alpha * x * x)
+                * sum(power[q] * g[r - q] for q in range(p + 1) if r - q < len(g))
+                for r in range(n + 1)]
+
+    return _mp_differences(mp, w, taylor)
+
+
+@pytest.mark.parametrize("nodes", [
+    [-1.2, -0.4, 0.3, 0.9], [-0.5 + k * 1e-6 for k in range(4)], [0.3, 0.3 + 1e-6, 1.0, 1.0 + 1e-6],
+    [1.0] * 5, [-0.5] * 6, [-2.0, -1.0, 0.0, 1.5, 2.5], [-0.8, -0.8, 0.5, 0.5]],
+    ids=["distinct", "1e-6-apart", "1e-6-pairs", "fivefold", "sixfold", "spread", "merged-pairs"])
+def test_exp_differences_match_80_digit_values(nodes):
+    # each entry f[w_i..w_j] of f = e^{uw + alpha w^2} to 1e-14 of its value, or to the change
+    # that rounding u, alpha and each node by one unit in the last place makes in it,
+    # eps sum_x |x dD/dx|, where that is larger: near a zero of f^(k) on the span or at an
+    # exponent of some hundreds.  d/du and d/d alpha are the entries of w f and w^2 f, and
+    # d/dw_q the entry with w_q repeated
+    mp = pytest.importorskip("mpmath")
+    w, rng = tuple(sorted(nodes)), np.random.default_rng(len(nodes))
+    us = rng.uniform(-60.0, 40.0, 6)
+    for alpha in (-50.0 * rng.uniform(0.5, 1.0), -1.3 * rng.uniform(0.5, 1.0), 0.0, 0.4):
+        D = kernels._exp_differences(w, alpha, us)
+        with mp.workdps(80):
+            a, big = mp.mpf(alpha), [mp.mpf(v) for v in w]
+            for n, u in enumerate(map(mp.mpf, us)):
+                value, moment, second = (_mp_exp_differences(mp, big, a, u, p) for p in range(3))
+                for (i, j), want in value.items():
+                    kappa = abs(u * moment[i, j]) + abs(a * second[i, j]) + sum(
+                        abs(big[q] * _mp_exp_differences(
+                            mp, sorted(big[i:j + 1] + [big[q]]), a, u)[0, j - i + 1])
+                        for q in range(i, j + 1))
+                    bound = 1e-14 * abs(want) + np.finfo(float).eps * kappa
+                    assert abs(D[j - i][i][n] - want) <= bound, (alpha, float(u), i, j)
+
+
+# ---------------------------------------------------------------------------
 # building blocks
 # ---------------------------------------------------------------------------
 
@@ -158,6 +216,19 @@ def test_k_loe_matches_piflat_and_high_order_residue():
     resid = -math.exp(-s) * sum((-s) ** k / math.factorial(k)
                                 * math.comb(5, 4 - k) * 2.0 ** (k + 1) for k in range(5))
     assert abs(k_loe(5, x, y) - (-resid)) < 1e-8
+
+
+def test_loe_rate_kernel_matches_40_digit_residues():
+    # n = 5 on [0, 40]^2, the Nystrom range of the LOE law: the pole of order 5
+    # at w = 1 gives K = e^{-s} sum_k (-s)^k/k! C(5, 4 - k) 2^{k+1}, s = x + y
+    mp = pytest.importorskip("mpmath")
+    u = np.linspace(0.0, 40.0, 17)
+    K = k_loe(5, u[:, None], u[None, :])
+    with mp.workdps(40):
+        want = np.array([[float(mp.exp(-s) * mp.fsum((-s) ** k / mp.factorial(k) * mp.binomial(5, 4 - k)
+                                                      * 2 ** (k + 1) for k in range(5)))
+                          for s in (mp.mpf(x) + mp.mpf(y) for y in u)] for x in u])
+    assert np.max(np.abs(K - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_k_piflat_rate_validation():
@@ -286,13 +357,15 @@ def _residue_kernel(mp, mu, t1, x, t2, y, flat):
     return float(total)
 
 
-# the drift vectors of test_rank_m_couplings_match_dense_fills, a far time, and
-# near-coincident drifts, which lose no more than distinct ones
+# the drift vectors of test_rank_m_couplings_match_dense_fills, a far time,
+# near-coincident drifts, which lose no more than distinct ones, a sixfold drift
+# and spread drifts at a far time
 @pytest.mark.parametrize("mu,t1,t2", [
     ([0.3], 5.0, 5.0), ([0.3, -0.4], 1.0, 2.0), ([-0.5, -1.0], 20.0, 20.0), ([0.0, 0.0], 2.0, 1.0),
     ([-1.0, -1.0, -1.0], 1.0, 2.0), ([0.5, 0.5, -0.8, -0.8], 1.0, 1.0),
     ([0.5, -1.2, 0.3, 0.9], 2.0, 1.0), ([0.5, -1.2, 0.3, 0.9, -0.4, 0.0], 1.0, 2.0),
-    ([-0.5, -1.0], 1.0, 1.0), ([-0.5, -0.5 - 1e-6], 1.0, 1.0), ([-0.5, -0.5 - 1e-6], 5.0, 5.0)])
+    ([-0.5, -1.0], 1.0, 1.0), ([-0.5, -0.5 - 1e-6], 1.0, 1.0), ([-0.5, -0.5 - 1e-6], 5.0, 5.0),
+    ([-0.5] * 6, 1.0, 1.0), ([0.5, -1.2, 0.3, 0.9], 5.0, 5.0)])
 def test_closed_form_kernels_match_30_digit_values(mu, t1, t2):
     mp = pytest.importorskip("mpmath")
     for kernel, flat in ((k_nw, False), (k_flat, True)):
