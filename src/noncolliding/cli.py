@@ -3,7 +3,8 @@
 Output is CSV on stdout (or ``--output``): ``#``-prefixed metadata
 comment lines (seed, version, resolution), a fixed header row, then data
 rows with floats printed to 12 significant digits.  Exit codes: 0 on
-success, 1 on numerical non-convergence, 2 on usage errors.
+success, 1 on a numerical failure (a non-finite kernel sample) or a failed
+``compare``, 2 on usage errors.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .defaults import DEFAULTS, show_defaults
 from .distributions import FAMILIES, CdfQuery, evaluate_curve
-from .exceptions import ConvergenceError, DomainError, EvaluationError, ParameterError
+from .exceptions import DomainError, EvaluationError, ParameterError
 from .experiments import EXPERIMENTS, run_experiment
 from .kernels import BoundaryFunction
 from .montecarlo import (sample_arith_max, sample_blpp, sample_bridge_topmax,
@@ -270,7 +271,7 @@ def main(argv=None):
     except (ParameterError, DomainError) as exc:
         sys.stderr.write("parameter error: %s\n" % exc)
         return 2
-    except (ConvergenceError, EvaluationError) as exc:
+    except EvaluationError as exc:
         sys.stderr.write("numerical error: %s\n" % exc)
         return 1
     return 2

@@ -5,7 +5,7 @@ already include the differential ``dz``, so a path integral is
 ``sum(w_k * f(z_k))``.  The ``1/(2*pi*i)`` prefactor of kernel formulas is
 *not* folded into the weights; kernel evaluators apply it themselves.
 
-Orientation conventions: closed contours (circle, rectangle) run counter
+Orientation conventions: closed contours (rectangles) run counter
 clockwise; open contours (vertical line, wedge) run upward, i.e. with
 increasing imaginary part through the apex / axis crossing.  Open contours
 are truncated and record their truncation length so refinement tests can
@@ -138,15 +138,6 @@ def upper_legendre(half_height, panels, per_panel):
     return t, w
 
 
-def _circle(radius, nodes):
-    theta = 2.0 * np.pi * np.arange(nodes // 2 + 1) / nodes
-    u = radius * np.exp(1j * theta)
-    u[0] = radius
-    if nodes % 2 == 0:
-        u[-1] = -radius
-    return u, (2j * np.pi / nodes) * u  # periodic trapezoid, dz = i(z-c) dtheta
-
-
 def _vertical(half_height, nodes):
     t, wt = upper_legendre(half_height, 1, nodes)
     return 1j * t, 1j * wt
@@ -175,7 +166,6 @@ def make_contour(kind, *, nodes, **geometry):
 
     Kinds and their geometry:
 
-    - ``circle``: center, radius
     - ``vertical``: offset (real part), half_height (truncation)
     - ``rectangle``: left, right, half_height
 
@@ -185,14 +175,10 @@ def make_contour(kind, *, nodes, **geometry):
     if nodes < 8:
         raise ParameterError("contour needs at least 8 nodes, got %d" % nodes)
 
-    for key in ("radius", "half_height"):
-        if key in geometry and not geometry[key] > 0:
-            raise ParameterError("%s must be positive, got %r" % (key, geometry[key]))
+    if "half_height" in geometry and not geometry["half_height"] > 0:
+        raise ParameterError("half_height must be positive, got %r" % (geometry["half_height"],))
 
-    if kind == "circle":
-        origin, closed, trunc = geometry["center"], True, None
-        u, w = _circle(geometry["radius"], nodes)
-    elif kind == "vertical":
+    if kind == "vertical":
         origin, closed, trunc = geometry["offset"], False, geometry["half_height"]
         u, w = _vertical(geometry["half_height"], nodes)
     elif kind == "rectangle":

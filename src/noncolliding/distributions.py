@@ -108,14 +108,6 @@ def _det(K, nodes):
     return det_nystrom(K, nodes, refine=False).value
 
 
-def _dets(makers, nodes):
-    """One evaluator per kernel maker: a call without arguments returning its determinant.
-
-    Each kernel is made when its evaluator runs, so it lives only as long as its determinant.
-    """
-    return [lambda make=make: _det(make(), nodes) for make in makers]
-
-
 # the fewest thresholds whose build compresses its Airy and arith couplings to
 # low rank (the other families make no coupling).  A sketch costs
 # about as much as the dense products of 8 thresholds, and its factors hold a
@@ -124,20 +116,18 @@ _LOW_RANK_FROM = 4
 
 
 def _curve(block, grid, nodes, engine):
-    """Evaluators of det(I - block(a, fill)) for each threshold a of grid, one build.
+    """det(I - block(a, fill)) for each threshold a of grid, from one build.
 
     ``engine(spans, base, made)`` returns at(a), the fill of threshold a.  spans[k][i] holds
     the Nystrom nodes of slot i at grid[k], read from a kernel block(a, None), and base[i]
     those at threshold 0, where the build makes every side's rows into the dict ``made``.
-    From ``_LOW_RANK_FROM`` thresholds on, it also compresses each coupling to low rank.  A
-    one-point grid has nothing to share: its blocks build from their own nodes as they fill.
+    From ``_LOW_RANK_FROM`` thresholds on, it also compresses each coupling to low rank.
+    Each threshold's kernel lives only as long as its determinant.
     """
-    if len(grid) == 1:
-        return _dets([partial(block, grid[0], None)], nodes)
     at = engine([slot_nodes(block(a, None), nodes) for a in grid],
                 slot_nodes(block(0.0 * np.asarray(grid[0]), None), nodes),
                 {"low_rank": len(grid) >= _LOW_RANK_FROM})
-    return _dets([partial(block, a, at(a)) for a in grid], nodes)
+    return [_det(block(a, at(a)), nodes) for a in grid]
 
 
 def _at(fills, made, shifts, extra=None):
@@ -164,14 +154,6 @@ def piflat_block(beta, a, length=None):
     return single_slot_kernel(partial(_rate_kernel, beta), max(float(a), 0.0), length, "piflat")
 
 
-def _piflat_curve(beta, grid, nodes=None, length=None):
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if not np.all(beta > 0):  # before a <= 0 gives 0 without building a kernel
-        raise ParameterError("rates beta must all be positive")
-    curve = _dets([partial(piflat_block, beta, a, length) for a in grid], nodes)
-    return [value if a > 0 else (lambda: 0.0) for a, value in zip(grid, curve)]
-
-
 def loe_block(n, a, length=None):
     return piflat_block(_loe_rates(n), a, length)
 
@@ -190,7 +172,12 @@ def cdf_piflat(beta, a, nodes=None, length=None):
     The projection is onto [a, infinity).  The passage value is almost
     surely positive, so for a <= 0 the value is exactly 0.
     """
-    return _piflat_curve(beta, [a], nodes, length)[0]()
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    if not np.all(beta > 0):  # before a <= 0 gives 0 without building a kernel
+        raise ParameterError("rates beta must all be positive")
+    if not a > 0:
+        return 0.0
+    return _det(piflat_block(beta, a, length), nodes)
 
 
 def cdf_loe_max(n, a, nodes=None, length=None):
@@ -265,7 +252,7 @@ def cdf_arithmetic_limit(delta, a, nodes=None, length=None):
     P(gamma_1 <= n - 1 + (a + log(n-1))/2) for the log-eigenvalue of
     Brownian motion on positive-definite matrices.
     """
-    return _arith_curve(delta, [a], nodes, length)[0]()
+    return _det(arith_block(delta, a, length), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +283,22 @@ def blpp_block(b, mu, times, thresholds, lengths=None):
     return apply_conjugation(K, lambda i, x: np.exp(-(base + (len(times) - i)) * np.abs(x)))
 
 
-def _blpp_curve(b, mu, times, grid, nodes=None, lengths=None):
-    return _dets([partial(blpp_block, b, mu, times, a, lengths) for a in grid], nodes)
-
-
 def cdf_blpp(b, mu, times, thresholds, nodes=None, lengths=None):
     """Joint law P(BLPP(b; (t_i, m)) <= a_i for all i) as a block determinant."""
-    return _blpp_curve(b, mu, times, [thresholds], nodes, lengths)[0]()
+    return _det(blpp_block(b, mu, times, thresholds, lengths), nodes)
 
 
-def airy_block(times, xi, lengths=14.0, fills=None):
+def airy_block(times, xi, lengths=None, fills=None):
     """Block kernel whose determinant gives P(A(t_i) <= xi_i for all i).
 
     Block (i, j) is -e^{(t_j - t_i) d^2} 1{t_j > t_i} + J_Airy at
     (t_i, x + xi_i; t_j, y + xi_j), scaled by the :func:`kixjy_conjugation`
     ratio so that it equals K_Airy(t_i, x + xi_i + t_i^2; t_j, y + xi_j + t_j^2)
-    pointwise and decays in both arguments.  ``fills[i][j]`` is a grid's fill of
-    block (i, j) at these thresholds; without it each block builds its own.
+    pointwise and decays in both arguments.  ``lengths`` is 14 when None.
+    ``fills[i][j]`` is a grid's fill of block (i, j) at these thresholds; without it each
+    block builds its own.
     """
+    lengths = 14.0 if lengths is None else lengths
     times = np.atleast_1d(np.asarray(times, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(np.diff(times) <= 0):
@@ -335,7 +320,6 @@ def airy_block(times, xi, lengths=14.0, fills=None):
 
 
 def _airy_curve(times, grid, nodes=None, lengths=None):
-    lengths = 14.0 if lengths is None else lengths
     times = np.atleast_1d(np.asarray(times, dtype=float))
     grid = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in grid]
 
@@ -352,14 +336,14 @@ def _airy_curve(times, grid, nodes=None, lengths=None):
 
 def airy_fdd(times, xi, nodes=None, lengths=None):
     """Finite-dimensional law of the Airy process at the given times."""
-    return _airy_curve(times, [xi], nodes, lengths)[0]()
+    return _det(airy_block(times, xi, lengths), nodes)
 
 
 # ---------------------------------------------------------------------------
 # Dyson edge (finite-n rescaled Hermitian kernel)
 # ---------------------------------------------------------------------------
 
-def dyson_edge_block(nu, taus, xis, lengths=13.0):
+def dyson_edge_block(nu, taus, xis, lengths=None):
     """Rescaled extended kernel for lambda_max of H(t) + H0 near the edge.
 
     Times t_i = (1 - 2 d^2 tau_i n^{-1/3})/n and thresholds
@@ -367,14 +351,16 @@ def dyson_edge_block(nu, taus, xis, lengths=13.0):
     constants of nu; the kernel is evaluated in edge coordinates (rescaled
     by d n^{1/3}) on contours through the double saddle at b, conjugated by
     the explicit exponential factor from the saddle-point normal form so
-    entries stay O(1).
+    entries stay O(1).  ``lengths`` is 13 when None.
     """
-    times, b, rho, shift, g, slots = _dyson_edge_setup(nu, taus, [xis], lengths)
+    times, b, rho, shift, g, slots, lengths = _dyson_edge_setup(nu, taus, [xis], lengths)
     return _dyson_edge_kernel(times, b, rho, shift[0], g[0], slots(shift[0], g[0]), lengths)
 
 
 def _dyson_edge_setup(nu, taus, grid, lengths):
-    """Slot times, b, rho, a row of shift and g per threshold of grid, and slots sized for all."""
+    """Slot times, b, rho, a row of shift and g per threshold of grid, slots sized for all,
+    and the lengths, 13 when None."""
+    lengths = 13.0 if lengths is None else lengths
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     xis = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in grid]
@@ -399,26 +385,25 @@ def _dyson_edge_setup(nu, taus, grid, lengths):
     shift = ahat / times
     # conjugation exponent g_i - rho b x from the saddle normal form
     g = -n13 ** 2 * d * d * taus * b * b - rho * b * (ahat + 2.0 * taus ** 2 * d ** 3 * b)
-    return times, b, rho, shift, g, _dyson_edge_engine(
-        nu, b, rho, 1.0 / times, shift, float(np.max(np.abs(taus))), float(np.max(lengths)))
+    slots = _dyson_edge_engine(nu, b, rho, 1.0 / times, shift, float(np.max(np.abs(taus))),
+                               float(np.max(lengths)))
+    return times, b, rho, shift, g, slots, lengths
 
 
 def _dyson_edge_curve(nu, taus, grid, nodes=None, lengths=None):
-    """Evaluators of the determinants of :func:`dyson_edge_block` over grid, one build.
+    """The determinants of :func:`dyson_edge_block` over grid, from one build.
 
     Their kernels fill only at the Nystrom nodes of resolution ``nodes``.  The sides are made
     once, at each slot's middle shift ref and g_ref; a threshold's shift_i v is then the
     column scaling of the argument (shift_i - ref_i)/rho along m = rho (v - b), and
-    g_i - g_ref_i + (shift_i - ref_i) b is added to top: both 0 on a one-point grid.
+    g_i - g_ref_i + (shift_i - ref_i) b is added to top.
     """
-    lengths = 13.0 if lengths is None else lengths
-    times, b, rho, shift, g, slots = _dyson_edge_setup(nu, taus, grid, lengths)
+    times, b, rho, shift, g, slots, lengths = _dyson_edge_setup(nu, taus, grid, lengths)
     ref, g_ref, made = 0.5 * (shift.min(0) + shift.max(0)), 0.5 * (g.min(0) + g.max(0)), {}
     fill = slots(ref, g_ref, made, slot_nodes(BlockKernel(times, 0 * times, None, lengths), nodes))
     a, top = (shift - ref) / rho, g - g_ref + (shift - ref) * b
-    kernels = [partial(_dyson_edge_kernel, times, b, rho, shift[k], g[k],
-                       _at(fill, made, a[k], top[k]), lengths) for k in range(len(shift))]
-    return _dets(kernels, nodes)
+    return [_det(_dyson_edge_kernel(times, b, rho, shift[k], g[k], _at(fill, made, a[k], top[k]),
+                                    lengths), nodes) for k in range(len(shift))]
 
 
 def _dyson_edge_kernel(times, b, rho, shift, g, fills, lengths):
@@ -439,53 +424,49 @@ def _dyson_edge_kernel(times, b, rho, shift, g, fills, lengths):
 
 def cdf_dyson_edge(nu, taus, xis, nodes=None, lengths=None):
     """Finite-n edge law P(rescaled lambda_max(tau_i) <= xi_i for all i)."""
-    return _dyson_edge_curve(nu, taus, [xis], nodes, lengths)[0]()
+    return _det(dyson_edge_block(nu, taus, xis, lengths), nodes)
 
 
 # ---------------------------------------------------------------------------
 # family registry (used by the command line)
 # ---------------------------------------------------------------------------
 
+def _cdf_detratio(beta, a, nodes=None, length=None):
+    """det_ratio at max(a, 0), as its maximum is >= 0; ``nodes`` and ``length`` do not apply."""
+    return det_ratio(beta, max(a, 0.0))
+
+
 @dataclass(frozen=True)
 class Family:
     """How a named CDF family is queried.
 
-    ``options`` are the parameters besides the threshold, ``threshold`` the parameter that
-    receives it (``thresholds`` takes one value per time), and ``curve(params, grid, nodes,
-    length)`` returns one evaluator per threshold of grid: a call without arguments that
-    returns the value there.  ``nodes`` and ``length``, the Nystrom nodes and truncation
-    length of every slot, are the family's defaults when None.  The arith, Airy and
-    Dyson-edge families build contours, sides, couplings and rows once for the whole grid;
-    the pole families' closed-form kernels fill each threshold on their own.  detratio,
-    det_ratio at max(a, 0) as its maximum is >= 0, ignores ``nodes`` and ``length``.
+    ``options`` are the parameters besides the threshold and ``threshold`` the parameter that
+    receives it (``thresholds`` takes one value per time).  ``cdf(*options, threshold, nodes,
+    length)`` is the family's public one-point function: ``nodes`` and ``length``, the Nystrom
+    nodes and truncation length of every slot, are its defaults when None.  ``curve``, with
+    the same arguments but a grid of thresholds in place of one, builds contours, sides,
+    couplings and rows once for the whole grid; only the arith, Airy and Dyson-edge families,
+    whose kernels are contour integrals, have one.
     """
 
     options: tuple
     threshold: str
-    curve: callable
+    cdf: callable
+    curve: callable = None
 
 
 FAMILIES = {
-    "piflat": Family(("beta",), "a", lambda p, grid, nodes, length:
-                     _piflat_curve(p["beta"], grid, nodes, length)),
-    "loe": Family(("n",), "a", lambda p, grid, nodes, length:
-                  _piflat_curve(_loe_rates(p["n"]), grid, nodes, length)),
-    "bridge-allmax": Family(("nu",), "r", lambda p, grid, nodes, length: [
-        partial(cdf_bridge_allmax, p["nu"], r, nodes, length) for r in grid]),
-    "bridge-runmax": Family(("n", "s"), "a", lambda p, grid, nodes, length: [
-        partial(cdf_bridge_runningmax, p["n"], p["s"], a, nodes, length) for a in grid]),
-    "arith": Family(("delta",), "a", lambda p, grid, nodes, length:
-                    _arith_curve(p["delta"], grid, nodes, length)),
-    "blpp-nw": Family(("mu", "times"), "thresholds", lambda p, grid, nodes, length: _blpp_curve(
-        BoundaryFunction.narrow_wedge(), p["mu"], p["times"], grid, nodes, length)),
-    "blpp-flat": Family(("mu", "times"), "thresholds", lambda p, grid, nodes, length: _blpp_curve(
-        BoundaryFunction.flat(), p["mu"], p["times"], grid, nodes, length)),
-    "airy": Family(("times",), "thresholds", lambda p, grid, nodes, length:
-                   _airy_curve(p["times"], grid, nodes, length)),
-    "dyson-edge": Family(("nu", "times"), "thresholds", lambda p, grid, nodes, length:
-                         _dyson_edge_curve(p["nu"], p["times"], grid, nodes, length)),
-    "detratio": Family(("beta",), "a", lambda p, grid, nodes, length: [
-        partial(det_ratio, p["beta"], max(a, 0.0)) for a in grid]),
+    "piflat": Family(("beta",), "a", cdf_piflat),
+    "loe": Family(("n",), "a", cdf_loe_max),
+    "bridge-allmax": Family(("nu",), "r", cdf_bridge_allmax),
+    "bridge-runmax": Family(("n", "s"), "a", cdf_bridge_runningmax),
+    "arith": Family(("delta",), "a", cdf_arithmetic_limit, _arith_curve),
+    "blpp-nw": Family(("mu", "times"), "thresholds",
+                      partial(cdf_blpp, BoundaryFunction.narrow_wedge())),
+    "blpp-flat": Family(("mu", "times"), "thresholds", partial(cdf_blpp, BoundaryFunction.flat())),
+    "airy": Family(("times",), "thresholds", airy_fdd, _airy_curve),
+    "dyson-edge": Family(("nu", "times"), "thresholds", cdf_dyson_edge, _dyson_edge_curve),
+    "detratio": Family(("beta",), "a", _cdf_detratio),
 }
 
 
@@ -511,23 +492,25 @@ def _family(query):
 
 
 def evaluate_curve(query, grid):
-    """Values of a named CDF family at every threshold of grid, from one build.
+    """Values of a named CDF family at every threshold of grid.
 
     ``query.params`` gives the family's options; a threshold among them is not used.  ``grid``
     lists the thresholds, one vector per point for the families that take one threshold per
-    time.  The determinants run one after another in the calling thread.  An arith, Airy or
-    Dyson-edge value can differ from the one-point curve of :func:`evaluate_cdf` by the
-    quadrature error of contours sized for the whole grid, by the rounding of the rows'
-    scaling and by that of the low-rank couplings; the other families' values equal it.
+    time.  The determinants run one after another in the calling thread.  A grid of two or
+    more thresholds of a family with a ``curve`` comes from one build: an arith, Airy or
+    Dyson-edge value can then differ from :func:`evaluate_cdf`'s by the quadrature error of
+    contours sized for the whole grid, by the rounding of the rows' scaling and by that of the
+    low-rank couplings.  Every other value is the family's ``cdf`` at its threshold.
     """
     family, grid = _family(query), list(grid)
-    if not grid:
-        return []
-    return [value() for value in family.curve(query.params, grid, query.nodes, query.length)]
+    options = [query.params[name] for name in family.options]
+    if family.curve and len(grid) > 1:
+        return family.curve(*options, grid, query.nodes, query.length)
+    return [family.cdf(*options, a, query.nodes, query.length) for a in grid]
 
 
 def evaluate_cdf(query):
-    """Evaluate one threshold of a named CDF family: a one-point curve."""
+    """Evaluate one threshold of a named CDF family: its ``cdf`` there."""
     family = _family(query)
     if family.threshold not in query.params:
         raise ParameterError("family %s needs %s" % (query.family, family.threshold))

@@ -28,10 +28,6 @@ class PoleError(DomainError):
         self.pole = pole
 
 
-class ConvergenceError(RuntimeError):
-    """A quadrature or refinement loop failed to converge."""
-
-
 class EvaluationError(RuntimeError):
     """A kernel produced a non-finite sample; ``point`` names the offender."""
 

@@ -62,53 +62,51 @@ def _curve_values(family, grid, **params):
     return np.array(evaluate_curve(CdfQuery(family, params), grid))
 
 
+def _compare(cases):
+    """The rows (label, point, reference, value, |value - reference|) of cases
+    (label, point, reference, value), and their largest deviation: 0 for no cases."""
+    rows = [(label, x, ref, got, abs(got - ref)) for label, x, ref, got in cases]
+    return rows, max([0.0] + [row[-1] for row in rows])
+
+
+def _vs_samples(label, samples, grid, reference):
+    """Cases (label, g, reference at g, empirical CDF of samples at g) for each g of grid."""
+    return zip([label] * len(grid), grid, reference, empirical_cdf(samples, grid))
+
+
 def exponential_identity(seed=None):
     """Rate kernel at n = 1 against the exponential law 1 - e^{-2 beta a}."""
     t0 = time.time()
-    rows, disc = [], 0.0
     grid = np.arange(0.1, 3.001, 0.1)
-    for beta in (0.5, 1.0, 2.0):
-        for a, got in zip(grid, _curve_values("piflat", grid, beta=[beta])):
-            want = 1.0 - math.exp(-2.0 * beta * a)
-            rows.append(("beta=%g" % beta, a, want, got, abs(got - want)))
-            disc = max(disc, abs(got - want))
+    rows, disc = _compare(
+        ("beta=%g" % beta, a, 1.0 - math.exp(-2.0 * beta * a), got) for beta in (0.5, 1.0, 2.0)
+        for a, got in zip(grid, _curve_values("piflat", grid, beta=[beta])))
     return _result("exponential-identity", t0, disc, 1e-8, rows)
 
 
 def loe_chisq(seed=None):
     """n = 1 Gram-ensemble law against the chi-square(2) CDF."""
     t0 = time.time()
-    rows, disc = [], 0.0
     grid = np.arange(0.1, 3.001, 0.1)
-    for a, got in zip(grid, _curve_values("loe", grid, n=1)):
-        want = 1.0 - math.exp(-2.0 * a)
-        rows.append(("n=1", a, want, got, abs(got - want)))
-        disc = max(disc, abs(got - want))
+    rows, disc = _compare(("n=1", a, 1.0 - math.exp(-2.0 * a), got)
+                          for a, got in zip(grid, _curve_values("loe", grid, n=1)))
     return _result("loe-chisq", t0, disc, 1e-8, rows)
 
 
 def three_way(seed=None):
     """Rate-kernel determinant vs the determinant ratio, plus the bridge map."""
     t0 = time.time()
-    rows, disc = [], 0.0
-    for beta in ([0.7, 1.3], [0.5, 1.0, 1.7]):
-        for a in (0.5, 1.0, 2.0):
-            got, want = cdf_piflat(beta, a), det_ratio(beta, a)
-            rows.append(("piflat n=%d" % len(beta), a, want, got, abs(got - want)))
-            disc = max(disc, abs(got - want))
     nu = np.array([-0.5, 0.0, 0.3])
-    for r in (1.0, 2.0):
-        got, want = cdf_bridge_allmax(nu, r), det_ratio(r - nu, r)
-        rows.append(("bridge n=3", r, want, got, abs(got - want)))
-        disc = max(disc, abs(got - want))
+    rows, disc = _compare(
+        [("piflat n=%d" % len(beta), a, det_ratio(beta, a), cdf_piflat(beta, a))
+         for beta in ([0.7, 1.3], [0.5, 1.0, 1.7]) for a in (0.5, 1.0, 2.0)]
+        + [("bridge n=3", r, det_ratio(r - nu, r), cdf_bridge_allmax(nu, r)) for r in (1.0, 2.0)])
     return _result("three-way", t0, disc, 1e-6, rows)
 
 
 def _cdf_vs_samples(name, t0, samples, det, grid, allowance, label=""):
-    emp = empirical_cdf(samples, grid)
-    dev = np.abs(emp - det)
-    rows = [(label, g, d, e, abs(d - e)) for g, d, e in zip(grid, det, emp)]
-    return _result(name, t0, float(dev.max()), allowance, rows,
+    rows, disc = _compare(_vs_samples(label, samples, grid, det))
+    return _result(name, t0, disc, allowance, rows,
                    detail="n_samples=%d" % len(np.atleast_1d(samples)))
 
 
@@ -138,38 +136,30 @@ def piflat_n2(seed=None):
 def loe_mc(seed=None, n_samples=10 ** 5):
     """Gram-ensemble largest eigenvalue at n = 2 and 5 vs 1e5 samples each."""
     t0 = time.time()
-    rows, disc = [], 0.0
+    cases = []
     for k, n in enumerate((2, 5)):
         stream = RngStream(_seed(seed), 51 + k)
         lam = sample_loe_max(n, stream=stream, samples=n_samples)
         grid = np.quantile(lam, np.linspace(0.02, 0.98, 25))
-        emp = empirical_cdf(lam, grid)
-        det = _curve_values("loe", grid / 4.0, n=n)
-        rows += [("n=%d" % n, g, d, e, abs(d - e)) for g, d, e in zip(grid, det, emp)]
-        disc = max(disc, float(np.max(np.abs(emp - det))))
+        cases += _vs_samples("n=%d" % n, lam, grid, _curve_values("loe", grid / 4.0, n=n))
+    rows, disc = _compare(cases)
     return _result("loe-mc", t0, disc, dkw_band(n_samples), rows)
 
 
 def bridge_nr(seed=None, paths=10 ** 5):
     """Bridge/Gram chain: exact determinant identity plus the sampled maximum."""
     t0 = time.time()
-    rows, disc_exact = [], 0.0
-    for n in (2, 4):
-        for r in (0.8, 1.3):
-            got = cdf_bridge_allmax(np.zeros(n), r)
-            want = cdf_loe_max(n, r * r)
-            rows.append(("identity n=%d" % n, r, want, got, abs(got - want)))
-            disc_exact = max(disc_exact, abs(got - want))
+    rows, disc_exact = _compare(
+        ("identity n=%d" % n, r, cdf_loe_max(n, r * r), cdf_bridge_allmax(np.zeros(n), r))
+        for n in (2, 4) for r in (0.8, 1.3))
     if disc_exact > 1e-6:
         return _result("bridge-nr", t0, disc_exact, 1e-6, rows, "identity stage failed")
     stream = RngStream(_seed(seed), 61)
     m = sample_bridge_topmax(2, 1.0, stream=stream, paths=paths, grid_step=1.0 / 8192)
     grid = np.quantile(m ** 2, np.linspace(0.02, 0.98, 25))
-    emp = empirical_cdf(m ** 2, grid)
-    det = _curve_values("loe", grid, n=2)
-    rows += [("mc-squared", v, d, e, abs(d - e)) for v, d, e in zip(grid, det, emp)]
-    disc = float(np.max(np.abs(emp - det)))
-    return _result("bridge-nr", t0, disc, dkw_band(paths) + 0.01, rows)
+    mc_rows, disc = _compare(_vs_samples("mc-squared", m ** 2, grid,
+                                         _curve_values("loe", grid, n=2)))
+    return _result("bridge-nr", t0, disc, dkw_band(paths) + 0.01, rows + mc_rows)
 
 
 def bridge_runmax(seed=None, paths=10 ** 5):
@@ -177,12 +167,8 @@ def bridge_runmax(seed=None, paths=10 ** 5):
     t0 = time.time()
     stream = RngStream(_seed(seed), 71)
     m = sample_bridge_topmax(2, 0.5, stream=stream, paths=paths, grid_step=1.0 / 8192)
-    rows, disc = [], 0.0
-    for a in (0.8, 1.2, 1.6):
-        det = cdf_bridge_runningmax(2, 0.5, a)
-        emp = float(np.mean(m <= a))
-        rows.append(("n=2 s=0.5", a, det, emp, abs(det - emp)))
-        disc = max(disc, abs(det - emp))
+    rows, disc = _compare(("n=2 s=0.5", a, cdf_bridge_runningmax(2, 0.5, a), float(np.mean(m <= a)))
+                          for a in (0.8, 1.2, 1.6))
     return _result("bridge-runmax", t0, disc, 0.02, rows)
 
 
@@ -190,23 +176,17 @@ def narrow_wedge(seed=None, n_samples=10 ** 6):
     """Single-time narrow wedge: exact normal law at m=1; GUE 2x2 MC at m=2."""
     t0 = time.time()
     nw = BoundaryFunction.narrow_wedge()
-    rows, disc1 = [], 0.0
-    for a in (-1.0, 0.0, 1.0):
-        got = cdf_blpp(nw, [0.0], [1.0], [a])
-        want = _phi(a)
-        rows.append(("m=1 normal", a, want, got, abs(got - want)))
-        disc1 = max(disc1, abs(got - want))
+    rows, disc1 = _compare(("m=1 normal", a, _phi(a), cdf_blpp(nw, [0.0], [1.0], [a]))
+                           for a in (-1.0, 0.0, 1.0))
     if disc1 > 1e-6:
         return _result("narrow-wedge", t0, disc1, 1e-6, rows, "normal stage failed")
     H = _hermitian_noise(RngStream(_seed(seed), 81).generator(), n_samples, 2)
     h11, h22, h12 = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1]
     lam = 0.5 * (h11 + h22) + np.sqrt(0.25 * (h11 - h22) ** 2 + np.abs(h12) ** 2)
     grid = np.quantile(lam, np.linspace(0.02, 0.98, 21))
-    emp = empirical_cdf(lam, grid)
     det = np.array([cdf_blpp(nw, [0.0, 0.0], [1.0], [a]) for a in grid])
-    rows += [("m=2 gue", a, d, e, abs(d - e)) for a, d, e in zip(grid, det, emp)]
-    disc = float(np.max(np.abs(emp - det)))
-    return _result("narrow-wedge", t0, disc, dkw_band(n_samples), rows)
+    mc_rows, disc = _compare(_vs_samples("m=2 gue", lam, grid, det))
+    return _result("narrow-wedge", t0, disc, dkw_band(n_samples), rows + mc_rows)
 
 
 def burke_invariance(seed=None):
@@ -216,16 +196,13 @@ def burke_invariance(seed=None):
     mu = [0.4, -0.7, 0.1]
     perms = ([0.1, 0.4, -0.7], [-0.7, 0.1, 0.4])
     base = cdf_blpp(nw, mu, [0.7, 1.2], [0.5, 0.9])
-    rows, disc = [("base", 0, base, base, 0.0)], 0.0
-    for k, p in enumerate(perms):
-        got = cdf_blpp(nw, p, [0.7, 1.2], [0.5, 0.9])
-        rows.append(("perm%d" % k, 0, base, got, abs(got - base)))
-        disc = max(disc, abs(got - base))
     flat = BoundaryFunction.flat()
-    base_f = cdf_blpp(flat, [-0.5, -1.1], [1.0], [0.8])
-    got_f = cdf_blpp(flat, [-1.1, -0.5], [1.0], [0.8])
-    rows.append(("flat-perm", 0, base_f, got_f, abs(got_f - base_f)))
-    disc = max(disc, abs(got_f - base_f))
+    rows, disc = _compare(
+        [("base", 0, base, base)]
+        + [("perm%d" % k, 0, base, cdf_blpp(nw, p, [0.7, 1.2], [0.5, 0.9]))
+           for k, p in enumerate(perms)]
+        + [("flat-perm", 0, cdf_blpp(flat, [-0.5, -1.1], [1.0], [0.8]),
+            cdf_blpp(flat, [-1.1, -0.5], [1.0], [0.8]))])
     return _result("burke-invariance", t0, disc, 1e-10, rows)
 
 
@@ -233,29 +210,23 @@ def conjugation_invariance(seed=None):
     """Conjugating the assembled block kernel leaves the determinant unchanged."""
     t0 = time.time()
     nw = BoundaryFunction.narrow_wedge()
-    rows, disc = [], 0.0
     K = blpp_block(nw, [0.3, -0.4], [0.6, 1.1], [0.4, 0.7])
     base = det_nystrom(K, refine=False).value
+    cases = []
     for k, kappa in enumerate((0.35, 0.8)):
         Kc = apply_conjugation(K, lambda i, x, kp=kappa: np.exp(-(kp + 0.1 * i) * np.abs(x)))
-        got = det_nystrom(Kc, refine=False).value
-        rows.append(("exp-conj%d" % k, kappa, base, got, abs(got - base)))
-        disc = max(disc, abs(got - base))
+        cases.append(("exp-conj%d" % k, kappa, base, det_nystrom(Kc, refine=False).value))
+    rows, disc = _compare(cases)
     return _result("conjugation-invariance", t0, disc, 1e-10, rows)
 
 
 def engine_cross(seed=None):
     """Series engine at order 8 against the Nystrom engine."""
     t0 = time.time()
-    rows, disc = [], 0.0
-    for label, block_fn in (("loe n=2", lambda a: loe_block(2, a)),
-                            ("piflat n=2", lambda a: piflat_block([0.8, 1.6], a))):
-        for a in (0.3, 0.8, 1.5):
-            K = block_fn(a)
-            v1 = det_nystrom(K, refine=False).value
-            v2 = det_series(K, max_order=8).value
-            rows.append((label, a, v1, v2, abs(v1 - v2)))
-            disc = max(disc, abs(v1 - v2))
+    kernels = [("loe n=2", a, loe_block(2, a)) for a in (0.3, 0.8, 1.5)]
+    kernels += [("piflat n=2", a, piflat_block([0.8, 1.6], a)) for a in (0.3, 0.8, 1.5)]
+    rows, disc = _compare((label, a, det_nystrom(K, refine=False).value,
+                           det_series(K, max_order=8).value) for label, a, K in kernels)
     return _result("engine-cross", t0, disc, 1e-6, rows)
 
 
@@ -296,12 +267,9 @@ def geometric_exact(seed=None, n_mc=10 ** 6):
     params = GeomParams((0.3, 0.5))
     x = [0, 1]
     law = _enumerate_geom_law(params, x, 2)
-    rows, disc = [], 0.0
     pairs = sorted(law, key=law.get, reverse=True)[:60]
-    for y in pairs:
-        det = transition_prob(x, list(y), 2, params)
-        rows.append(("enum", str(y), law[y], det, abs(det - law[y])))
-        disc = max(disc, abs(det - law[y]))
+    rows, disc = _compare(("enum", str(y), law[y], transition_prob(x, list(y), 2, params))
+                          for y in pairs)
     if disc > 1e-8:
         return _result("geometric-exact", t0, disc, 1e-8, rows, "enumeration stage")
     # reflection identity
@@ -372,10 +340,7 @@ def arith_ks(seed=None, n_samples=10 ** 4, n_dim=256):
     stream = RngStream(_seed(seed), 101)
     _, resc = sample_arith_max(n_dim, 2.0, 0.0, stream=stream, samples=n_samples)
     grid = np.quantile(resc, np.linspace(0.03, 0.97, 29))
-    emp = empirical_cdf(resc, grid)
-    det = _curve_values("arith", grid, delta=2.0)
-    rows = [("ks", a, d, e, abs(d - e)) for a, d, e in zip(grid, det, emp)]
-    ks = float(np.max(np.abs(emp - det)))
+    rows, ks = _compare(_vs_samples("ks", resc, grid, _curve_values("arith", grid, delta=2.0)))
     # CDF-candidate diagnostics on a 20-point grid
     diag = _curve_values("arith", np.linspace(-3.5, 8.0, 20), delta=2.0)
     ok = np.all(np.diff(diag) > -1e-9) and np.all(diag > -1e-6) and np.all(diag < 1 + 1e-6)
@@ -394,18 +359,14 @@ def dyson_edge(seed=None, n_samples=10 ** 4):
     lam = sample_dyson_max(np.zeros(n), [1.0 / n], stream=stream, samples=n_samples)[:, 0]
     resc = (lam - es_a) * n ** (2.0 / 3.0) / es_d
     grid = np.quantile(resc, np.linspace(0.04, 0.96, 21))
-    emp = empirical_cdf(resc, grid)
-    det = _curve_values("airy", [[g] for g in grid], times=[0.0])
-    rows = [("mc-n200", g, d, e, abs(d - e)) for g, d, e in zip(grid, det, emp)]
-    ks = float(np.max(np.abs(emp - det)))
+    rows, ks = _compare(_vs_samples("mc-n200", resc, grid,
+                                    _curve_values("airy", [[g] for g in grid], times=[0.0])))
     if ks > 0.08:
         return _result("dyson-edge", t0, ks, 0.08, rows, "KS stage")
-    disc2 = 0.0
-    for xi in (-1.0, 0.0, 1.0):
-        v = cdf_dyson_edge(np.zeros(50), [0.0], [xi])
-        w = airy_fdd([0.0], [xi])
-        rows.append(("det-n50", xi, w, v, abs(v - w)))
-        disc2 = max(disc2, abs(v - w))
+    finite_rows, disc2 = _compare(("det-n50", xi, airy_fdd([0.0], [xi]),
+                                   cdf_dyson_edge(np.zeros(50), [0.0], [xi]))
+                                  for xi in (-1.0, 0.0, 1.0))
+    rows += finite_rows
     if disc2 > 0.05:
         return _result("dyson-edge", t0, disc2, 0.05, rows, "finite-n stage")
     # two-time monotonicity in each threshold
@@ -427,10 +388,7 @@ def eigen_identity(seed=None, paths=10 ** 5):
     blpp = sample_blpp(BoundaryFunction.flat(), mu, 2, t, grid_step=t / 4096,
                        stream=stream.substream(1), paths=paths)
     grid = np.quantile(np.concatenate([sup, blpp]), np.linspace(0.02, 0.98, 25))
-    e1 = empirical_cdf(sup, grid)
-    e2 = empirical_cdf(blpp, grid)
-    rows = [("cdf", g, a, b, abs(a - b)) for g, a, b in zip(grid, e1, e2)]
-    disc = float(np.max(np.abs(e1 - e2)))
+    rows, disc = _compare(_vs_samples("cdf", blpp, grid, empirical_cdf(sup, grid)))
     return _result("eigen-identity", t0, disc, 2 * dkw_band(paths) + 0.008, rows)
 
 

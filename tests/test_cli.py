@@ -136,8 +136,8 @@ def test_compare_unknown_experiment_lists_known(capsys):
 
 def test_numerical_error_exit_code(capsys, monkeypatch):
     def boom(query, grid):
-        from noncolliding.exceptions import ConvergenceError
-        raise ConvergenceError("did not converge")
+        from noncolliding.exceptions import EvaluationError
+        raise EvaluationError("non-finite kernel sample")
 
     monkeypatch.setattr(cli, "evaluate_curve", boom)
     code, _, err = run_cli(capsys, "cdf", "--family", "loe", "--n", "1", "--a", "1")

@@ -1,33 +1,32 @@
 import numpy as np
 import pytest
 
-from noncolliding.contours import (_circle, gauss_legendre, make_contour, mirrored, ray_wedge,
-                                   semi_infinite_rule)
+from noncolliding.contours import gauss_legendre, make_contour, ray_wedge, semi_infinite_rule
 from noncolliding.exceptions import ParameterError
 
 
-def test_circle_four_node_parametrization():
-    # periodic trapezoid on z(theta) = e^{i theta}: weights (2 pi i / 4) * node;
-    # its upper half is theta in [0, pi], the two nodes on the axis at half weight
-    c = mirrored("circle", 0.0, *_circle(1.0, 4), True, None, {})
-    assert np.allclose(c.nodes, [1, 1j, -1, -1j], atol=1e-14)
-    assert np.allclose(c.weights, 2j * np.pi / 4 * c.nodes, atol=1e-14)
-    assert np.allclose(c.upper_nodes, [1, 1j, -1], atol=1e-14)
-    assert np.allclose(c.upper_weights, 2j * np.pi / 4 * np.array([0.5, 1j, -0.5]), atol=1e-14)
+def test_node_on_the_axis_appears_once_at_half_weight():
+    # an odd Gauss-Legendre rule has a node at t = 0: on the line it is on the
+    # axis, its own mirror, so the path holds it once, at its whole weight,
+    # and the upper half keeps it at half weight
+    t, wt = gauss_legendre(-2.0, 2.0, 9)
+    v = make_contour("vertical", offset=0.7, half_height=2.0, nodes=9)
+    assert np.allclose(v.nodes, 0.7 + 1j * t, atol=1e-14)
+    assert np.allclose(v.weights, 1j * wt, atol=1e-14)
+    assert np.count_nonzero(v.nodes.imag == 0) == 1
+    assert np.allclose(v.upper_nodes, 0.7 + 1j * t[4:], atol=1e-14)
+    assert np.allclose(v.upper_weights, 1j * np.concatenate([[0.5 * wt[4]], wt[5:]]), atol=1e-14)
 
 
 def test_closed_contours_weight_sum_vanishes():
-    c = make_contour("circle", center=0.3 + 0.2j, radius=2.0, nodes=64)
-    assert abs(c.weights.sum()) < 1e-12
     r = make_contour("rectangle", left=-3.0, right=1.0, half_height=0.5, nodes=200)
     assert abs(r.weights.sum()) < 1e-12
 
 
 def test_residue_on_closed_contours():
-    for c in (make_contour("circle", center=0.0, radius=1.0, nodes=64),
-              make_contour("rectangle", left=-1.0, right=1.0, half_height=0.6, nodes=240)):
-        val = c.integrate(lambda z: 1.0 / (z - 0.2)) / (2j * np.pi)
-        assert abs(val - 1.0) < 1e-12
+    c = make_contour("rectangle", left=-1.0, right=1.0, half_height=0.6, nodes=240)
+    val = c.integrate(lambda z: 1.0 / (z - 0.2)) / (2j * np.pi)
+    assert abs(val - 1.0) < 1e-12
 
 
 def test_vertical_gaussian_integral():
@@ -68,13 +67,16 @@ def test_contour_refinement_and_truncation_recorded():
 
 def test_parameter_validation():
     with pytest.raises(ParameterError):
-        make_contour("circle", center=0.0, radius=-1.0, nodes=64)
+        make_contour("vertical", offset=0.0, half_height=-1.0, nodes=64)
     with pytest.raises(ParameterError):
-        make_contour("circle", center=0.0, radius=1.0, nodes=4)
+        make_contour("vertical", offset=0.0, half_height=1.0, nodes=4)
     with pytest.raises(ParameterError):
         make_contour("rectangle", left=1.0, right=-1.0, half_height=0.5, nodes=64)
     with pytest.raises(ParameterError):
-        make_contour("pentagon", nodes=64)
+        make_contour("rectangle", left=-1.0, right=1.0, half_height=0.5, nodes=4)
+    for kind in ("pentagon", "circle"):
+        with pytest.raises(ParameterError, match="unknown contour kind"):
+            make_contour(kind, center=0.0, radius=1.0, nodes=64)
 
 
 def test_semi_infinite_rule_normalization():

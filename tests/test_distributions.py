@@ -377,6 +377,20 @@ def test_direct_calls_cover_the_registry():
     assert sorted(DIRECT_CALLS) == sorted(FAMILIES)
 
 
+def test_each_family_names_its_public_function():
+    public = {"piflat": cdf_piflat, "loe": cdf_loe_max, "bridge-allmax": cdf_bridge_allmax,
+              "bridge-runmax": cdf_bridge_runningmax, "arith": cdf_arithmetic_limit,
+              "airy": airy_fdd, "dyson-edge": cdf_dyson_edge}
+    for family, cdf in public.items():
+        assert FAMILIES[family].cdf is cdf, family
+    for family, kind in (("blpp-nw", "narrow_wedge"), ("blpp-flat", "flat")):
+        bound = FAMILIES[family].cdf
+        assert isinstance(bound, partial) and bound.func is cdf_blpp, family
+        assert [b.kind for b in bound.args] == [kind] and not bound.keywords, family
+    # only the contour-integral kernels share a build over a grid
+    assert sorted(f for f in FAMILIES if FAMILIES[f].curve) == ["airy", "arith", "dyson-edge"]
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_query_dispatch_per_family(family):
     query, direct = DIRECT_CALLS[family]

@@ -38,10 +38,10 @@ def compose_kernels(left, right, u_lo, u_hi, n=400):
 # ---------------------------------------------------------------------------
 
 def test_shifted_rows_match_rows_at_shifted_arguments():
-    # rows made once at u, their columns scaled by e^{a m}: on a circle of
-    # radius 5 the scaling at a = +-160 spans 1600 e-folds, so it is finite
-    # only with its largest exponent moved to top
-    c = make_contour("circle", center=0.5, radius=5.0, nodes=256)
+    # rows made once at u, their columns scaled by e^{a m}: on a rectangle
+    # whose real parts span [-4.5, 5.5] the scaling at a = +-160 spans 1600
+    # e-folds, so it is finite only with its largest exponent moved to top
+    c = make_contour("rectangle", left=-4.5, right=5.5, half_height=5.0, nodes=256)
     side = Side(c.nodes, c.weights, -0.5 * c.nodes ** 2, c.nodes, np.log(c.nodes + 6.0))
     u = np.linspace(0.0, 3.0, 7)
     made = {}
@@ -60,10 +60,9 @@ def test_low_rank_keeps_a_full_rank_matrix_dense():
 
 
 def test_low_rank_factors_a_separated_cauchy_matrix():
-    # a circle and a vertical line 0.5 to its right, as the narrow-wedge
-    # kernel couples them: singular values fall below 1e-16 of the largest
-    # at about 40
-    c = make_contour("circle", center=0.0, radius=1.0, nodes=256)
+    # a closed contour and a vertical line 0.7 to its right: singular values
+    # fall below 1e-16 of the largest at 34
+    c = make_contour("rectangle", left=-0.8, right=0.8, half_height=0.8, nodes=256)
     z = 1.5 + 1j * np.linspace(-8.0, 8.0, 192)
     C = 1.0 / (z[None, :] - c.nodes[:, None])
     P, Q = low_rank(C)

@@ -4,7 +4,8 @@ Each module of ``src/noncolliding`` but ``__init__.py`` is parsed with
 ``ast``.  A name bound by an import must be read in that module, and a
 private module-level name (``_x``) must be read, imported or reached as an
 attribute somewhere in ``src/noncolliding`` besides its definition.  Every
-key of ``DEFAULTS`` must be read as ``DEFAULTS["key"]`` somewhere in it.
+key of ``DEFAULTS`` must be read as ``DEFAULTS["key"]`` somewhere in it, and
+every exception class of ``exceptions.py`` must be raised somewhere in it.
 """
 
 import ast
@@ -62,3 +63,15 @@ def test_every_default_is_read():
             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
             and node.value.id == "DEFAULTS" and isinstance(node.slice, ast.Constant)}
     assert [key for key in keys if key not in read] == []
+
+
+def test_every_exception_is_raised():
+    defined = [node.name for node in TREES[SRC / "exceptions.py"].body
+               if isinstance(node, ast.ClassDef)]
+    raised = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    assert [name for name in defined if name not in raised] == []
