@@ -9,11 +9,6 @@ from noncolliding import (airy_function, complex_gamma, heat_kernel,
                           hermitian_eigen_max, make_contour, semi_infinite_rule)
 
 print("== contour quadrature ==")
-rect = make_contour("rectangle", left=-1.0, right=1.0, half_height=0.6, nodes=240)
-print("closed-contour weight sum (should vanish):", abs(rect.weights.sum()))
-print("residue of 1/(z-0.2):",
-      rect.integrate(lambda z: 1 / (z - 0.2)) / (2j * np.pi))
-
 vert = make_contour("vertical", offset=1.0, half_height=10.0, nodes=400)
 gauss = vert.integrate(lambda z: np.exp(z ** 2 / 2))
 print("vertical Gaussian integral vs i sqrt(2 pi):", gauss, 1j * np.sqrt(2 * np.pi))

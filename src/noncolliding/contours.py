@@ -5,10 +5,9 @@ already include the differential ``dz``, so a path integral is
 ``sum(w_k * f(z_k))``.  The ``1/(2*pi*i)`` prefactor of kernel formulas is
 *not* folded into the weights; kernel evaluators apply it themselves.
 
-Orientation conventions: closed contours (rectangles) run counter
-clockwise; open contours (vertical line, wedge) run upward, i.e. with
-increasing imaginary part through the apex / axis crossing.  Open contours
-are truncated and record their truncation length so refinement tests can
+Every contour (vertical line, wedge) is open and runs upward, i.e. with
+increasing imaginary part through the apex / axis crossing.  Contours are
+truncated and record their truncation length so refinement tests can
 double it.
 
 Every contour is symmetric about the horizontal line through its centre,
@@ -71,8 +70,7 @@ class Contour:
     kind: str
     upper_nodes: np.ndarray
     upper_weights: np.ndarray
-    closed: bool
-    truncation: float | None = None
+    truncation: float
     geometry: dict = field(default_factory=dict)
     axis: float = 0.0
 
@@ -82,8 +80,7 @@ class Contour:
         on_axis = z.imag == self.axis
         upper = (z, np.where(on_axis, 2.0 * w, w))
         lower = (np.conj(z[~on_axis][::-1]) + 2j * self.axis, -np.conj(w[~on_axis][::-1]))
-        halves = [upper, lower] if self.closed else [lower, upper]
-        return np.concatenate([h[0] for h in halves]), np.concatenate([h[1] for h in halves])
+        return np.concatenate([lower[0], upper[0]]), np.concatenate([lower[1], upper[1]])
 
     @property
     def nodes(self):
@@ -103,95 +100,51 @@ class Contour:
             return _wedge(geo["apex"], geo["angle"], [(a, b, max(1, int(round(n * node_factor))))
                                                       for a, b, n in geo["panels"]])
         geo["nodes"] = max(8, int(round(geo["nodes"] * node_factor)))
-        if "half_height" in geo and self.truncation is not None:
-            geo["half_height"] = geo["half_height"] * truncation_factor
+        geo["half_height"] = geo["half_height"] * truncation_factor
         return make_contour(self.kind, **geo)
 
 
-def mirrored(kind, origin, u, w, closed, truncation, geometry):
+def mirrored(kind, origin, u, w, truncation, geometry):
     """The contour origin + u, u its upper half (Im u >= 0) with weights w, and its mirror image.
 
     The lower half is origin + conj(u) with weights -conj(w).  A node with
     Im u = 0 is its own mirror, so it appears once, and at half weight in
     the upper half.
     """
-    return Contour(kind, origin + u, np.where(u.imag == 0, 0.5 * w, w), closed, truncation,
+    return Contour(kind, origin + u, np.where(u.imag == 0, 0.5 * w, w), truncation,
                    geometry, float(np.imag(origin)))
 
 
 @lru_cache(maxsize=256)
-def upper_legendre(half_height, panels, per_panel):
-    """The t >= 0 half of the composite Gauss-Legendre rule on [-half_height, half_height].
+def upper_legendre(half_height, nodes):
+    """The t >= 0 half of the Gauss-Legendre rule on [-half_height, half_height].
 
-    ``panels`` equal panels of ``per_panel`` nodes, as :func:`composite_legendre`
-    makes them; a node at t = 0 keeps its whole weight.  Cached, so read-only.
+    A node at t = 0 keeps its whole weight.  Cached, so read-only.
     """
-    x, w = _leggauss(per_panel)
-    edges = np.linspace(-half_height, half_height, panels + 1)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    if panels % 2:
-        mid[panels // 2] = 0.0  # the middle panel, centred on the axis up to rounding
-    t = (mid[:, None] + half[:, None] * x).ravel()
-    keep = t >= 0
-    t, w = t[keep], (half[:, None] * w).ravel()[keep]
+    x, w = _leggauss(nodes)
+    keep = x >= 0
+    t, w = half_height * x[keep], half_height * w[keep]
     t.flags.writeable = w.flags.writeable = False
     return t, w
-
-
-def _vertical(half_height, nodes):
-    t, wt = upper_legendre(half_height, 1, nodes)
-    return 1j * t, 1j * wt
-
-
-def _rectangle(left, right, half_height, nodes):
-    width, height = right - left, 2.0 * half_height
-    per_unit = max(8, int(round(nodes / (2.0 * (width + height)))))
-
-    def rule(length):
-        """(panels, nodes per panel) of a side of this length."""
-        panels = max(1, int(np.ceil(length / 2.0)))
-        return panels, max(8, max(8, int(np.ceil(length * per_unit))) // panels)
-
-    # upward along the right side from the axis, leftward along the top, down the left side
-    s, ws = upper_legendre(half_height, *rule(height))
-    panels, per_panel = rule(width)
-    t, wt = composite_legendre(np.linspace(0.0, 1.0, panels + 1), per_panel)
-    u = np.concatenate([right + 1j * s, right - width * t + 1j * half_height, left + 1j * s[::-1]])
-    w = np.concatenate([1j * ws, -width * wt, -1j * ws[::-1]])
-    return u, w
 
 
 def make_contour(kind, *, nodes, **geometry):
     """Build a contour of the given kind with ``nodes`` nodes in all.
 
-    Kinds and their geometry:
-
-    - ``vertical``: offset (real part), half_height (truncation)
-    - ``rectangle``: left, right, half_height
-
-    Wedges are placed adaptively by :func:`ray_wedge`.
+    The one kind is ``vertical``, of geometry offset (real part) and
+    half_height (truncation).  Wedges are placed adaptively by
+    :func:`ray_wedge`.
     """
     nodes = int(nodes)
     if nodes < 8:
         raise ParameterError("contour needs at least 8 nodes, got %d" % nodes)
-
-    if "half_height" in geometry and not geometry["half_height"] > 0:
-        raise ParameterError("half_height must be positive, got %r" % (geometry["half_height"],))
-
-    if kind == "vertical":
-        origin, closed, trunc = geometry["offset"], False, geometry["half_height"]
-        u, w = _vertical(geometry["half_height"], nodes)
-    elif kind == "rectangle":
-        if not geometry["right"] > geometry["left"]:
-            raise ParameterError("rectangle needs right > left")
-        origin, closed, trunc = 0.0, True, None
-        u, w = _rectangle(geometry["left"], geometry["right"], geometry["half_height"], nodes)
-    else:
+    if kind != "vertical":
         raise ParameterError("unknown contour kind %r" % (kind,))
-
-    geometry = dict(geometry)
-    geometry["nodes"] = nodes
-    return mirrored(kind, origin, u, w, closed, trunc, geometry)
+    if not geometry["half_height"] > 0:
+        raise ParameterError("half_height must be positive, got %r" % (geometry["half_height"],))
+    t, wt = upper_legendre(geometry["half_height"], nodes)
+    return mirrored(kind, geometry["offset"], 1j * t, 1j * wt, geometry["half_height"],
+                    {**geometry, "nodes": nodes})
 
 
 def adaptive_ray(psi, max_length):
@@ -235,7 +188,7 @@ def _panel_rule(panels):
 def _wedge(apex, angle, panels):
     """The wedge through ``apex`` whose upper ray apex + e^{i angle} tau has these panels."""
     u, (tau, wt) = np.exp(1j * angle), _panel_rule(panels)
-    return mirrored("wedge", apex, u * tau, u * wt, False, float(tau.max()),
+    return mirrored("wedge", apex, u * tau, u * wt, float(tau.max()),
                     {"apex": apex, "angle": angle, "panels": panels, "nodes": 2 * len(tau)})
 
 

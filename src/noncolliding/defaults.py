@@ -5,11 +5,10 @@ here so that reported numbers are reproducible.  ``noncolliding
 --show-defaults`` prints this table.
 """
 
-DEFAULTS_VERSION = "3"
+DEFAULTS_VERSION = "4"
 
 DEFAULTS = {
     # quadrature resolutions
-    "rectangle_nodes_per_unit": 24,
     "coefficient_nodes": 2048,
     # decay / truncation policy
     "decay_drop": 45.0,           # exponent drop from the max before truncating: e^-45 < 1e-18

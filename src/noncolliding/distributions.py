@@ -44,10 +44,11 @@ class EdgeScaling:
 def edge_scaling(nu):
     """Solve for the edge constants of a point cloud.
 
-    b > max(nu) is the unique root of mean((b - nu_j)^-2) = 1 (strictly
-    decreasing in b), found by bisection on the guaranteed bracket
-    (max nu + 0.9/sqrt(n), max nu + sqrt(n) + 1) and polished by Newton;
-    then a = b + mean(1/(b - nu_j)) and d = mean((b - nu_j)^-3)^(1/3).
+    b > max(nu) is the unique root of phi(b) = mean((b - nu_j)^-2) - 1,
+    convex and decreasing in b.  phi > 0 at max nu + 0.9/sqrt(n), so Newton's
+    method started there rises to the root without overshooting: it stops
+    once a step no longer raises b, and takes four more steps as polish.
+    Then a = b + mean(1/(b - nu_j)) and d = mean((b - nu_j)^-3)^(1/3).
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if nu.size < 1 or not np.all(np.isfinite(nu)):
@@ -58,16 +59,12 @@ def edge_scaling(nu):
     def phi(b):
         return np.mean(1.0 / (b - nu) ** 2) - 1.0
 
-    lo, hi = mx + 0.9 / np.sqrt(n), mx + np.sqrt(n) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(mid)):
+    b = mx + 0.9 / np.sqrt(n)
+    while True:
+        rising = b + phi(b) / (2.0 * np.mean(1.0 / (b - nu) ** 3))
+        if not rising > b:
             break
-    b = 0.5 * (lo + hi)
+        b = rising
     for _ in range(4):
         deriv = -2.0 * np.mean(1.0 / (b - nu) ** 3)
         b = b - phi(b) / deriv
@@ -108,10 +105,11 @@ def _det(K, nodes):
     return det_nystrom(K, nodes, refine=False).value
 
 
-# the fewest thresholds whose build compresses its Airy and arith couplings to
-# low rank (the other families make no coupling).  A sketch costs
-# about as much as the dense products of 8 thresholds, and its factors hold a
-# fraction of the dense coupling's memory for the rest of the curve
+# the fewest thresholds whose build compresses its Airy couplings to low rank
+# (arith's couplings have only its few residue rows, Dyson edge's stay dense
+# and the other families make none).  A sketch costs about as much as the
+# dense products of 8 thresholds, and its factors hold a fraction of the dense
+# coupling's memory for the rest of the curve
 _LOW_RANK_FROM = 4
 
 
@@ -121,7 +119,7 @@ def _curve(block, grid, nodes, engine):
     ``engine(spans, base, made)`` returns at(a), the fill of threshold a.  spans[k][i] holds
     the Nystrom nodes of slot i at grid[k], read from a kernel block(a, None), and base[i]
     those at threshold 0, where the build makes every side's rows into the dict ``made``.
-    From ``_LOW_RANK_FROM`` thresholds on, it also compresses each coupling to low rank.
+    From ``_LOW_RANK_FROM`` thresholds on, it also compresses each Airy coupling to low rank.
     Each threshold's kernel lives only as long as its determinant.
     """
     at = engine([slot_nodes(block(a, None), nodes) for a in grid],

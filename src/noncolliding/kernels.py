@@ -8,10 +8,12 @@ alpha w^2} by :func:`_exp_differences`, its products with polynomials by Leibniz
 These kernels are thus L(x) C R(y)^T at rank m, with no contour.  The narrow-wedge and
 flat z integrands are Gaussians times polynomials, with a pole at each mirrored drift when
 flat, so N_p(y) of their sum_p M_p(x) N_p(y) is in Hermite and Mills-ratio terms
-(:func:`_z_side`), as s_bar is in Hermite terms.
+(:func:`_z_side`), as s_bar is in Hermite terms.  The arith zeta contour encloses nothing
+but the poles 0, -1, -2, ... of Gamma(zeta), so its zeta side is their residues, a few
+terms, exact; only its z side is a quadrature.
 
-The arith, Airy and Dyson-edge kernels are double contour integrals, on whose nodes
-K(x, y) = L(x) C R(y)^T with C = 1/(z - w), dense or as P Q by :func:`low_rank`.  Each
+The arith, Airy and Dyson-edge kernels are double integrals, on whose nodes K(x, y) =
+L(x) C R(y)^T with C = 1/(z - w), dense or, for Airy, as P Q by :func:`low_rank`.  Each
 family declares its two :class:`Side` objects, every row stabilized by subtracting its
 largest exponent, and :func:`contour_fill` forms every product.  Their parameters are
 real, so every contour is symmetric about the real axis (see :mod:`.contours`): a side
@@ -24,8 +26,8 @@ and the couplings; the fill it returns takes the arguments of one block.  A poin
 kernel builds from its own arguments, a threshold grid once from the union of its Nystrom
 nodes.  Slot i then fills at its base nodes u shifted by a_i: the build makes each side's
 rows once, at u, and a threshold scales their columns by e^{a_i m} (:func:`shifted_rows`),
-one complex multiply per entry.  A grid of enough thresholds also factors each Airy and
-arith coupling once, to low rank (:func:`_coupling`); a single query keeps them dense.
+one complex multiply per entry.  A grid of enough thresholds also factors each Airy
+coupling once, to low rank (:func:`_coupling`); a single query keeps them dense.
 
 Heat-operator conventions (two distinct semigroups appear and differ by a
 factor of 2 in the variance; both are housed here explicitly):
@@ -39,7 +41,7 @@ factor of 2 in the variance; both are housed here explicitly):
 import numpy as np
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, lgamma
 
 from .contours import gauss_legendre, make_contour, ray_wedge
 from .defaults import DEFAULTS
@@ -119,12 +121,12 @@ def _log_poly(z, roots):
 class Side:
     """One side of a separable kernel: u -> weights * e^{phi + u m + log_factor}.
 
-    The nodes and weights are those of a contour's upper half.  Per node
-    (or scalar): ``phi`` is the argument-free polynomial exponent, ``m`` the
-    multiplier of the argument u and ``log_factor`` the log of the pole,
-    zero or Gamma factor.  It is added after u m: the arith sum cancels
-    about six digits, so that order is part of its values.  Sides compare by
-    identity, so a build can key its couplings and base rows on them.
+    The nodes and weights are those of a contour's upper half, or residues
+    on the axis at half weight.  Per node (or scalar): ``phi`` is the
+    argument-free polynomial exponent, ``m`` the multiplier of the argument
+    u and ``log_factor`` the log of the pole, zero, Gamma or residue factor,
+    added after u m.  Sides compare by identity, so a build can key its
+    couplings and base rows on them.
     """
 
     nodes: np.ndarray
@@ -193,7 +195,7 @@ def low_rank(C):
     C stays dense unless 8 columns are left over.  Couplings between
     separated contours are Cauchy matrices, whose singular values decay
     geometrically (Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38,
-    2017): their rank is about 40 between the Airy or arith contours.  Like
+    2017): their rank is about 40 between the Airy wedges.  Like
     the determinants it runs on one BLAS thread, which its factors thus do
     not depend on.
     """
@@ -590,9 +592,22 @@ def k_flat(mu, t1, x, t2, y):
 # arithmetic-spectrum kernel (Gamma-ratio double contour)
 # ---------------------------------------------------------------------------
 
-def _k_delta_engine(delta, xs, ys, gamma_func=None, rec_extension=1.0, node_factor=1.0,
-                    made=None, base=None):
-    """Gamma-ratio kernel fill(xs, ys), its contours sized for the spans xs, ys."""
+def _log_factorial(k):
+    return np.array([lgamma(j + 1.0) for j in k])
+
+
+def _pole_count(delta, xmin):
+    """K + 1 for the poles 0, -1, ..., -K of Gamma whose residue terms e^{-(D^2/2) k^2 - k x}/k!
+    come within e^{-(DROP + 10)} of the largest at x = xmin, and so at every x >= xmin."""
+    drop = _DROP + 10.0
+    k = np.arange(int((max(0.0, -xmin) + 1.0) / delta ** 2 + np.sqrt(2.0 * drop) / delta) + 3)
+    size = -0.5 * delta ** 2 * k ** 2 - k * xmin - _log_factorial(k)
+    return int(np.flatnonzero(size >= size.max() - drop)[-1]) + 1
+
+
+def _k_delta_engine(delta, xs, ys, gamma_func=None, node_factor=1.0, made=None, base=None):
+    """Gamma-ratio kernel fill(xs, ys): the zeta residues that the span xs needs, the z line
+    sized for the span ys."""
     if not delta > 0:
         raise DomainError("need delta > 0")
     gamma_func = complex_gamma if gamma_func is None else gamma_func
@@ -603,17 +618,15 @@ def _k_delta_engine(delta, xs, ys, gamma_func=None, rec_extension=1.0, node_fact
     slope = max(abs(d2 - ys.min()), abs(d2 - ys.max())) + 4.0
     n_z = int(min(16384, max(256, 64 + 1.4 * slope * T) * node_factor))
     cz = make_contour("vertical", offset=1.0, half_height=T, nodes=n_z)
-    # half-infinite rectangle through 1/2 with half-height 1/2, truncated left
-    xmin = xs.min()
-    lo = -(max(0.0, -xmin) / d2 + np.sqrt(2.0 * (_DROP + 10.0)) / delta + 3.0) * rec_extension
-    n_rec = int(max(192, (0.5 - lo) * DEFAULTS["rectangle_nodes_per_unit"]) * node_factor)
-    crec = make_contour("rectangle", left=lo, right=0.5, half_height=0.5, nodes=n_rec)
 
-    # the z side is e^{(D^2/2) z^2 - y z} / Gamma(z); the w side is the same form, inverted
-    w, z = crec.upper_nodes, cz.upper_nodes
-    left = Side(w, crec.upper_weights, -0.5 * d2 * w ** 2, w, np.log(gamma_func(w)))
+    # the z side is e^{(D^2/2) z^2 - y z} / Gamma(z); the zeta side, the same form inverted,
+    # is its residues (-1)^k/k! at the poles -k of Gamma(zeta): nodes on the axis, each at half
+    # its weight 2 pi i (-1)^k
+    k = np.arange(_pole_count(delta, xs.min()))
+    w, z = -k.astype(complex), cz.upper_nodes
+    left = Side(w, 1j * np.pi * (-1.0) ** k, -0.5 * d2 * w ** 2, w, -_log_factorial(k))
     right = Side(z, cz.upper_weights, 0.5 * d2 * z ** 2, -z, -np.log(gamma_func(z)))
-    coupled = _coupling(made, crec, cz)
+    coupled = couplings(w, z)
     _base_rows(made, base, [left], [right])
     return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys),
                                                                    coupled)
@@ -623,10 +636,13 @@ def k_delta(delta, x, y, gamma_func=None):
     """Gamma-ratio kernel of the arithmetic-spectrum edge law.
 
     Double contour integral of e^{(D^2/2)(z^2 - zeta^2) - yz + x zeta}
-    * Gamma(zeta)/Gamma(z) / (z - zeta) with zeta on the truncated
-    half-infinite rectangle through 1/2 and z on the vertical line Re z = 1.
-    ``gamma_func`` may replace the Gamma evaluator (e.g. by a truncated
-    product) for validation.
+    * Gamma(zeta)/Gamma(z) / (z - zeta), z on the vertical line Re z = 1 and
+    zeta on a contour left of it around the poles 0, -1, -2, ... of
+    Gamma(zeta).  The zeta integral is thus the residue sum
+    sum_k (-1)^k/k! e^{-(D^2/2) k^2 - kx}/(z + k), taken exactly and cut
+    where its terms fall below e^{-(DROP + 10)} of the largest.
+    ``gamma_func`` may replace the Gamma evaluator on the z line (e.g. by a
+    truncated product) for validation.
     """
     return _pointwise(partial(_k_delta_engine, delta, gamma_func=gamma_func), x, y)
 

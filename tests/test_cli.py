@@ -164,7 +164,7 @@ def test_output_file_and_metadata(tmp_path, capsys):
 def test_show_defaults(capsys):
     code, out, _ = run_cli(capsys, "--show-defaults")
     assert code == 0
-    assert "defaults_version: 3" in out and "nystrom_nodes_per_slot" in out
+    assert "defaults_version: 4" in out and "nystrom_nodes_per_slot" in out
     assert "threads" not in out
 
 

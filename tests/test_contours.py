@@ -18,17 +18,6 @@ def test_node_on_the_axis_appears_once_at_half_weight():
     assert np.allclose(v.upper_weights, 1j * np.concatenate([[0.5 * wt[4]], wt[5:]]), atol=1e-14)
 
 
-def test_closed_contours_weight_sum_vanishes():
-    r = make_contour("rectangle", left=-3.0, right=1.0, half_height=0.5, nodes=200)
-    assert abs(r.weights.sum()) < 1e-12
-
-
-def test_residue_on_closed_contours():
-    c = make_contour("rectangle", left=-1.0, right=1.0, half_height=0.6, nodes=240)
-    val = c.integrate(lambda z: 1.0 / (z - 0.2)) / (2j * np.pi)
-    assert abs(val - 1.0) < 1e-12
-
-
 def test_vertical_gaussian_integral():
     # oint e^{z^2/2} dz over Re z = 1 equals i sqrt(2 pi); oracle: the
     # 1-D Gaussian integral of the parametrized path computed directly
@@ -70,11 +59,7 @@ def test_parameter_validation():
         make_contour("vertical", offset=0.0, half_height=-1.0, nodes=64)
     with pytest.raises(ParameterError):
         make_contour("vertical", offset=0.0, half_height=1.0, nodes=4)
-    with pytest.raises(ParameterError):
-        make_contour("rectangle", left=1.0, right=-1.0, half_height=0.5, nodes=64)
-    with pytest.raises(ParameterError):
-        make_contour("rectangle", left=-1.0, right=1.0, half_height=0.5, nodes=4)
-    for kind in ("pentagon", "circle"):
+    for kind in ("pentagon", "circle", "rectangle"):
         with pytest.raises(ParameterError, match="unknown contour kind"):
             make_contour(kind, center=0.0, radius=1.0, nodes=64)
 

@@ -441,14 +441,14 @@ CURVES = {
 }
 # a curve sizes its contours for the whole grid, so its values differ from
 # one-point values by the kernel-quadrature error of the two contour choices.
-# The arith Gamma-ratio sum cancels about six digits of it.  The pole
-# families' closed-form kernels fill each threshold on their own, and families
-# whose kernel changes with the threshold build per point: both match exactly
-CURVE_TOL = {"arith": 1e-9, "detratio": 0.0, **dict.fromkeys(POLE_FAMILIES, 0.0)}
+# The pole families' closed-form kernels fill each threshold on their own, and
+# families whose kernel changes with the threshold build per point: both match
+# exactly
+CURVE_TOL = {"detratio": 0.0, **dict.fromkeys(POLE_FAMILIES, 0.0)}
 
 
 # wide grids: along each, the column scaling e^{a m} of the rows made at the
-# base nodes spans tens to hundreds of e-folds (arith about 200).  The arith
+# base nodes spans tens to hundreds of e-folds (arith about 100).  The arith
 # grid starts at 0: below it the nodes are no translate of the base nodes and
 # keep the rows of their own arguments, as CURVES["arith"] checks
 WIDE_CURVES = {
@@ -531,19 +531,24 @@ def test_contours_are_conjugate_symmetric(family, monkeypatch):
         assert np.array_equal(c.upper_weights[order], halved[np.argsort(z[upper])])
 
 
-def _whole_contour(kind, origin, u, w, closed, truncation, geometry):
+def _whole_contour(kind, origin, u, w, truncation, geometry):
     # oracle: both halves of the path as its "upper half", nothing halved
     off_axis = u.imag > 0
     return contours.Contour(kind, origin + np.concatenate([u, np.conj(u[off_axis])]),
-                            np.concatenate([w, -np.conj(w[off_axis])]), closed, truncation,
-                            geometry)
+                            np.concatenate([w, -np.conj(w[off_axis])]), truncation, geometry)
 
 
-def _whole_fill(out, left_rows, right_rows, coupled):
+# arith's zeta side is its residues, no contour: held fixed, at half weight on
+# the axis, while its z line is whole, so the whole fill counts them twice
+LEFT_RESIDUES = {"arith": 2.0}
+
+
+def _whole_fill(out, left_scale, left_rows, right_rows, coupled):
     # oracle: the fill over whole contours, both halves evaluated and the real
     # part taken.  out gets the complex K and S, the sum of the absolute values
     # of its terms, which bounds its rounding error
     (A, top_x), (B, top_y) = left_rows, right_rows
+    A = left_scale * A
     P, Q, _ = coupled
     L, abs_L = (A, abs(A)) if P is None else (A @ P, abs(A) @ abs(P))
     acc, S, norm = L @ (Q @ B.T), abs_L @ (abs(Q) @ abs(B).T), (2j * np.pi) ** 2
@@ -555,7 +560,8 @@ def _whole_fill(out, left_rows, right_rows, coupled):
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_half_fills_match_full_fills(family, monkeypatch):
     # every fill of a one-point query and a curve, against the same fill over
-    # the whole contours: both agree, and the whole fill's imaginary part
+    # the whole contours (for arith its whole z line, its residues held
+    # fixed): both agree, and the whole fill's imaginary part
     # vanishes, to 1e-12 max|K|.  Where an entry's terms cancel, both carry
     # rounding of up to about 1e-15 of the sum S of their absolute values
     # (3.5e-9 max|K| at large x on the two-time Airy grid), so each entry
@@ -571,7 +577,8 @@ def test_half_fills_match_full_fills(family, monkeypatch):
     monkeypatch.setattr(kernels, "contour_fill", recorded)
     _queries(family)
     monkeypatch.setattr(contours, "mirrored", _whole_contour)
-    monkeypatch.setattr(kernels, "contour_fill", partial(_whole_fill, whole))
+    monkeypatch.setattr(kernels, "contour_fill",
+                        partial(_whole_fill, whole, LEFT_RESIDUES.get(family, 1.0)))
     _queries(family)
     assert len(half) == len(whole) > 0
     for K, (full, S) in zip(half, whole):
@@ -584,7 +591,26 @@ def test_half_fills_match_full_fills(family, monkeypatch):
 # contour couplings
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("family", ["airy", "arith"])
+def test_arith_queries_draw_one_z_line_and_no_sketch(monkeypatch):
+    # the zeta side is residues: a one-point query and a CURVES grid, long
+    # enough to sketch an Airy coupling, each draw one z line and sketch none
+    drawn, make_contour = [], kernels.make_contour
+
+    def spy(kind, **geometry):
+        drawn.append(kind)
+        return make_contour(kind, **geometry)
+
+    def refuse(C):
+        raise AssertionError("an arith query compressed a coupling")
+
+    monkeypatch.setattr(kernels, "make_contour", spy)
+    monkeypatch.setattr(kernels, "low_rank", refuse)
+    assert len(CURVES["arith"][1]) >= distributions._LOW_RANK_FROM
+    _queries("arith")
+    assert drawn == ["vertical", "vertical"]
+
+
+@pytest.mark.parametrize("family", ["airy"])
 def test_low_rank_couplings_match_their_dense_sums(family, monkeypatch):
     # a CURVES grid is long enough to compress its couplings, and
     # test_curve_matches_one_point_values checks the values they give
@@ -606,8 +632,10 @@ def test_low_rank_couplings_match_their_dense_sums(family, monkeypatch):
 
 def test_sketched_curve_does_not_depend_on_the_blas_thread_count():
     # the sketch and SVD of low_rank run on one BLAS thread, as the determinants do
+    grid = [[-2.0], [-1.0], [0.0], [1.0], [2.0]]  # long enough to sketch
+    assert len(grid) >= distributions._LOW_RANK_FROM
     script = ("from noncolliding.distributions import CdfQuery, evaluate_curve\n"
-              "print(repr(evaluate_curve(CdfQuery('arith', {'delta': 2.0}), [-2, 0, 2, 3, 4])))")
+              "print(repr(evaluate_curve(CdfQuery('airy', {'times': [0.0]}), %r)))" % grid)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = []
     for threads in ("1", "2"):

@@ -12,11 +12,12 @@ were merged into one evaluator.  ``data/curve_golden.json`` holds what
 ``test_distributions.CURVES``, where one build serves every threshold.
 Kernel and curve values are checked to 1e-14 relative to max(1, |value|).
 
-The arith kernel loses about six digits to cancellation in its Gamma-ratio
-contour sum, so its last digits follow the BLAS summation order, which
-changes with the BLAS thread count (by up to 6e-10 between one and two
-threads).  Both tables were made, and are checked, in a process with BLAS
-on one thread.
+No entry cancels more than a few digits (the arith kernel's zeta side is
+an exact residue sum), and every entry of the three tables is the same, bit
+for bit, with BLAS on one thread and on two.  The tables were made, and are
+checked, in a process with BLAS on one thread all the same: the library
+holds its determinants and sketches there, and its fills' products were not
+measured on more than two threads.
 """
 
 import json

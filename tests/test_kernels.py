@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from noncolliding.contours import gauss_legendre, make_contour
+from noncolliding.contours import gauss_legendre, make_contour, ray_wedge
 from noncolliding.exceptions import DomainError, ParameterError
 from noncolliding.distributions import airy_block
 from noncolliding import kernels
@@ -12,7 +12,7 @@ from noncolliding.kernels import (BoundaryFunction, airy_kernel_ext, heat_op_ful
                                   s_hypo_flat, s_minus)
 from noncolliding.kernels import (Side, _base_rows, _brownian_block, _k_delta_engine, low_rank,
                                   shifted_rows)
-from noncolliding.special import complex_gamma, heat_kernel
+from noncolliding.special import heat_kernel
 
 GAMMA_THIRD = 2.678938534707748
 
@@ -38,10 +38,10 @@ def compose_kernels(left, right, u_lo, u_hi, n=400):
 # ---------------------------------------------------------------------------
 
 def test_shifted_rows_match_rows_at_shifted_arguments():
-    # rows made once at u, their columns scaled by e^{a m}: on a rectangle
-    # whose real parts span [-4.5, 5.5] the scaling at a = +-160 spans 1600
+    # rows made once at u, their columns scaled by e^{a m}: on a wedge whose
+    # real parts span [-4.5, 5.1] the scaling at a = +-160 spans 1500
     # e-folds, so it is finite only with its largest exponent moved to top
-    c = make_contour("rectangle", left=-4.5, right=5.5, half_height=5.0, nodes=256)
+    c = ray_wedge(-4.5, np.pi / 3, lambda w: -(w + 4.5) ** 2 / 4, 30.0)
     side = Side(c.nodes, c.weights, -0.5 * c.nodes ** 2, c.nodes, np.log(c.nodes + 6.0))
     u = np.linspace(0.0, 3.0, 7)
     made = {}
@@ -60,9 +60,9 @@ def test_low_rank_keeps_a_full_rank_matrix_dense():
 
 
 def test_low_rank_factors_a_separated_cauchy_matrix():
-    # a closed contour and a vertical line 0.7 to its right: singular values
-    # fall below 1e-16 of the largest at 34
-    c = make_contour("rectangle", left=-0.8, right=0.8, half_height=0.8, nodes=256)
+    # a vertical segment and a vertical line 2.3 to its right: singular values
+    # fall below 1e-16 of the largest at 15
+    c = make_contour("vertical", offset=-0.8, half_height=0.8, nodes=256)
     z = 1.5 + 1j * np.linspace(-8.0, 8.0, 192)
     C = 1.0 / (z[None, :] - c.nodes[:, None])
     P, Q = low_rank(C)
@@ -382,16 +382,43 @@ def test_k_flat_burke_permutation():
 # arithmetic-spectrum kernel
 # ---------------------------------------------------------------------------
 
-def test_k_delta_real_and_contour_stability():
-    # the imaginary part that a fill over whole contours leaves is checked
-    # in test_symmetry.py, against the fill from the upper halves
+def test_k_delta_real_and_contour_stability(monkeypatch):
+    # the imaginary part that a fill over the whole z line leaves is checked by
+    # test_half_fills_match_full_fills.  Five more residues than the cut keeps
+    # change nothing; a z line with doubled nodes changes the rounding alone
     assert isinstance(k_delta(2.0, 0.0, 1.0), float)
-    zero = np.array([0.0])
-    a = _k_delta_engine(2.0, zero, zero, complex_gamma)(zero, zero)[0, 0]
-    b = _k_delta_engine(2.0, zero, zero, complex_gamma, rec_extension=2.0)(zero, zero)[0, 0]
-    c = _k_delta_engine(2.0, zero, zero, complex_gamma, node_factor=2.0)(zero, zero)[0, 0]
-    assert abs(a - b) < 1e-9
-    assert abs(a - c) < 1e-8
+    xs = np.linspace(-3.0, 8.0, 12)
+    count = kernels._pole_count
+    for delta in (1.5, 2.0, 3.0):
+        a = _k_delta_engine(delta, xs, xs)(xs, xs)
+        c = _k_delta_engine(delta, xs, xs, node_factor=2.0)(xs, xs)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_pole_count", lambda d, xmin: count(d, xmin) + 5)
+            b = _k_delta_engine(delta, xs, xs)(xs, xs)
+        assert np.max(np.abs(a - b)) < 1e-15, delta
+        assert np.max(np.abs(a - c)) < 1e-13, delta
+
+
+def _k_delta_30_digits(mp, delta, x, y):
+    """k_delta to 30 digits: the zeta residues, 30 terms, and the z line Re z = 1 by mpmath."""
+    d2, x, y = mp.mpf(delta) ** 2, mp.mpf(x), mp.mpf(y)
+    c = [(-1) ** k / mp.factorial(k) * mp.exp(-d2 / 2 * k * k - k * x) for k in range(30)]
+
+    def f(t):
+        z = 1 + 1j * t
+        return (mp.exp(d2 / 2 * z * z - y * z) / mp.gamma(z)
+                * mp.fsum(ck / (z + k) for k, ck in enumerate(c)))
+
+    return float(mp.re(mp.quad(f, mp.linspace(-12, 12, 13))) / (2 * mp.pi))
+
+
+@pytest.mark.parametrize("delta,x,y", [(2.0, 0.0, 1.0), (1.5, 0.5, -0.5), (2.0, -2.0, -1.0),
+                                       (2.0, 3.0, 2.0), (3.0, 4.0, 0.0), (3.0, -3.0, 0.0)])
+def test_k_delta_matches_30_digit_values(delta, x, y):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = _k_delta_30_digits(mp, delta, x, y)
+    assert abs(k_delta(delta, x, y) - want) < 1e-14 * max(1.0, abs(want))
 
 
 def test_k_delta_truncated_weierstrass_gamma():

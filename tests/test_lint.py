@@ -4,8 +4,10 @@ Each module of ``src/noncolliding`` but ``__init__.py`` is parsed with
 ``ast``.  A name bound by an import must be read in that module, and a
 private module-level name (``_x``) must be read, imported or reached as an
 attribute somewhere in ``src/noncolliding`` besides its definition.  Every
-key of ``DEFAULTS`` must be read as ``DEFAULTS["key"]`` somewhere in it, and
-every exception class of ``exceptions.py`` must be raised somewhere in it.
+key of ``DEFAULTS`` must be read as ``DEFAULTS["key"]`` somewhere in it,
+every exception class of ``exceptions.py`` must be raised somewhere in it,
+and every contour kind that ``make_contour`` compares ``kind`` with must be
+passed to it as a literal somewhere in it.
 """
 
 import ast
@@ -75,3 +77,18 @@ def test_every_exception_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
     assert [name for name in defined if name not in raised] == []
+
+
+def test_every_contour_kind_is_drawn():
+    make = next(node for node in TREES[SRC / "contours.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "make_contour")
+    kinds = {c.value for node in ast.walk(make) if isinstance(node, ast.Compare)
+             and isinstance(node.left, ast.Name) and node.left.id == "kind"
+             for c in node.comparators if isinstance(c, ast.Constant)}
+    drawn = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "make_contour"):
+                drawn.add(node.args[0].value)
+    assert kinds and [kind for kind in sorted(kinds) if kind not in drawn] == []
