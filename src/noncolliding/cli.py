@@ -2,9 +2,10 @@
 
 Output is CSV on stdout (or ``--output``): ``#``-prefixed metadata
 comment lines (seed, version, resolution), a fixed header row, then data
-rows with floats printed to 12 significant digits.  Exit codes: 0 on
-success, 1 on a numerical failure (a non-finite kernel sample) or a failed
-``compare``, 2 on usage errors.
+rows with floats printed to 12 significant digits (the resolution of arith
+and detratio, which take no Nystrom rule, reads n/a).  Exit codes: 0 on
+success, 1 on a numerical failure (a non-finite kernel sample or an arith
+value beyond rounding) or a failed ``compare``, 2 on usage errors.
 """
 
 import argparse
@@ -110,11 +111,11 @@ def _emit(lines, output):
         sys.stdout.write(text)
 
 
-def _meta(args, seed):
-    return ["# noncolliding %s" % __version__,
-            "# seed: %d" % seed,
-            "# resolution: nodes=%s length=%s"
-            % (args.nodes or DEFAULTS["nystrom_nodes_per_slot"], args.length or "auto")]
+def _meta(args, seed, nodes=None):
+    nodes = nodes or args.nodes or DEFAULTS["nystrom_nodes_per_slot"]
+    length = "n/a" if nodes == "n/a" else args.length or "auto"
+    return ["# noncolliding %s" % __version__, "# seed: %d" % seed,
+            "# resolution: nodes=%s length=%s" % (nodes, length)]
 
 
 def _lookup(table, args):
@@ -140,9 +141,9 @@ def cmd_cdf(args, seed):
         grid_values = grid
     query = CdfQuery(args.family, params, nodes=args.nodes, length=args.length)
     values = evaluate_curve(query, grid_values)
-    lines = _meta(args, seed)
+    nodes = (args.nodes or DEFAULTS["nystrom_nodes_per_slot"]) if family.resolved else "n/a"
+    lines = _meta(args, seed, nodes)
     lines.append("threshold,value,resolution,error_estimate")
-    nodes = args.nodes or DEFAULTS["nystrom_nodes_per_slot"]
     for a, v in zip(grid, values):
         lines.append(",".join([_fmt(a), _fmt(v), str(nodes), _fmt(np.nan)]))
     if args.family == "arith" and args.corollary_n:

@@ -131,18 +131,23 @@ def upper_legendre(half_height, nodes):
 def make_contour(kind, *, nodes, **geometry):
     """Build a contour of the given kind with ``nodes`` nodes in all.
 
-    The one kind is ``vertical``, of geometry offset (real part) and
-    half_height (truncation).  Wedges are placed adaptively by
-    :func:`ray_wedge`.
+    Both kinds are the vertical line through offset, truncated at half_height,
+    ``vertical`` by the Gauss-Legendre rule and ``trapezoid`` by the
+    trapezoidal rule (evenly spaced, a node on the axis; odd ``nodes``).
+    Wedges are placed adaptively by :func:`ray_wedge`.
     """
     nodes = int(nodes)
     if nodes < 8:
         raise ParameterError("contour needs at least 8 nodes, got %d" % nodes)
-    if kind != "vertical":
+    if kind != "vertical" and kind != "trapezoid":
         raise ParameterError("unknown contour kind %r" % (kind,))
     if not geometry["half_height"] > 0:
         raise ParameterError("half_height must be positive, got %r" % (geometry["half_height"],))
-    t, wt = upper_legendre(geometry["half_height"], nodes)
+    if kind == "trapezoid":
+        t = np.linspace(0.0, geometry["half_height"], (nodes + 1) // 2)
+        wt = np.full_like(t, t[1])
+    else:
+        t, wt = upper_legendre(geometry["half_height"], nodes)
     return mirrored(kind, geometry["offset"], 1j * t, 1j * wt, geometry["half_height"],
                     {**geometry, "nodes": nodes})
 

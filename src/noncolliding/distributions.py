@@ -6,11 +6,11 @@ from functools import partial
 import numpy as np
 
 from .defaults import DEFAULTS
-from .exceptions import DomainError, ParameterError
-from .fredholm import (BlockKernel, apply_conjugation, det_nystrom, det_ratio,
+from .exceptions import DomainError, EvaluationError, ParameterError
+from .fredholm import (BlockKernel, _lu_det, apply_conjugation, det_nystrom, det_ratio,
                        single_slot_kernel, slot_nodes)
-from .kernels import (_brownian_block, _drifts, _dyson_edge_engine, _jairy_engine,
-                      _k_delta_engine, _loe_rates, _rate_kernel, BoundaryFunction, heat_op_full,
+from .kernels import (_arith_rank_form, _brownian_block, _drifts, _dyson_edge_engine,
+                      _jairy_engine, _loe_rates, _rate_kernel, BoundaryFunction, heat_op_full,
                       k_flat, kixjy_conjugation, shifted_rows)
 
 __all__ = [
@@ -18,7 +18,7 @@ __all__ = [
     "cdf_piflat", "cdf_loe_max", "cdf_bridge_allmax", "cdf_bridge_runningmax",
     "cdf_arithmetic_limit", "cdf_blpp", "airy_fdd", "cdf_dyson_edge",
     "CdfQuery", "FAMILIES", "evaluate_cdf", "evaluate_curve", "piflat_block", "loe_block",
-    "bridge_block", "runningmax_block", "arith_block", "blpp_block", "airy_block",
+    "bridge_block", "runningmax_block", "blpp_block", "airy_block",
     "dyson_edge_block",
 ]
 
@@ -105,27 +105,10 @@ def _det(K, nodes):
     return det_nystrom(K, nodes, refine=False).value
 
 
-# the fewest thresholds whose build compresses its Airy couplings to low rank
-# (arith's couplings have only its few residue rows, Dyson edge's stay dense
-# and the other families make none).  A sketch costs about as much as the
-# dense products of 8 thresholds, and its factors hold a fraction of the dense
-# coupling's memory for the rest of the curve
+# the fewest thresholds whose build compresses its Airy couplings to low rank (Dyson
+# edge's stay dense).  A sketch costs about as much as the dense products of 8
+# thresholds, and its factors hold a fraction of the dense coupling's memory
 _LOW_RANK_FROM = 4
-
-
-def _curve(block, grid, nodes, engine):
-    """det(I - block(a, fill)) for each threshold a of grid, from one build.
-
-    ``engine(spans, base, made)`` returns at(a), the fill of threshold a.  spans[k][i] holds
-    the Nystrom nodes of slot i at grid[k], read from a kernel block(a, None), and base[i]
-    those at threshold 0, where the build makes every side's rows into the dict ``made``.
-    From ``_LOW_RANK_FROM`` thresholds on, it also compresses each Airy coupling to low rank.
-    Each threshold's kernel lives only as long as its determinant.
-    """
-    at = engine([slot_nodes(block(a, None), nodes) for a in grid],
-                slot_nodes(block(0.0 * np.asarray(grid[0]), None), nodes),
-                {"low_rank": len(grid) >= _LOW_RANK_FROM})
-    return [_det(block(a, at(a)), nodes) for a in grid]
 
 
 def _at(fills, made, shifts, extra=None):
@@ -224,33 +207,27 @@ def cdf_bridge_runningmax(n, s, a, nodes=None, length=None):
     return _det(runningmax_block(n, s, a, length), nodes)
 
 
-def arith_block(delta, a, length=None, fill=None):
-    """Gamma-ratio block on [a, infinity); ``fill`` is a grid's fill at a."""
-    length = 40.0 + max(0.0, -float(a)) if length is None else length
-    fill = fill or (lambda xs, ys: _k_delta_engine(delta, xs, ys)(xs, ys))
-    return single_slot_kernel(fill, float(a), length, "arith")
-
-
-def _arith_curve(delta, grid, nodes=None, length=None):
-    def engine(spans, base, made):
-        span = np.concatenate([nodes[0] for nodes in spans])  # the slot's nodes over the grid
-        fill = _k_delta_engine(delta, span, span, made=made, base=base * 2)
-        # below 0 the default length 40 - a makes the nodes no translate of the base nodes
-        return lambda a: fill if length is None and a < 0 else _at([[fill]], made, [a])[0][0]
-
-    return _curve(lambda a, fill: arith_block(delta, a, length, fill), grid, nodes, engine)
-
-
 def cdf_arithmetic_limit(delta, a, nodes=None, length=None):
     """Limit law of the rescaled top eigenvalue over an arithmetic spectrum.
 
-    det(I - K_delta) on L^2[a, infinity).  Monotonicity and [0,1] range are
-    checked numerically as diagnostics, not asserted as proved properties.
-    For delta = 2 this is the limit of
-    P(gamma_1 <= n - 1 + (a + log(n-1))/2) for the log-eigenvalue of
-    Brownian motion on positive-definite matrices.
+    det(I - K_delta) on L^2[a, infinity) = det(I - G), G of K_delta's rank K + 1
+    (:func:`kernels._arith_rank_form`); ``nodes`` and ``length`` do not apply.  Its rounding
+    floor, G's through the adjugate of I - G, grows in the left tail: above 1e-8 it raises
+    :class:`EvaluationError`, else the value is returned clipped to [0, 1].  For delta = 2 this
+    is the limit of P(gamma_1 <= n - 1 + (a + log(n-1))/2) for the log-eigenvalue of Brownian
+    motion on positive-definite matrices.
     """
-    return _det(arith_block(delta, a, length), nodes)
+    G, F = _arith_rank_form(delta, float(a))
+    with np.errstate(all="ignore"):  # an unresolved left tail may overflow: it raises below
+        value = _lu_det(G)
+        try:
+            floor = F @ np.abs(value * np.linalg.inv(np.eye(len(G)) - G)).sum(axis=1)
+        except np.linalg.LinAlgError:  # singular: the adjugate is no multiple of the inverse
+            floor = np.inf
+    if not (floor <= 1e-8 and -floor <= value <= 1.0 + floor):
+        raise EvaluationError("arith value %.6g at delta=%r, a=%r has rounding floor %.3g, above "
+                              "1e-8" % (value, delta, a, floor), point=(delta, a))
+    return min(1.0, max(0.0, value))
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +295,19 @@ def airy_block(times, xi, lengths=None, fills=None):
 
 
 def _airy_curve(times, grid, nodes=None, lengths=None):
+    """The determinants of :func:`airy_block` over grid, from one build sized for the Nystrom
+    nodes of every threshold, with each side's rows made at those of threshold 0; each
+    threshold's kernel lives only as long as its determinant."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     grid = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in grid]
-
-    def engine(spans, base, made):
-        # the blocks fill at x + xi_i, so the span of slot i moves with each threshold
-        span = [np.concatenate([nodes[i] + xi[i] for nodes, xi in zip(spans, grid)])
-                for i in range(len(times))]
-        fills = [[_jairy_engine(ti, tj, span[i], span[j], made=made, base=(base[i], base[j]))
-                  for j, tj in enumerate(times)] for i, ti in enumerate(times)]
-        return lambda xi: _at(fills, made, xi)
-
-    return _curve(lambda xi, fills: airy_block(times, xi, lengths, fills), grid, nodes, engine)
+    spans = [slot_nodes(airy_block(times, xi, lengths), nodes) for xi in grid]
+    base = slot_nodes(airy_block(times, 0.0 * grid[0], lengths), nodes)
+    made = {"low_rank": len(grid) >= _LOW_RANK_FROM}
+    span = [np.concatenate([s[i] + xi[i] for s, xi in zip(spans, grid)])
+            for i in range(len(times))]
+    fills = [[_jairy_engine(ti, tj, span[i], span[j], made=made, base=(base[i], base[j]))
+              for j, tj in enumerate(times)] for i, ti in enumerate(times)]
+    return [_det(airy_block(times, xi, lengths, _at(fills, made, xi)), nodes) for xi in grid]
 
 
 def airy_fdd(times, xi, nodes=None, lengths=None):
@@ -441,16 +419,17 @@ class Family:
     ``options`` are the parameters besides the threshold and ``threshold`` the parameter that
     receives it (``thresholds`` takes one value per time).  ``cdf(*options, threshold, nodes,
     length)`` is the family's public one-point function: ``nodes`` and ``length``, the Nystrom
-    nodes and truncation length of every slot, are its defaults when None.  ``curve``, with
-    the same arguments but a grid of thresholds in place of one, builds contours, sides,
-    couplings and rows once for the whole grid; only the arith, Airy and Dyson-edge families,
-    whose kernels are contour integrals, have one.
+    nodes and truncation length of every slot, are its defaults when None.  ``resolved`` is
+    False for arith and detratio, which take no Nystrom rule.  ``curve``, with the same
+    arguments but a grid of thresholds in place of one, builds contours, sides, couplings and
+    rows once for the whole grid; only the Airy and Dyson-edge families have one.
     """
 
     options: tuple
     threshold: str
     cdf: callable
     curve: callable = None
+    resolved: bool = True
 
 
 FAMILIES = {
@@ -458,13 +437,13 @@ FAMILIES = {
     "loe": Family(("n",), "a", cdf_loe_max),
     "bridge-allmax": Family(("nu",), "r", cdf_bridge_allmax),
     "bridge-runmax": Family(("n", "s"), "a", cdf_bridge_runningmax),
-    "arith": Family(("delta",), "a", cdf_arithmetic_limit, _arith_curve),
+    "arith": Family(("delta",), "a", cdf_arithmetic_limit, resolved=False),
     "blpp-nw": Family(("mu", "times"), "thresholds",
                       partial(cdf_blpp, BoundaryFunction.narrow_wedge())),
     "blpp-flat": Family(("mu", "times"), "thresholds", partial(cdf_blpp, BoundaryFunction.flat())),
     "airy": Family(("times",), "thresholds", airy_fdd, _airy_curve),
     "dyson-edge": Family(("nu", "times"), "thresholds", cdf_dyson_edge, _dyson_edge_curve),
-    "detratio": Family(("beta",), "a", _cdf_detratio),
+    "detratio": Family(("beta",), "a", _cdf_detratio, resolved=False),
 }
 
 
@@ -495,9 +474,9 @@ def evaluate_curve(query, grid):
     ``query.params`` gives the family's options; a threshold among them is not used.  ``grid``
     lists the thresholds, one vector per point for the families that take one threshold per
     time.  The determinants run one after another in the calling thread.  A grid of two or
-    more thresholds of a family with a ``curve`` comes from one build: an arith, Airy or
-    Dyson-edge value can then differ from :func:`evaluate_cdf`'s by the quadrature error of
-    contours sized for the whole grid, by the rounding of the rows' scaling and by that of the
+    more thresholds of a family with a ``curve`` comes from one build: an Airy or Dyson-edge
+    value can then differ from :func:`evaluate_cdf`'s by the quadrature error of contours
+    sized for the whole grid, by the rounding of the rows' scaling and by that of the
     low-rank couplings.  Every other value is the family's ``cdf`` at its threshold.
     """
     family, grid = _family(query), list(grid)

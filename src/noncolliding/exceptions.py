@@ -29,7 +29,7 @@ class PoleError(DomainError):
 
 
 class EvaluationError(RuntimeError):
-    """A kernel produced a non-finite sample; ``point`` names the offender."""
+    """A non-finite kernel sample or an arith value beyond rounding; ``point`` names it."""
 
     def __init__(self, message, point=None):
         super().__init__(message)

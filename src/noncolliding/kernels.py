@@ -10,9 +10,9 @@ flat z integrands are Gaussians times polynomials, with a pole at each mirrored 
 flat, so N_p(y) of their sum_p M_p(x) N_p(y) is in Hermite and Mills-ratio terms
 (:func:`_z_side`), as s_bar is in Hermite terms.  The arith zeta contour encloses nothing
 but the poles 0, -1, -2, ... of Gamma(zeta), so its zeta side is their residues, a few
-terms, exact; only its z side is a quadrature.
+terms, exact: the kernel has rank K + 1, and only its z side is a quadrature.
 
-The arith, Airy and Dyson-edge kernels are double integrals, on whose nodes K(x, y) =
+The Airy and Dyson-edge kernels are double integrals, on whose nodes K(x, y) =
 L(x) C R(y)^T with C = 1/(z - w), dense or, for Airy, as P Q by :func:`low_rank`.  Each
 family declares its two :class:`Side` objects, every row stabilized by subtracting its
 largest exponent, and :func:`contour_fill` forms every product.  Their parameters are
@@ -121,12 +121,10 @@ def _log_poly(z, roots):
 class Side:
     """One side of a separable kernel: u -> weights * e^{phi + u m + log_factor}.
 
-    The nodes and weights are those of a contour's upper half, or residues
-    on the axis at half weight.  Per node (or scalar): ``phi`` is the
-    argument-free polynomial exponent, ``m`` the multiplier of the argument
-    u and ``log_factor`` the log of the pole, zero, Gamma or residue factor,
-    added after u m.  Sides compare by identity, so a build can key its
-    couplings and base rows on them.
+    The nodes and weights are those of a contour's upper half.  Per node (or scalar):
+    ``phi`` is the argument-free polynomial exponent, ``m`` the multiplier of the argument u
+    and ``log_factor`` the log of the pole or zero factor, added after u m.  Sides compare
+    by identity, so a build can key its couplings and base rows on them.
     """
 
     nodes: np.ndarray
@@ -589,62 +587,88 @@ def k_flat(mu, t1, x, t2, y):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic-spectrum kernel (Gamma-ratio double contour)
+# arithmetic-spectrum kernel (Gamma-ratio double contour) at rank K + 1
 # ---------------------------------------------------------------------------
-
-def _log_factorial(k):
-    return np.array([lgamma(j + 1.0) for j in k])
-
 
 def _pole_count(delta, xmin):
     """K + 1 for the poles 0, -1, ..., -K of Gamma whose residue terms e^{-(D^2/2) k^2 - k x}/k!
     come within e^{-(DROP + 10)} of the largest at x = xmin, and so at every x >= xmin."""
+    if not delta > 0:
+        raise DomainError("need delta > 0")
     drop = _DROP + 10.0
     k = np.arange(int((max(0.0, -xmin) + 1.0) / delta ** 2 + np.sqrt(2.0 * drop) / delta) + 3)
-    size = -0.5 * delta ** 2 * k ** 2 - k * xmin - _log_factorial(k)
+    size = -0.5 * delta ** 2 * k ** 2 - k * xmin - np.array([lgamma(j + 1.0) for j in k])
     return int(np.flatnonzero(size >= size.max() - drop)[-1]) + 1
 
 
-def _k_delta_engine(delta, xs, ys, gamma_func=None, node_factor=1.0, made=None, base=None):
-    """Gamma-ratio kernel fill(xs, ys): the zeta residues that the span xs needs, the z line
-    sized for the span ys."""
-    if not delta > 0:
-        raise DomainError("need delta > 0")
-    gamma_func = complex_gamma if gamma_func is None else gamma_func
-    xs, ys = _args(xs, ys)
-    d2 = delta * delta
-    # vertical line through Re z = 1: Gaussian decay + 1/|Gamma| growth e^{pi|s|/2}
-    T = (np.pi / 2 + np.sqrt(np.pi ** 2 / 4 + 2.0 * d2 * (_DROP + 10.0))) / d2
-    slope = max(abs(d2 - ys.min()), abs(d2 - ys.max())) + 4.0
-    n_z = int(min(16384, max(256, 64 + 1.4 * slope * T) * node_factor))
-    cz = make_contour("vertical", offset=1.0, half_height=T, nodes=n_z)
+def _residues(delta, xs, count):
+    """u_k(x) = (-1)^k e^{-(D^2/2) k^2 - kx}/k!, k < count, one row per x, by their ratios: the
+    exp of the whole exponent would carry the rounding of kx or log k!."""
+    k = np.arange(1, count)
+    ratios = -np.exp(np.subtract.outer(-np.asarray(xs), 0.5 * delta ** 2 * (2 * k - 1))) / k
+    return np.cumprod(np.insert(ratios, 0, 1.0, axis=-1), axis=-1)
 
-    # the z side is e^{(D^2/2) z^2 - y z} / Gamma(z); the zeta side, the same form inverted,
-    # is its residues (-1)^k/k! at the poles -k of Gamma(zeta): nodes on the axis, each at half
-    # its weight 2 pi i (-1)^k
-    k = np.arange(_pole_count(delta, xs.min()))
-    w, z = -k.astype(complex), cz.upper_nodes
-    left = Side(w, 1j * np.pi * (-1.0) ** k, -0.5 * d2 * w ** 2, w, -_log_factorial(k))
-    right = Side(z, cz.upper_weights, 0.5 * d2 * z ** 2, -z, -np.log(gamma_func(z)))
-    coupled = couplings(w, z)
-    _base_rows(made, base, [left], [right])
-    return lambda xs, ys, rx=Side.rows, ry=Side.rows: contour_fill(rx(left, xs), ry(right, ys),
-                                                                   coupled)
+
+_OFFSETS = 0.5 * 1.08 ** np.arange(60)  # the real parts the arith z line may take
+_LOG_GAMMA = np.array([lgamma(c) for c in _OFFSETS])
+
+
+def _z_line(delta, y, gamma_func=None):
+    """(z, f): the upper half z of the arith z line for argument y, f its weights times
+    e^{(D^2/2) z^2 - yz}/Gamma(z).
+
+    Its offset c keeps the integrand least, so its sum cancels least: on the axis, the real
+    saddle D^2 c - psi(c) = y where one exists; off it, at t = pi/(2 D^2), where the Gaussian
+    and |1/Gamma(c + it)| <= e^{pi |t|/2} |1/Gamma(c)| peak together.  The trapezoidal rule is
+    cut where the Gaussian has outrun that bound by e^{DROP + 10}; its step keeps the aliasing
+    of the oscillation and of the pole at z = 0 (of G's corner entry) below e^{-(DROP + 10)}.
+    """
+    d2, drop, t = delta * delta, _DROP + 10.0, np.pi / (2.0 * delta * delta)
+    off_axis = -0.5 * d2 * t * t - np.log(np.abs(complex_gamma(_OFFSETS + 1j * t)))
+    c = _OFFSETS[np.argmin(0.5 * d2 * _OFFSETS ** 2 - y * _OFFSETS
+                           + np.maximum(-_LOG_GAMMA, off_axis))]
+    half_height = (np.pi / 2 + np.sqrt(np.pi ** 2 / 4 + 2.0 * d2 * drop)) / d2
+    rate = abs(d2 * c - y) + np.log(c + half_height) + 1.0 / c
+    step = 2.0 * np.pi * min(c / drop, 1.0 / (rate + np.sqrt(2.0 * d2 * drop)))
+    cz = make_contour("trapezoid", offset=c, half_height=half_height,
+                      nodes=min(16385, 2 * int(np.ceil(half_height / step)) + 1))
+    z = cz.upper_nodes
+    gamma = (complex_gamma if gamma_func is None else gamma_func)(z)
+    return z, cz.upper_weights * np.exp(0.5 * d2 * z * z - y * z - np.log(gamma))
+
+
+def _arith_rank_form(delta, a):
+    """(G, F): det(I - K_delta) on L^2(a, infinity) = det(I - G), F the rounding of G's columns.
+
+    G_kl = int_a^inf v_k u_l dx (:func:`k_delta`) = u_l(a) (1/2 pi i) int e^{(D^2/2) z^2 - az}/
+    (Gamma(z)(z + k)(z + l)) dz on the z line of a: Im(E A^T)/pi over its upper half, as its
+    mirror adds -conj of each term.  F_l is eps times column l's terms in absolute value, each
+    at most |E_0| |A_l| as |z + k| >= |z|: one more row.
+    """
+    count = _pole_count(delta, a)
+    z, f = _z_line(delta, a)
+    A = 1.0 / np.add.outer(np.arange(count), z)
+    E, s = A * f, _residues(delta, a, count)
+    F = np.finfo(float).eps / np.pi * (np.abs(E[0]) @ np.abs(A).T) * np.abs(s)
+    return (E @ A.T).imag / np.pi * s, F
 
 
 def k_delta(delta, x, y, gamma_func=None):
     """Gamma-ratio kernel of the arithmetic-spectrum edge law.
 
-    Double contour integral of e^{(D^2/2)(z^2 - zeta^2) - yz + x zeta}
-    * Gamma(zeta)/Gamma(z) / (z - zeta), z on the vertical line Re z = 1 and
-    zeta on a contour left of it around the poles 0, -1, -2, ... of
-    Gamma(zeta).  The zeta integral is thus the residue sum
-    sum_k (-1)^k/k! e^{-(D^2/2) k^2 - kx}/(z + k), taken exactly and cut
-    where its terms fall below e^{-(DROP + 10)} of the largest.
-    ``gamma_func`` may replace the Gamma evaluator on the z line (e.g. by a
-    truncated product) for validation.
+    Double contour integral of e^{(D^2/2)(z^2 - zeta^2) - yz + x zeta} Gamma(zeta)/Gamma(z) /
+    (z - zeta), zeta around the poles 0, -1, -2, ... of Gamma: sum_k u_k(x) v_k(y) over the
+    residues u_k (:func:`_residues`, cut by :func:`_pole_count`), v_k(y) = (1/2 pi i) int
+    e^{(D^2/2) z^2 - yz}/(Gamma(z)(z + k)) dz on the z line of y, an entire integrand.
+    ``gamma_func`` may replace its Gamma evaluator (e.g. by a truncated product) for validation.
     """
-    return _pointwise(partial(_k_delta_engine, delta, gamma_func=gamma_func), x, y)
+    def fill(xs, ys):
+        k = np.arange(_pole_count(delta, xs.min()))
+        lines = [_z_line(delta, y, gamma_func) for y in ys]
+        V = np.array([((1.0 / np.add.outer(k, z)) @ f).imag for z, f in lines]).T / np.pi
+        return _residues(delta, xs, len(k)) @ V
+
+    return _pointwise(lambda xs, ys: fill, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,6 @@ SHARED_BUILD_CURVES = [
     ("piflat", "--beta", "0.5,1.5", "--a", "0.2:2.2:0.4"),
     ("airy", "--times", "0", "--a", "-3:1:0.5"),
     ("airy", "--times", "0,0.5", "--a", "-2:0:0.5"),
-    ("arith", "--delta", "2", "--a", "-1.5:1.5:0.5"),
     ("blpp-flat", "--mu", "-0.5,-1", "--times", "1,2", "--a", "1.5:3:0.5"),
     ("dyson-edge", "--nu", "-1,-0.7,-0.5,-0.2,0", "--times", "0,0.3", "--a", "-2:1:0.5"),
 ]
@@ -215,6 +214,26 @@ def test_repeated_calls_in_one_process_print_the_same(capsys):
         code, coarse, _ = run_cli(capsys, *args, "--nodes", "32")
         assert code == 0 and "nodes=32" in coarse and ",32," in coarse
         assert run_cli(capsys, *args) == first, args
+
+
+@pytest.mark.parametrize("family,options", [("arith", ("--delta", "2")),
+                                            ("detratio", ("--beta", "1,2"))])
+def test_families_without_a_nystrom_rule_print_no_resolution(capsys, family, options):
+    # arith is a (K + 1) x (K + 1) determinant and detratio a closed form:
+    # --nodes and --length do not apply, and the resolution reads n/a
+    args = ("cdf", "--family", family, *options, "--a", "0.5:1.5:0.5")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and "# resolution: nodes=n/a length=n/a" in out
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith(("#", "threshold"))]
+    assert len(rows) == 3 and all(r[2] == "n/a" for r in rows)
+    assert run_cli(capsys, *args, "--nodes", "32", "--length", "5") == (code, out, err)
+
+
+def test_unresolvable_arith_value_exits_1(capsys):
+    # far in the left tail the residue terms cancel beyond what rounding resolves
+    code, out, err = run_cli(capsys, "cdf", "--family", "arith", "--delta", "1", "--a", "-12")
+    assert code == 1 and out == ""
+    assert "numerical error" in err and "rounding floor" in err
 
 
 @pytest.mark.parametrize("grid", ["1:0:1", "1:2", "0:1:0"])

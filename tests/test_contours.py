@@ -33,6 +33,15 @@ def test_vertical_gaussian_integral():
     assert abs(got2 - got) < 1e-12
 
 
+def test_trapezoid_line_gaussian_integral():
+    # the trapezoidal rule on Re z = 1, evenly spaced with one node on the axis,
+    # converges geometrically on this entire integrand: oint e^{z^2/2} dz = i sqrt(2 pi)
+    v = make_contour("trapezoid", offset=1.0, half_height=10.0, nodes=81)
+    assert np.allclose(np.diff(v.nodes.imag), 0.25) and np.count_nonzero(v.nodes.imag == 0) == 1
+    assert np.allclose(v.weights, 0.25j)
+    assert abs(v.integrate(lambda z: np.exp(z ** 2 / 2.0)) - 1j * np.sqrt(2 * np.pi)) < 1e-14
+
+
 def test_vertical_orientation_upward():
     v = make_contour("vertical", offset=0.5, half_height=3.0, nodes=64)
     assert v.nodes[0].imag < 0 < v.nodes[-1].imag

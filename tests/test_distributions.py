@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncolliding import contours, distributions, kernels
+from noncolliding import contours, distributions, fredholm, kernels
 from noncolliding.contours import composite_legendre, gauss_legendre
 from noncolliding.distributions import (FAMILIES, CdfQuery, airy_fdd, cdf_arithmetic_limit,
                                         cdf_blpp, cdf_bridge_allmax,
@@ -17,7 +17,7 @@ from noncolliding.distributions import (FAMILIES, CdfQuery, airy_fdd, cdf_arithm
                                         cdf_loe_max, cdf_piflat, dyson_edge_block, edge_scaling,
                                         evaluate_cdf, evaluate_curve, f_class_bounds,
                                         f_class_contains)
-from noncolliding.exceptions import DomainError, ParameterError
+from noncolliding.exceptions import DomainError, EvaluationError, ParameterError
 from noncolliding.fredholm import det_ratio
 from noncolliding.kernels import BoundaryFunction, s_bar
 from noncolliding.special import heat_kernel
@@ -298,6 +298,34 @@ def test_dyson_edge_against_airy_and_shift_invariance():
         cdf_dyson_edge(np.zeros(8), [5.0], [0.0])  # tau beyond n^(1/3)/(2 d^2)
 
 
+def _gue_lambda_max_cdf(n, s, t):
+    """P(lambda_max <= s) of the n x n GUE of variance t: det(I_n - G), G_jk = int_s^inf psi_j
+    psi_k, psi_j the Hermite functions of weight e^{-x^2/(2t)} by their three-term recurrence,
+    on 40 20-point Gauss-Legendre panels over [s, s + 12 sqrt(t) + 1]."""
+    x, w = composite_legendre(np.linspace(s, s + 12.0 * np.sqrt(t) + 1.0, 41), 20)
+    u = x / np.sqrt(t)
+    psi = [np.exp(-0.25 * u * u) / (2.0 * np.pi) ** 0.25]
+    for j in range(n - 1):
+        psi.append((u * psi[-1] - (np.sqrt(j) * psi[-2] if j else 0.0)) / np.sqrt(j + 1.0))
+    psi = np.array(psi) / t ** 0.25
+    return np.linalg.det(np.eye(n) - (psi * w) @ psi.T)
+
+
+@pytest.mark.parametrize("n,xi", [
+    pytest.param(n, xi, marks=pytest.mark.xfail(strict=True, reason=(
+        "the contour kernel reads 1.15e-11 off the exact value 1/2")) if (n, xi) == (1, -2.0)
+        else ())
+    for n in (1, 2, 8, 50) for xi in (-2.0, 0.0, 1.0)])
+def test_dyson_edge_matches_the_finite_gue_law(n, xi):
+    # at nu = 0 and tau = 0 the family is the law of lambda_max of the GUE of
+    # variance t = 1/n at s = a + d xi n^(-2/3); at n = 1, xi = -2 it is 1/2
+    es = edge_scaling(np.zeros(n))
+    want = _gue_lambda_max_cdf(n, es.a + es.d * xi * n ** (-2.0 / 3.0), 1.0 / n)
+    if (n, xi) == (1, -2.0):
+        assert abs(want - 0.5) < 1e-14
+    assert abs(cdf_dyson_edge(np.zeros(n), [0.0], [xi]) - want) < 1e-12
+
+
 def test_dyson_edge_block_reused_at_new_points():
     # the kernel caches its sides' rows per argument array; new points must not reuse them
     nu, taus, xis = np.linspace(-1.0, 0.0, 12), [0.0, 0.3], [0.2, -0.1]
@@ -316,6 +344,38 @@ def test_arith_limit_tail_and_monotonicity():
     vals = [cdf_arithmetic_limit(2.0, a) for a in grid]
     assert np.all(np.diff(vals) > -1e-9)
     assert np.all(np.asarray(vals) > -1e-6) and np.all(np.asarray(vals) < 1 + 1e-6)
+
+
+@pytest.mark.parametrize("delta,a", [(1.0, -12.0), (0.7, -12.0), (0.5, -8.0), (0.3, -5.0),
+                                     (0.3, -8.0), (0.3, -12.0)])
+def test_arith_left_tail_beyond_rounding_raises(delta, a):
+    # the residue terms alternate in sign and grow like max_k e^{-D^2 k^2/2 - ka}/k!,
+    # e^55 at (1, -12): the values here cancel beyond rounding, and a 64-node
+    # Nystrom determinant of the same kernel reads -1.0e26, 1.0e215, 1.9e75,
+    # -3.9e16, -inf and -inf
+    with pytest.raises(EvaluationError, match="rounding floor"):
+        cdf_arithmetic_limit(delta, a)
+
+
+@pytest.mark.parametrize("delta,a", [
+    pytest.param(delta, a, marks=pytest.mark.xfail(strict=True, reason=(
+        "the z line cancels at small delta: the value is 7.6e-12 off, inside its rounding "
+        "floor of 1.4e-10 but not 1e-12")) if (delta, a) == (0.3, -1.5) else ())
+    for delta in (0.3, 0.5, 1.0, 2.0, 3.0)
+    for a in (6.0, 4.0, 2.0, 1.0, 0.0, -0.5, -1.0, -1.5, -2.0, -2.5, -3.0, -4.0, -5.0, -6.0,
+              -8.0, -10.0, -12.0)])
+def test_arith_values_match_the_oracle_or_raise(delta, a):
+    # from the right tail into the left: every value lies in [0, 1] within
+    # 1e-12 of 16-digit mpmath values (tests/arith_oracle.py), or the query raises
+    pytest.importorskip("mpmath")
+    import arith_oracle
+
+    try:
+        value = cdf_arithmetic_limit(delta, a)
+    except EvaluationError:
+        return
+    assert 0.0 <= value <= 1.0
+    assert abs(value - float(arith_oracle.cdf(delta, a, digits=16))) <= 1e-12
 
 
 @pytest.mark.parametrize("family,fn,grid", [
@@ -387,8 +447,10 @@ def test_each_family_names_its_public_function():
         bound = FAMILIES[family].cdf
         assert isinstance(bound, partial) and bound.func is cdf_blpp, family
         assert [b.kind for b in bound.args] == [kind] and not bound.keywords, family
-    # only the contour-integral kernels share a build over a grid
-    assert sorted(f for f in FAMILIES if FAMILIES[f].curve) == ["airy", "arith", "dyson-edge"]
+    # only the double-contour kernels filled at Nystrom nodes share a build over a grid
+    assert sorted(f for f in FAMILIES if FAMILIES[f].curve) == ["airy", "dyson-edge"]
+    # arith is a (K + 1) x (K + 1) determinant and detratio a closed form: no Nystrom rule
+    assert sorted(f for f in FAMILIES if not FAMILIES[f].resolved) == ["arith", "detratio"]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -441,16 +503,15 @@ CURVES = {
 }
 # a curve sizes its contours for the whole grid, so its values differ from
 # one-point values by the kernel-quadrature error of the two contour choices.
-# The pole families' closed-form kernels fill each threshold on their own, and
-# families whose kernel changes with the threshold build per point: both match
-# exactly
-CURVE_TOL = {"detratio": 0.0, **dict.fromkeys(POLE_FAMILIES, 0.0)}
+# The pole families' closed-form kernels fill each threshold on their own,
+# arith's determinant draws its own z line at each threshold, and detratio is a
+# closed form: they match exactly
+CURVE_TOL = {"detratio": 0.0, "arith": 0.0, **dict.fromkeys(POLE_FAMILIES, 0.0)}
 
 
 # wide grids: along each, the column scaling e^{a m} of the rows made at the
-# base nodes spans tens to hundreds of e-folds (arith about 100).  The arith
-# grid starts at 0: below it the nodes are no translate of the base nodes and
-# keep the rows of their own arguments, as CURVES["arith"] checks
+# base nodes spans tens to hundreds of e-folds.  Arith's values are its
+# one-point values on any grid; its wide grid stays as a check of that
 WIDE_CURVES = {
     "airy": ({"times": [0.0]}, [[a] for a in np.linspace(-8.0, 6.0, 8)]),
     "piflat": ({"beta": [0.8, 1.4]}, list(np.linspace(0.0, 30.0, 7))),
@@ -538,17 +599,11 @@ def _whole_contour(kind, origin, u, w, truncation, geometry):
                             np.concatenate([w, -np.conj(w[off_axis])]), truncation, geometry)
 
 
-# arith's zeta side is its residues, no contour: held fixed, at half weight on
-# the axis, while its z line is whole, so the whole fill counts them twice
-LEFT_RESIDUES = {"arith": 2.0}
-
-
-def _whole_fill(out, left_scale, left_rows, right_rows, coupled):
+def _whole_fill(out, left_rows, right_rows, coupled):
     # oracle: the fill over whole contours, both halves evaluated and the real
     # part taken.  out gets the complex K and S, the sum of the absolute values
     # of its terms, which bounds its rounding error
     (A, top_x), (B, top_y) = left_rows, right_rows
-    A = left_scale * A
     P, Q, _ = coupled
     L, abs_L = (A, abs(A)) if P is None else (A @ P, abs(A) @ abs(P))
     acc, S, norm = L @ (Q @ B.T), abs_L @ (abs(Q) @ abs(B).T), (2j * np.pi) ** 2
@@ -557,17 +612,38 @@ def _whole_fill(out, left_scale, left_rows, right_rows, coupled):
     return out[-1][0].real
 
 
+def _arith_half_lines_match_whole_lines(monkeypatch):
+    # arith's z line enters through Im(S)/pi, S its sums over the upper half of
+    # the line.  Over the whole line, both halves taken as its upper half, the
+    # imaginary parts double: the kernel on the CURVES grid and G at each of its
+    # thresholds double, to 1e-13 of their largest entries
+    params, grid = CURVES["arith"]
+
+    def fills():
+        xs = np.array(grid)
+        return ([kernels.k_delta(params["delta"], xs, xs)]
+                + [kernels._arith_rank_form(params["delta"], a)[0] for a in grid])
+
+    half = fills()
+    monkeypatch.setattr(contours, "mirrored", _whole_contour)
+    whole = fills()
+    for K, K_whole in zip(half, whole):
+        assert np.max(np.abs(K_whole - 2.0 * K)) <= 1e-13 * np.max(np.abs(K))
+
+
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_half_fills_match_full_fills(family, monkeypatch):
     # every fill of a one-point query and a curve, against the same fill over
-    # the whole contours (for arith its whole z line, its residues held
-    # fixed): both agree, and the whole fill's imaginary part
+    # the whole contours: both agree, and the whole fill's imaginary part
     # vanishes, to 1e-12 max|K|.  Where an entry's terms cancel, both carry
     # rounding of up to about 1e-15 of the sum S of their absolute values
     # (3.5e-9 max|K| at large x on the two-time Airy grid), so each entry
-    # may also differ by 1e-13 S.  A pole family fills from no contour
+    # may also differ by 1e-13 S.  A pole family fills from no contour, and
+    # arith sums its z line alone
     if family in POLE_FAMILIES:
         return _queries_draw_no_contour(family, monkeypatch)
+    if family == "arith":
+        return _arith_half_lines_match_whole_lines(monkeypatch)
     half, whole, contour_fill = [], [], kernels.contour_fill
 
     def recorded(*args):
@@ -577,8 +653,7 @@ def test_half_fills_match_full_fills(family, monkeypatch):
     monkeypatch.setattr(kernels, "contour_fill", recorded)
     _queries(family)
     monkeypatch.setattr(contours, "mirrored", _whole_contour)
-    monkeypatch.setattr(kernels, "contour_fill",
-                        partial(_whole_fill, whole, LEFT_RESIDUES.get(family, 1.0)))
+    monkeypatch.setattr(kernels, "contour_fill", partial(_whole_fill, whole))
     _queries(family)
     assert len(half) == len(whole) > 0
     for K, (full, S) in zip(half, whole):
@@ -591,23 +666,24 @@ def test_half_fills_match_full_fills(family, monkeypatch):
 # contour couplings
 # ---------------------------------------------------------------------------
 
-def test_arith_queries_draw_one_z_line_and_no_sketch(monkeypatch):
-    # the zeta side is residues: a one-point query and a CURVES grid, long
-    # enough to sketch an Airy coupling, each draw one z line and sketch none
+def test_arith_queries_take_no_nystrom_rule(monkeypatch):
+    # arith is a (K + 1) x (K + 1) determinant: a one-point query and a
+    # CURVES grid call no det_nystrom and draw one trapezoidal z line per
+    # threshold
     drawn, make_contour = [], kernels.make_contour
 
     def spy(kind, **geometry):
         drawn.append(kind)
         return make_contour(kind, **geometry)
 
-    def refuse(C):
-        raise AssertionError("an arith query compressed a coupling")
+    def refuse(*args, **kwargs):
+        raise AssertionError("an arith query took a Nystrom rule")
 
     monkeypatch.setattr(kernels, "make_contour", spy)
-    monkeypatch.setattr(kernels, "low_rank", refuse)
-    assert len(CURVES["arith"][1]) >= distributions._LOW_RANK_FROM
+    monkeypatch.setattr(distributions, "det_nystrom", refuse)
+    monkeypatch.setattr(fredholm, "det_nystrom", refuse)
     _queries("arith")
-    assert drawn == ["vertical", "vertical"]
+    assert drawn == ["trapezoid"] * (1 + len(CURVES["arith"][1]))
 
 
 @pytest.mark.parametrize("family", ["airy"])
@@ -706,8 +782,8 @@ def test_blpp_queries_make_no_dense_or_sketched_coupling(family, params, thresho
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_one_point_queries_keep_dense_couplings(family, monkeypatch):
-    # a one-point query never sketches: the Airy, arith and Dyson-edge
-    # couplings stay dense and the narrow-wedge and flat ones have rank m
+    # a one-point query never sketches: the Airy and Dyson-edge couplings stay
+    # dense, the narrow-wedge and flat ones have rank m and arith makes none
     def refuse(C):
         raise AssertionError("a one-point query compressed a coupling")
 

@@ -10,8 +10,7 @@ from noncolliding import kernels
 from noncolliding.kernels import (BoundaryFunction, airy_kernel_ext, heat_op_full, heat_op_half,
                                   j_airy, k_bridge, k_delta, k_flat, k_loe, k_nw, k_piflat, s_bar,
                                   s_hypo_flat, s_minus)
-from noncolliding.kernels import (Side, _base_rows, _brownian_block, _k_delta_engine, low_rank,
-                                  shifted_rows)
+from noncolliding.kernels import Side, _base_rows, _brownian_block, low_rank, shifted_rows
 from noncolliding.special import heat_kernel
 
 GAMMA_THIRD = 2.678938534707748
@@ -383,41 +382,37 @@ def test_k_flat_burke_permutation():
 # ---------------------------------------------------------------------------
 
 def test_k_delta_real_and_contour_stability(monkeypatch):
-    # the imaginary part that a fill over the whole z line leaves is checked by
-    # test_half_fills_match_full_fills.  Five more residues than the cut keeps
-    # change nothing; a z line with doubled nodes changes the rounding alone
+    # Five more residues than the cut keeps change nothing; a z line at half
+    # the step changes the rounding alone
     assert isinstance(k_delta(2.0, 0.0, 1.0), float)
     xs = np.linspace(-3.0, 8.0, 12)
-    count = kernels._pole_count
+    count, make_contour = kernels._pole_count, kernels.make_contour
     for delta in (1.5, 2.0, 3.0):
-        a = _k_delta_engine(delta, xs, xs)(xs, xs)
-        c = _k_delta_engine(delta, xs, xs, node_factor=2.0)(xs, xs)
+        a = k_delta(delta, xs, xs)
         with monkeypatch.context() as m:
             m.setattr(kernels, "_pole_count", lambda d, xmin: count(d, xmin) + 5)
-            b = _k_delta_engine(delta, xs, xs)(xs, xs)
+            b = k_delta(delta, xs, xs)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "make_contour",
+                      lambda kind, nodes, **line: make_contour(kind, nodes=2 * nodes - 1, **line))
+            c = k_delta(delta, xs, xs)
         assert np.max(np.abs(a - b)) < 1e-15, delta
         assert np.max(np.abs(a - c)) < 1e-13, delta
 
 
-def _k_delta_30_digits(mp, delta, x, y):
-    """k_delta to 30 digits: the zeta residues, 30 terms, and the z line Re z = 1 by mpmath."""
-    d2, x, y = mp.mpf(delta) ** 2, mp.mpf(x), mp.mpf(y)
-    c = [(-1) ** k / mp.factorial(k) * mp.exp(-d2 / 2 * k * k - k * x) for k in range(30)]
-
-    def f(t):
-        z = 1 + 1j * t
-        return (mp.exp(d2 / 2 * z * z - y * z) / mp.gamma(z)
-                * mp.fsum(ck / (z + k) for k, ck in enumerate(c)))
-
-    return float(mp.re(mp.quad(f, mp.linspace(-12, 12, 13))) / (2 * mp.pi))
-
-
-@pytest.mark.parametrize("delta,x,y", [(2.0, 0.0, 1.0), (1.5, 0.5, -0.5), (2.0, -2.0, -1.0),
-                                       (2.0, 3.0, 2.0), (3.0, 4.0, 0.0), (3.0, -3.0, 0.0)])
+@pytest.mark.parametrize("delta,x,y", [
+    (2.0, 0.0, 1.0), (1.5, 0.5, -0.5), (2.0, -2.0, -1.0), (2.0, 3.0, 2.0), (3.0, 4.0, 0.0),
+    (3.0, -3.0, 0.0), (0.3, 2.0, 2.0), (0.3, -5.0, 0.0), (0.3, 0.0, -1.0), (0.5, 0.0, 0.0),
+    (0.5, 1.0, -1.5), (1.0, 0.0, 0.0),
+    pytest.param(0.5, -2.0, -1.0, marks=pytest.mark.xfail(
+        strict=True, reason="the z line of y = -1 has no real saddle at delta = 0.5 and "
+                            "cancels: its v_k carry up to 3e-13 of relative rounding against "
+                            "residue terms up to 84, and the kernel reads 3.2e-14 off"))])
 def test_k_delta_matches_30_digit_values(delta, x, y):
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        want = _k_delta_30_digits(mp, delta, x, y)
+    pytest.importorskip("mpmath")
+    import arith_oracle
+
+    want = float(arith_oracle.k_delta(delta, x, y, digits=30))
     assert abs(k_delta(delta, x, y) - want) < 1e-14 * max(1.0, abs(want))
 
 
